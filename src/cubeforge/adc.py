@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 TARGET_MINUS_SOURCE = "target-minus-source"
@@ -57,14 +58,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 def zero_vec(n: int) -> Vector:
     return (0,) * n
-
-
-def vec_add(u: Sequence[int], v: Sequence[int]) -> Vector:
-    return tuple(a + b for a, b in zip(u, v, strict=True))
-
-
-def vec_sub(u: Sequence[int], v: Sequence[int]) -> Vector:
-    return tuple(a - b for a, b in zip(u, v, strict=True))
 
 
 def vec_neg(u: Sequence[int]) -> Vector:
@@ -285,6 +278,12 @@ def cube_d_terms(s: str, d_convention: str = TARGET_MINUS_SOURCE) -> list[tuple[
 
 def cube(n: int, d_convention: str = TARGET_MINUS_SOURCE) -> Adc:
     """The n-cube complex on sign-sequence bases (tensor power of cube(1))."""
+    return _cube(n, d_convention)
+
+
+@lru_cache(maxsize=None)
+def _cube(n: int, d_convention: str) -> Adc:
+    # an Adc is immutable, so every caller can share one copy per (n, convention)
     degrees = [cube_basis(n, k) for k in range(n + 1)]
     index = [{s: j for j, s in enumerate(basis)} for basis in degrees]
     boundary = []
@@ -405,16 +404,12 @@ class ChainMap:
 
 
 def _basis_map(source: Adc, target: Adc, image: dict[str, list[tuple[int, str]]]) -> ChainMap:
+    index = [{name: j for j, name in enumerate(basis)} for basis in target.degrees]
     terms = []
-    for k in range(source.top + 1):
+    for k, basis in enumerate(source.degrees):
         row = []
-        for name in source.degrees[k]:
-            row.append(
-                tuple(
-                    (c, target.basis_index(k, tname))
-                    for c, tname in image.get(name, [])
-                )
-            )
+        for name in basis:
+            row.append(tuple([(c, index[k][tname]) for c, tname in image.get(name, ())]))
         terms.append(tuple(row))
     return ChainMap(source, target, tuple(terms))
 
@@ -471,15 +466,43 @@ def cube_conn(n: int, i: int, alpha: str,
     if not (1 <= i <= n and alpha in "-+"):
         raise ValueError(f"no connection (i={i}, alpha={alpha}) on the {n}-cube")
     src, tgt = cube(n + 1, d_convention), cube(n, d_convention)
+    collapse = {a + b: conn_collapse(a + b, alpha) for a in "-+0" for b in "-+0"}
     image = {}
     for basis in src.degrees:
         for s in basis:
-            sym = conn_collapse(s[i - 1: i + 1], alpha)
+            sym = collapse[s[i - 1: i + 1]]
             if sym is None:
                 image[s] = []
             else:
                 image[s] = [(1, s[: i - 1] + sym + s[i + 1:])]
     return _basis_map(src, tgt, image)
+
+
+def cube_rev(n: int, i: int, d_convention: str = TARGET_MINUS_SOURCE) -> ChainMap:
+    """The reversal co-map cube(n) -> cube(n): swap - and + at slot i, negate a 0 there."""
+    if not 1 <= i <= n:
+        raise ValueError(f"no reversal slot {i} on the {n}-cube")
+    K = cube(n, d_convention)
+    flip = {"-": (1, "+"), "+": (1, "-"), "0": (-1, "0")}
+    image = {}
+    for basis in K.degrees:
+        for s in basis:
+            c, sym = flip[s[i - 1]]
+            image[s] = [(c, s[: i - 1] + sym + s[i:])]
+    return _basis_map(K, K, image)
+
+
+def cube_swap(n: int, i: int, d_convention: str = TARGET_MINUS_SOURCE) -> ChainMap:
+    """The transposition co-map cube(n) -> cube(n): swap slots i, i+1 (Koszul sign on 00)."""
+    if not 1 <= i <= n - 1:
+        raise ValueError(f"no transposition slot {i} on the {n}-cube")
+    K = cube(n, d_convention)
+    image = {}
+    for basis in K.degrees:
+        for s in basis:
+            c = -1 if s[i - 1: i + 1] == "00" else 1
+            image[s] = [(c, s[: i - 1] + s[i] + s[i - 1] + s[i + 1:])]
+    return _basis_map(K, K, image)
 
 
 def comp_split(n: int, i: int, s: str) -> list[tuple[int, str]]:

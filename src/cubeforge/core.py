@@ -66,8 +66,8 @@ class Cell:
         return hash((id(self.model), self.dim, self.payload))
 
     def key(self) -> tuple:
-        """A model-independent sort/dedup key."""
-        return (self.dim, repr(self.payload))
+        """A model-independent dedup key."""
+        return (self.dim, self.payload)
 
 
 class CubModel:

@@ -26,7 +26,6 @@ from typing import Mapping, Sequence, Union
 from .core import (
     ALPHAS,
     Cell,
-    CompositionError,
     CubModel,
     NotInvertible,
     OracleUnavailable,
@@ -54,11 +53,8 @@ class InverseWitness:
 
 def verify_r_inverse(model: CubModel, A: Cell, B: Cell, k: int) -> bool:
     """Do A and B compose to the two k-degenerate identities?"""
-    try:
-        left = model.comp(A, B, k)
-        right = model.comp(B, A, k)
-    except CompositionError:
-        raise
+    left = model.comp(A, B, k)
+    right = model.comp(B, A, k)
     return model.equal(
         left, model.deg(model.face(A, k, "-"), k)
     ) and model.equal(right, model.deg(model.face(A, k, "+"), k))
@@ -207,8 +203,6 @@ def is_plain_invertible(model: CubModel, A: Cell) -> bool:
         raise DomainError("plain invertibility needs dimension >= 1")
     try:
         return model.has_r_inverse(fold_tail(model, A), 1)
-    except OracleUnavailable:
-        raise
     except NotImplementedError as exc:  # pragma: no cover
         raise OracleUnavailable(str(exc))
 
@@ -429,7 +423,7 @@ def classify_omega_p(
                 all_inv = False
                 witness = A.payload
             if has_r_invertible_shell(model, A, 1):
-                if model.has_r_inverse(A, 1) != (plain and True):
+                if model.has_r_inverse(A, 1) != plain:
                     shell_ok = False
             elif model.has_r_inverse(A, 1):
                 shell_ok = False  # invertible cells always have invertible shells

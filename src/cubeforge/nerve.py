@@ -11,7 +11,13 @@ sign sequence s of length n a K-chain of degree equal to the number of
 * positivity: every value lies in the cone of its degree.
 
 Faces, degeneracies and connections act by precomposition with the cube
-co-structure maps; compositions split along the composition direction.
+co-structure maps of `cubeforge.adc` (`cube_face`, `cube_deg`,
+`cube_conn`), the closed-form inverses by precomposition with
+`cube_rev` and `cube_swap`, and compositions split along the
+composition direction as `comp_split` says.  Each map is compiled once
+per (operation, dimension, direction, sign) into an
+`operator.itemgetter` over the payload, with the zero chains the map
+kills appended, so an operation is one C-level gather.
 The globular nerve is the same story over the disk complexes.
 
 Cells are immutable; payloads are tuples of coefficient tuples aligned
@@ -24,20 +30,14 @@ coefficient bound, and reports restate it.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from operator import add, itemgetter
+from typing import Callable, Mapping, NamedTuple, Sequence
 
-from .adc import Adc, Chain, cube, disk, vec_neg
-from .core import (
-    BudgetExceeded,
-    Cell,
-    CompositionError,
-    CubModel,
-    NotInvertible,
-    phi,
-)
-
-DEBUG_VALIDATE = False
+from .adc import (Adc, Chain, ChainMap, comp_split, cube, cube_conn, cube_deg,
+                  cube_face, cube_rev, cube_swap, disk, to_json_dict, vec_neg)
+from .core import BudgetExceeded, Cell, CompositionError, CubModel, NotInvertible, phi
 
 
 def _box_ranges(flags: Sequence[bool], bound: int) -> list[range]:
@@ -89,6 +89,7 @@ class _NerveBase(CubModel):
         self._index: dict[int, dict[str, int]] = {}
         self._cell_cache: dict[tuple[int, int], list[Cell]] = {}
         self._zeros: dict[int, tuple] = {}
+        self._plans: dict[int, tuple] = {}
 
     def domain(self, n: int) -> Adc:
         raise NotImplementedError
@@ -162,14 +163,6 @@ class _NerveBase(CubModel):
                         rhs[t] += c * v[t]
         return tuple(rhs)
 
-    def _finish(self, n: int, payload: tuple) -> Cell:
-        cell = Cell(self, n, payload)
-        if DEBUG_VALIDATE:
-            problems = self.invalid_reasons(cell)
-            if problems:
-                raise AssertionError("; ".join(problems))
-        return cell
-
     # -- enumeration --------------------------------------------------------
 
     def cells(self, n: int, bound: int, budget: int = 2_000_000) -> list[Cell]:
@@ -198,8 +191,6 @@ class _NerveBase(CubModel):
         boundary is placed (most-constrained first), which lets the
         search prune long before all vertices are chosen.
         """
-        if not hasattr(self, "_plans"):
-            self._plans: dict[int, tuple] = {}
         if n in self._plans:
             return self._plans[n]
         dom = self.domain(n)
@@ -262,7 +253,7 @@ class _NerveBase(CubModel):
             if nodes > budget:
                 raise BudgetExceeded(f"enumeration exceeded {budget} nodes")
             if step == len(order):
-                out.append(self._finish(n, tuple(values)))
+                out.append(Cell(self, n, tuple(values)))
                 return limit is not None and len(out) >= limit
             pos = order[step]
             for v in candidates(pos):
@@ -280,13 +271,30 @@ class _NerveBase(CubModel):
 # the cubical nerve
 
 
-def _insert(s: str, i: int, sym: str) -> str:
-    return s[: i - 1] + sym + s[i - 1:]
+class _Table(NamedTuple):
+    """A compiled operation: ``getter`` gathers ``index`` from the payload plus
+    the appended zero chains (face, deg, conn; kept in ``extra``), negated
+    values (rev, swap; ``extra`` holds their (degree, position, name)) or
+    slab sums (comp; ``extra`` holds the slab positions)."""
+
+    getter: Callable[[tuple], tuple]
+    extra: tuple
+    index: tuple[int, ...]
 
 
-def _flip(s: str, i: int) -> str:
-    sym = {"-": "+", "+": "-"}[s[i - 1]]
-    return s[: i - 1] + sym + s[i:]
+def _kernel(index: Sequence[int]) -> Callable[[tuple], tuple]:
+    # itemgetter of a single index returns the bare item, not a 1-tuple
+    return itemgetter(*index) if len(index) > 1 else lambda payload, p=index[0]: (payload[p],)
+
+
+_CO_MAPS = {
+    # kind -> the co-map whose precomposition acts on an n-cell
+    "face": lambda n, i, alpha, conv: cube_face(n, i, alpha, conv),
+    "deg": lambda n, i, alpha, conv: cube_deg(n + 1, i, conv),
+    "conn": lambda n, i, alpha, conv: cube_conn(n, i, alpha, conv),
+    "rev": lambda n, i, alpha, conv: cube_rev(n, i, conv),
+    "swap": lambda n, i, alpha, conv: cube_swap(n, i, conv),
+}
 
 
 class NcModel(_NerveBase):
@@ -294,7 +302,7 @@ class NcModel(_NerveBase):
 
     def __init__(self, K: Adc, max_dim: int = 6):
         super().__init__(K, max_dim)
-        self._tables: dict[tuple, list] = {}
+        self._tables: dict[tuple, _Table] = {}
 
     def __repr__(self) -> str:
         return f"NcModel({self.K.name or 'K'})"
@@ -306,126 +314,112 @@ class NcModel(_NerveBase):
 
     # -- operation tables -----------------------------------------------------
 
-    def _table(self, kind: str, n: int, i: int, alpha: str = "") -> list:
+    def _table(self, kind: str, n: int, i: int, alpha: str = "") -> _Table:
+        """The compiled table of an operation on n-cells, built once."""
         key = (kind, n, i, alpha)
-        if key in self._tables:
-            return self._tables[key]
-        tab: list = []
-        # deg/conn entries are either a source position (int) or the
-        # pre-built zero chain of the killed position's degree
-        if kind == "face":  # cells n -> n-1; positions over length-(n-1) seqs
-            for k, u in self.elements(n - 1):
-                tab.append(self.pos(n, _insert(u, i, alpha)))
-        elif kind == "deg":  # cells n -> n+1
-            for k, s in self.elements(n + 1):
-                if s[i - 1] == "0":
-                    tab.append(self.zero_chain(k))
-                else:
-                    tab.append(self.pos(n, s[: i - 1] + s[i:]))
-        elif kind == "conn":  # cells n -> n+1, collapsing slots i, i+1
-            from .adc import conn_collapse
-
-            for k, s in self.elements(n + 1):
-                sym = conn_collapse(s[i - 1: i + 1], alpha)
-                if sym is None:
-                    tab.append(self.zero_chain(k))
-                else:
-                    tab.append(self.pos(n, s[: i - 1] + sym + s[i + 1:]))
-        elif kind == "comp":
-            for k, s in self.elements(n):
-                tab.append(s[i - 1])
-        elif kind == "swap":  # transpose slots i, i+1
-            for k, s in self.elements(n):
-                t = s[: i - 1] + s[i] + s[i - 1] + s[i + 1:]
-                tab.append(self.pos(n, t))
-        self._tables[key] = tab
+        tab = self._tables.get(key)
+        if tab is None:
+            if kind == "comp":
+                tab = self._compile_comp(n, i)
+            else:
+                tab = self._compile(_CO_MAPS[kind](n, i, alpha, self.K.d_convention), n)
+            self._tables[key] = tab
         return tab
+
+    def _compile(self, cmap: ChainMap, n: int) -> _Table:
+        """Precomposition with a co-map into cube(n), over an n-cell's payload."""
+        width = len(self.elements(n))
+        offs = list(itertools.accumulate(map(len, cmap.target.degrees), initial=0))
+        images = (terms for row in cmap.terms for terms in row)
+        index: list[int] = []
+        negs: list[tuple[int, int, str]] = []
+        for (k, name), terms in zip(self.elements(cmap.source.top), images, strict=True):
+            if not terms:
+                index.append(width + k)
+                continue
+            ((c, t),) = terms
+            if c == 1:
+                index.append(offs[k] + t)
+            else:
+                index.append(width + len(negs))
+                negs.append((k, offs[k] + t, name))
+        zeros = tuple(self.zero_chain(k) for k in range(len(cmap.terms)))
+        extra = tuple(negs) if negs else zeros if max(index) >= width else ()
+        return _Table(_kernel(index), extra, tuple(index))
+
+    def _compile_comp(self, n: int, i: int) -> _Table:
+        """A composite indexes A's payload, then B's, then the slab sums."""
+        flat = self.elements(n)
+        width = len(flat)
+        index: list[int] = []
+        slab: list[int] = []
+        for pos, (_, s) in enumerate(flat):
+            pieces = comp_split(n, i, s)
+            if len(pieces) == 2:
+                index.append(2 * width + len(slab))
+                slab.append(pos)
+            else:
+                index.append(pos if pieces[0][0] == 1 else width + pos)
+        return _Table(_kernel(index), tuple(slab), tuple(index))
 
     # -- the cubical operations ------------------------------------------------
 
     def face(self, A: Cell, i: int, alpha: str) -> Cell:
         if not (1 <= i <= A.dim and alpha in "-+"):
             raise ValueError(f"no face (i={i}, alpha={alpha}) on a {A.dim}-cell")
-        tab = self._table("face", A.dim, i, alpha)
-        return self._finish(A.dim - 1, tuple(A.payload[p] for p in tab))
+        getter, zeros, _ = self._table("face", A.dim, i, alpha)
+        return Cell(self, A.dim - 1, getter(A.payload + zeros))
 
     def deg(self, A: Cell, i: int) -> Cell:
         if not 1 <= i <= A.dim + 1:
             raise ValueError(f"no degeneracy slot {i} on a {A.dim}-cell")
         if A.dim + 1 > self.max_dim:
             raise ValueError("degeneracy exceeds the model dimension bound")
-        tab = self._table("deg", A.dim, i)
-        payload = A.payload
-        return self._finish(
-            A.dim + 1,
-            tuple(payload[e] if type(e) is int else e for e in tab),
-        )
+        getter, zeros, _ = self._table("deg", A.dim, i)
+        return Cell(self, A.dim + 1, getter(A.payload + zeros))
 
     def conn(self, A: Cell, i: int, alpha: str) -> Cell:
         if not (1 <= i <= A.dim and alpha in "-+"):
             raise ValueError(f"no connection (i={i}, alpha={alpha}) on a {A.dim}-cell")
         if A.dim + 1 > self.max_dim:
             raise ValueError("connection exceeds the model dimension bound")
-        tab = self._table("conn", A.dim, i, alpha)
-        payload = A.payload
-        return self._finish(
-            A.dim + 1,
-            tuple(payload[e] if type(e) is int else e for e in tab),
-        )
+        getter, zeros, _ = self._table("conn", A.dim, i, alpha)
+        return Cell(self, A.dim + 1, getter(A.payload + zeros))
 
     def comp(self, A: Cell, B: Cell, i: int) -> Cell:
         if A.dim != B.dim or not 1 <= i <= A.dim:
             raise ValueError("bad composition request")
         self.check_composable(A, B, i)
-        tags = self._table("comp", A.dim, i)
-        payload = []
-        for pos, tag in enumerate(tags):
-            if tag == "0":
-                payload.append(
-                    tuple(a + b for a, b in zip(A.payload[pos], B.payload[pos]))
-                )
-            elif tag == "-":
-                payload.append(A.payload[pos])
-            else:
-                payload.append(B.payload[pos])
-        return self._finish(A.dim, tuple(payload))
+        getter, slab, _ = self._table("comp", A.dim, i)
+        a, b = A.payload, B.payload
+        sums = tuple(tuple(map(add, a[p], b[p])) for p in slab)
+        return Cell(self, A.dim, getter(a + b + sums))
 
     # -- closed-form inverses ---------------------------------------------------
+
+    def _invert(self, A: Cell, kind: str, i: int) -> Cell:
+        """Precomposition with an invertible co-map; negated values must stay in the cone."""
+        getter, negs, _ = self._table(kind, A.dim, i)
+        payload = A.payload
+        flipped = []
+        for k, p, name in negs:
+            neg = vec_neg(payload[p])
+            if not self.K.in_cone(k, neg):
+                raise NotInvertible(f"value at {name} is not invertible in the cone")
+            flipped.append(neg)
+        return Cell(self, A.dim, getter(payload + tuple(flipped)))
 
     def r_inverse(self, A: Cell, i: int) -> Cell:
         """The reversal inverse in direction i, when every slab chain flips."""
         if not 1 <= i <= A.dim:
             raise NotInvertible(f"no direction {i} on a {A.dim}-cell")
-        payload = []
-        for pos, (k, s) in enumerate(self.elements(A.dim)):
-            if s[i - 1] == "0":
-                neg = vec_neg(A.payload[pos])
-                if not self.K.in_cone(k, neg):
-                    raise NotInvertible(
-                        f"value at {s} is not invertible in the cone"
-                    )
-                payload.append(neg)
-            else:
-                payload.append(A.payload[self.pos(A.dim, _flip(s, i))])
-        return self._finish(A.dim, tuple(payload))
+        return self._invert(A, "rev", i)
 
     def t_inverse(self, A: Cell, i: int) -> Cell:
         """The transposition inverse exchanging directions i and i+1."""
         if not 1 <= i <= A.dim - 1:
             raise NotInvertible(f"no transposition {i} on a {A.dim}-cell")
-        swap = self._table("swap", A.dim, i)
-        payload = []
-        for pos, (k, s) in enumerate(self.elements(A.dim)):
-            if s[i - 1] == "0" and s[i] == "0":
-                neg = vec_neg(A.payload[pos])
-                if not self.K.in_cone(k, neg):
-                    raise NotInvertible(
-                        f"value at {s} is not invertible in the cone"
-                    )
-                payload.append(neg)
-            else:
-                payload.append(A.payload[swap[pos]])
-        return self._finish(A.dim, tuple(payload))
+        return self._invert(A, "swap", i)
 
     def content(self, A: Cell) -> Chain:
         """The top value: the chain assigned to the all-0 sequence."""
@@ -443,9 +437,6 @@ class NgModel(_NerveBase):
     directly (src, tgt, identity, comp over any level, inverse).
     """
 
-    def __init__(self, K: Adc, max_dim: int = 6):
-        super().__init__(K, max_dim)
-
     def __repr__(self) -> str:
         return f"NgModel({self.K.name or 'K'})"
 
@@ -460,18 +451,18 @@ class NgModel(_NerveBase):
         if A.dim == 0:
             raise ValueError("0-cells have no source")
         payload = A.payload[: 2 * (A.dim - 1)] + (A.payload[2 * (A.dim - 1)],)
-        return self._finish(A.dim - 1, payload)
+        return Cell(self, A.dim - 1, payload)
 
     def tgt(self, A: Cell) -> Cell:
         if A.dim == 0:
             raise ValueError("0-cells have no target")
         payload = A.payload[: 2 * (A.dim - 1)] + (A.payload[2 * (A.dim - 1) + 1],)
-        return self._finish(A.dim - 1, payload)
+        return Cell(self, A.dim - 1, payload)
 
     def identity(self, A: Cell) -> Cell:
         top = A.payload[-1]
         payload = A.payload[:-1] + (top, top, self.zero_chain(A.dim + 1))
-        return self._finish(A.dim + 1, payload)
+        return Cell(self, A.dim + 1, payload)
 
     def comp(self, A: Cell, B: Cell, k: int) -> Cell:
         """The composite over a shared k-dimensional boundary."""
@@ -494,7 +485,7 @@ class NgModel(_NerveBase):
                 a + b for a, b in zip(A.payload[2 * j + 1], B.payload[2 * j + 1])
             )
         payload[-1] = tuple(a + b for a, b in zip(A.payload[-1], B.payload[-1]))
-        return self._finish(n, tuple(payload))
+        return Cell(self, n, tuple(payload))
 
     def inverse(self, A: Cell) -> Cell:
         """The two-sided inverse for the top composition, when it exists."""
@@ -511,7 +502,7 @@ class NgModel(_NerveBase):
             A.payload[2 * n - 1],
             A.payload[2 * (n - 1)],
         )
-        B = self._finish(n, tuple(payload))
+        B = Cell(self, n, tuple(payload))
         left = self.comp(A, B, n - 1)
         right = self.comp(B, A, n - 1)
         if left != self.identity(self.src(A)) or right != self.identity(self.tgt(A)):
@@ -520,17 +511,11 @@ class NgModel(_NerveBase):
 
 
 # ---------------------------------------------------------------------------
-# comparison of the globular view with the globular nerve
-
-
-# ---------------------------------------------------------------------------
 # serialization
 
 
 def cell_to_json(model: _NerveBase, A: Cell) -> dict:
     """Serialize a nerve cell: named assignment plus the complex and flag."""
-    from .adc import to_json_dict
-
     return {
         "kind": "cubical" if isinstance(model, NcModel) else "globular",
         "dim": A.dim,
@@ -600,8 +585,6 @@ def gamma_vs_ng(K: Adc, n: int, bound: int, budget: int = 2_000_000) -> MatchRep
     Both sides are enumerated independently under the same coefficient
     bound; matching is by the full source/target tower plus top chain.
     """
-    from collections import Counter
-
     nc = NcModel(K)
     ng = NgModel(K)
     raw = nc.cells(n, bound, budget)
