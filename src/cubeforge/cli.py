@@ -11,7 +11,7 @@ specs ``disk:N`` and ``cube:N`` also work and honour ``--orientation``
 (files carry their own stored convention).  All randomness flows through
 ``--seed``; output is byte-identical for fixed inputs, seed and flags.
 Exit codes: 0 success, 1 violations or a non-invertible input, 2 parse
-or usage errors.
+or usage errors and exhausted search budgets.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .adc import (
     to_json_dict,
     validate,
 )
-from .core import CompositionError, NotInvertible, check_axioms, phi, psi
+from .core import BudgetExceeded, CompositionError, NotInvertible, check_axioms, phi, psi
 from .invert import classify_omega_p, sigma_act, t_inverse
 from .nerve import NcModel, cell_from_json, cell_to_json
 from .perms import (
@@ -128,6 +128,9 @@ def parse_dims(text: str) -> list[int]:
 
 
 def cmd_check(args) -> int:
+    for flag in ("dim", "bound", "max_pairs"):
+        if getattr(args, flag) < 0:
+            raise CliError(f"--{flag.replace('_', '-')} must be >= 0, got {getattr(args, flag)}")
     K = resolve_adc(args.adc, args.orientation)
     adc_report = validate(K)
     model = NcModel(K)
@@ -462,11 +465,11 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except CliError as exc:
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError,) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except BudgetExceeded as exc:
+        print(f"error: {exc}; lower the dimension or the bound", file=sys.stderr)
         return 2
 
 

@@ -14,12 +14,20 @@ Conventions.  Dimensions and directions are 1-based.  For an n-cell A,
 Attempting an undefined composition raises `CompositionError` (carrying
 the mismatched faces); that is an error in the *caller*, while an axiom
 violation found by `check_axioms` is data in the returned report.
+
+The checkers compile each equation family, once per dimension (and
+direction), into a cached `_Plan`: operation words deduplicated by
+structure, evaluated on demand at most once per cell.  A cell's faces,
+eps and Gammas, and a pair's composite, are computed once and shared.
+Counts and violations are those of checking each equation on its own.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from itertools import product
+from typing import Any, Iterable, Mapping, Sequence
 
 from .indices import DomainError, lower, raise_
 
@@ -566,9 +574,6 @@ class AxiomReport:
     def ok(self) -> bool:
         return not self.violations
 
-    def count(self, family: str) -> None:
-        self.checked[family] = self.checked.get(family, 0) + 1
-
     def summary(self) -> str:
         total = sum(self.checked.values())
         lines = [f"checked {total} equation instances in {len(self.checked)} families"]
@@ -582,36 +587,239 @@ class AxiomReport:
         return "\n".join(lines)
 
 
-def _eq(model: CubModel, report: AxiomReport, family: str, dim: int,
-        lhs: Callable[[], Cell], rhs: Callable[[], Cell],
-        detail: "str | Callable[[], str]") -> None:
-    report.count(family)
-    try:
-        left = lhs()
-        right = rhs()
-    except CompositionError as exc:
-        text = detail() if callable(detail) else detail
-        report.violations.append(
-            Violation(family, dim, f"{text}: composition failed ({exc})")
-        )
-        return
-    if not model.equal(left, right):
-        text = detail() if callable(detail) else detail
-        report.violations.append(Violation(family, dim, text))
+def _match(plus: Iterable, minus: Sequence, limit: int) -> list[tuple[int, int]]:
+    """The first `limit` index pairs (x, y), x-major, with plus[x] == minus[y]."""
+    out, by_key = [], {}
+    for y, key in enumerate(minus):
+        by_key.setdefault(key, []).append(y)
+    for x, key in enumerate(plus):
+        for y in by_key.get(key, ()):
+            if len(out) >= limit:
+                return out
+            out.append((x, y))
+    return out
 
 
 def composable_pairs(model: CubModel, cells: Sequence[Cell], i: int,
                      max_pairs: int) -> list[tuple[Cell, Cell]]:
-    by_minus: dict[tuple, list[Cell]] = {}
-    for B in cells:
-        by_minus.setdefault(model.face(B, i, "-").key(), []).append(B)
-    pairs = []
-    for A in cells:
-        for B in by_minus.get(model.face(A, i, "+").key(), ()):
-            pairs.append((A, B))
-            if len(pairs) >= max_pairs:
-                return pairs
-    return pairs
+    """The first `max_pairs` pairs (A, B) of `cells` with d_i^+ A == d_i^- B, A-major."""
+    minus = [model.face(B, i, "-").key() for B in cells]
+    plus = (model.face(A, i, "+").key() for A in cells)
+    return [(cells[x], cells[y]) for x, y in _match(plus, minus, max_pairs)]
+
+
+_FACE, _DEG, _CONN, _COMP = range(4)
+
+
+def _block(n: int, max_dim: int) -> list[tuple]:
+    """The faces, eps and Gammas of an n-cell, as (kind, args): the cell's block."""
+    ops = [(_FACE, (i, a)) for i, a in product(range(1, n + 1), ALPHAS)]
+    if n + 1 <= max_dim:  # room for one eps/Gamma above the cell
+        ops += [(_DEG, (j,)) for j in range(1, n + 2)]
+        ops += [(_CONN, (j, b)) for j, b in product(range(1, n + 1), ALPHAS)]
+    return ops
+
+
+class _Plan:
+    """Equations between operation words on a fixed list of leaf cells.
+
+    Slots ``0 .. leaves-1`` hold the cells a caller passes in.  Node
+    ``(kind, x, args)`` fills the next slot with the operation `kind` on
+    slot x and `args`: (i, alpha) for face and conn, (i,) for deg, and
+    (slot y, i) for comp.  Nodes are deduplicated by structure.  Each
+    equation keeps the nodes its lhs, then its rhs, need, in order.
+    """
+
+    def __init__(self, leaves: int, on_cell: bool = False):
+        self.leaves = leaves
+        self.on_cell = on_cell  # details end in " on <payload of slot 0>"
+        self.nodes: list[tuple] = []
+        self.slots: dict[tuple, int] = {}
+        self.equations: list[tuple] = []  # (family, lhs, rhs, detail, steps)
+
+    def block(self, x: int, n: int, max_dim: int) -> None:
+        """Slots x+1, x+2, ... hold the block of the n-cell at slot x."""
+        for offset, (kind, args) in enumerate(_block(n, max_dim), 1):
+            self.slots[(kind, x, args)] = x + offset
+
+    def op(self, kind: int, x: int, *args) -> int:
+        node = (kind, x, args)
+        if node not in self.slots:
+            self.slots[node] = self.leaves + len(self.nodes)
+            self.nodes.append(node)
+        return self.slots[node]
+
+    def face(self, x: int, i: int, alpha: str) -> int:
+        return self.op(_FACE, x, i, alpha)
+
+    def deg(self, x: int, i: int) -> int:
+        return self.op(_DEG, x, i)
+
+    def conn(self, x: int, i: int, alpha: str) -> int:
+        return self.op(_CONN, x, i, alpha)
+
+    def comp(self, x: int, y: int, i: int) -> int:
+        return self.op(_COMP, x, y, i)
+
+    def eq(self, family: str, lhs: int, rhs: int, detail: str) -> None:
+        steps: list[int] = []
+
+        def need(slot: int) -> None:
+            if slot >= self.leaves and slot not in steps:
+                kind, x, args = self.nodes[slot - self.leaves]
+                need(x)
+                if kind == _COMP:
+                    need(args[0])
+                steps.append(slot)
+
+        need(lhs)
+        need(rhs)
+        self.equations.append((family, lhs, rhs, detail, tuple(steps)))
+
+
+def _run(plan: _Plan, model: CubModel, report: AxiomReport, vals: list, n: int) -> None:
+    """Evaluate `plan` on the leaf cells `vals`, adding to `report`.
+
+    A node is computed when an equation first needs it, then shared.  A
+    `CompositionError` ends its equation as a violation, and a node it
+    left uncomputed is computed afresh by the next equation needing it.
+    """
+    ops, comp = (model.face, model.deg, model.conn), model.comp
+    nodes, base = plan.nodes, plan.leaves
+    vals = vals + [None] * len(nodes)
+    for family, lhs, rhs, detail, steps in plan.equations:
+        report.checked[family] = report.checked.get(family, 0) + 1
+        try:
+            for k in steps:
+                if vals[k] is None:
+                    kind, x, args = nodes[k - base]
+                    if kind == _COMP:
+                        vals[k] = comp(vals[x], vals[args[0]], args[1])
+                    else:
+                        vals[k] = ops[kind](vals[x], *args)
+        except CompositionError as exc:
+            why = f": composition failed ({exc})"
+        else:
+            if model.equal(vals[lhs], vals[rhs]):
+                continue
+            why = ""
+        on = f" on {vals[0].payload!r}" if plan.on_cell else ""
+        report.violations.append(Violation(family, n, detail + on + why))
+
+
+@functools.cache
+def _unary_plan(n: int, max_dim: int) -> _Plan:
+    """All families on one n-cell A; leaves: A and its block."""
+    p, A = _Plan(1 + len(_block(n, max_dim)), on_cell=True), 0
+    p.block(A, n, max_dim)
+    dirs, slots = range(1, n + 1), range(1, n + 2)  # directions of A and of eps A
+    can_raise = n + 1 <= max_dim  # room for one eps/Gamma above A
+    can_raise2 = n + 2 <= max_dim
+    for i, j, a, b in product(dirs, dirs, ALPHAS, ALPHAS):
+        if i != j:
+            p.eq("face-face", p.face(p.face(A, i, b), lower(j, i), a),
+                 p.face(p.face(A, j, a), lower(i, j), b),
+                 f"d_{lower(j,i)}^{a} d_{i}^{b} != d_{lower(i,j)}^{b} d_{j}^{a}")
+    if can_raise:
+        for j, i, a in product(slots, slots, ALPHAS):
+            if i == j:
+                p.eq("face-deg", p.face(p.deg(A, j), i, a), A, f"d_{i}^{a} eps_{i} != id")
+            elif n >= 1:  # the inner face acts on an n-cell
+                p.eq("face-deg", p.face(p.deg(A, j), i, a),
+                     p.deg(p.face(A, lower(i, j), a), lower(j, i)), f"d_{i}^{a} eps_{j}")
+        for j, i, a, b in product(dirs, slots, ALPHAS, ALPHAS):
+            lhs, what = p.face(p.conn(A, j, b), i, a), f"d_{i}^{a} Gamma_{j}^{b}"
+            if i not in (j, j + 1):
+                p.eq("face-conn", lhs, p.conn(p.face(A, lower(i, j), a), lower(j, i), b), what)
+            elif a == b:
+                p.eq("face-conn", lhs, A, f"{what} != id")
+            else:
+                p.eq("face-conn", lhs, p.deg(p.face(A, j, a), j), f"{what} != eps_j d_j^{a}")
+    if can_raise2:
+        # eps_i then eps_{j^i} equals eps_j then eps_{i^j}, printed in diagram
+        # order (for i <= j: the classical eps_i eps_j = eps_{j+1} eps_i)
+        for i, j in product(slots, slots):
+            p.eq("deg-deg", p.deg(p.deg(A, i), raise_(j, i)), p.deg(p.deg(A, j), raise_(i, j)),
+                 f"eps_{raise_(j,i)} eps_{i} != eps_{raise_(i,j)} eps_{j}")
+        for i, j, a, b in product(dirs, dirs, ALPHAS, ALPHAS):
+            if i != j:
+                p.eq("conn-conn", p.conn(p.conn(A, j, b), raise_(i, j), a),
+                     p.conn(p.conn(A, i, a), raise_(j, i), b),
+                     f"Gamma_{raise_(i,j)}^{a} Gamma_{j}^{b}")
+            elif a == b:
+                p.eq("conn-conn", p.conn(p.conn(A, i, a), i + 1, a), p.conn(p.conn(A, i, a), i, a),
+                     f"Gamma_{i+1}^{a} Gamma_{i}^{a} != Gamma_i Gamma_i")
+        for i, j, a in product(slots, slots, ALPHAS):
+            if i == j:
+                p.eq("conn-deg", p.conn(p.deg(A, i), i, a), p.deg(p.deg(A, i), i),
+                     f"Gamma_{i}^{a} eps_{i} != eps_i eps_i")
+            elif lower(i, j) <= n:
+                p.eq("conn-deg", p.conn(p.deg(A, j), i, a),
+                     p.deg(p.conn(A, lower(i, j), a), raise_(j, i)), f"Gamma_{i}^{a} eps_{j}")
+    for i in dirs:
+        p.eq("unit", p.comp(A, p.deg(p.face(A, i, "+"), i), i), A, f"right unit in direction {i}")
+        p.eq("unit", p.comp(p.deg(p.face(A, i, "-"), i), A, i), A, f"left unit in direction {i}")
+    if can_raise:
+        for i in dirs:
+            p.eq("transport", p.comp(p.conn(A, i, "+"), p.conn(A, i, "-"), i), p.deg(A, i + 1),
+                 "Gamma_i^+ *_i Gamma_i^- != eps_(i+1)")
+            p.eq("transport", p.comp(p.conn(A, i, "+"), p.conn(A, i, "-"), i + 1), p.deg(A, i),
+                 "Gamma_i^+ *_(i+1) Gamma_i^- != eps_i")
+    return p
+
+
+@functools.cache
+def _pair_plan(n: int, max_dim: int, i: int) -> _Plan:
+    """The composite families of A *_i B.
+
+    Leaves: A and its block, B and its block, then A *_i B.
+    """
+    A, B = 0, 1 + len(_block(n, max_dim))
+    AB = 2 * B
+    p = _Plan(AB + 1)
+    p.block(A, n, max_dim)
+    p.block(B, n, max_dim)
+    for k, a in product(range(1, n + 1), ALPHAS):
+        if k == i:
+            p.eq("face-comp", p.face(AB, i, a), p.face(A if a == "-" else B, i, a),
+                 f"d_{i}^{a} of *_{i}-composite")
+        else:
+            p.eq("face-comp", p.face(AB, k, a),
+                 p.comp(p.face(A, k, a), p.face(B, k, a), lower(i, k)),
+                 f"d_{k}^{a} of *_{i}-composite")
+    if n + 1 > max_dim:
+        return p
+    for k in range(1, n + 2):
+        p.eq("deg-comp", p.deg(AB, k), p.comp(p.deg(A, k), p.deg(B, k), raise_(i, k)),
+             f"eps_{k} of *_{i}-composite")
+    for k, a in product(range(1, n + 1), ALPHAS):
+        if k != i:
+            p.eq("conn-comp", p.conn(AB, k, a),
+                 p.comp(p.conn(A, k, a), p.conn(B, k, a), raise_(i, k)),
+                 f"Gamma_{k}^{a} of *_{i}-composite")
+    # the two 2D transport tables at k == i, composed as `grid2` composes
+    # them: each row along i, then the two rows along i+1
+    grids = {"-": ((p.conn(A, i, "-"), p.deg(B, i + 1)), (p.deg(B, i), p.conn(B, i, "-"))),
+             "+": ((p.conn(A, i, "+"), p.deg(A, i)), (p.deg(A, i + 1), p.conn(B, i, "+")))}
+    for a, (top, bottom) in grids.items():
+        p.eq("conn-comp", p.conn(AB, i, a), p.comp(p.comp(*top, i), p.comp(*bottom, i), i + 1),
+             f"Gamma_{i}^{a} of *_{i}-composite")
+    return p
+
+
+@functools.cache
+def _assoc_plan(i: int) -> _Plan:
+    p, (A, B, C, AB) = _Plan(4), range(4)
+    p.eq("assoc", p.comp(AB, C, i), p.comp(A, p.comp(B, C, i), i), f"associativity along {i}")
+    return p
+
+
+@functools.cache
+def _interchange_plan(i: int, j: int) -> _Plan:
+    p, (A, B, C, D, AB, CD) = _Plan(6), range(6)
+    p.eq("interchange", p.comp(AB, CD, j), p.comp(p.comp(A, C, j), p.comp(B, D, j), i),
+         f"interchange *_{i} / *_{j}")
+    return p
 
 
 def check_axioms(
@@ -626,236 +834,44 @@ def check_axioms(
 
     `cells_by_dim` maps each dimension <= dim to the sample cells; when
     omitted, the model's own enumerator at the given bound supplies it.
-    Violations are collected, not raised.
+    Violations are collected, not raised.  Per direction at most
+    `max_pairs` composable pairs are checked, and as many triples and
+    quadruples.
+
+    The families run as the cached plans described in the module
+    docstring; counts and violations (in order and text) are those of
+    evaluating each equation on its own, lhs then rhs.
     """
     if cells_by_dim is None:
         cells_by_dim = {n: model.cells(n, bound) for n in range(dim + 1)}
     report = AxiomReport()
-
     for n in range(dim + 1):
         sample = list(cells_by_dim.get(n, ()))
+        unary, block = _unary_plan(n, model.max_dim), _block(n, model.max_dim)
+        ops, known = (model.face, model.deg, model.conn), []
         for A in sample:
-            _unary_families(model, report, A, n)
+            known.append([A] + [ops[kind](A, *args) for kind, args in block])
+            _run(unary, model, report, known[-1], n)
+        key = {(i, a): [cell[1 + block.index((_FACE, (i, a)))].key() for cell in known]
+               for i in range(1, n + 1) for a in ALPHAS}
         for i in range(1, n + 1):
-            pairs = composable_pairs(model, sample, i, max_pairs)
-            for A, B in pairs:
-                _pair_families(model, report, A, B, i, n)
-            _associativity(model, report, sample, pairs, i, n, max_pairs)
+            pairs, ab = _match(key[(i, "+")], key[(i, "-")], max_pairs), []
+            for x, y in pairs:
+                ab.append(model.comp(sample[x], sample[y], i))
+                _run(_pair_plan(n, model.max_dim, i), model, report,
+                     known[x] + known[y] + ab[-1:], n)
+            for p, z in _match([key[(i, "+")][y] for _, y in pairs], key[(i, "-")], max_pairs):
+                x, y = pairs[p]
+                _run(_assoc_plan(i), model, report, [sample[x], sample[y], sample[z], ab[p]], n)
             for j in range(1, n + 1):
-                if i != j:
-                    _interchange(model, report, pairs, i, j, n, max_pairs)
+                if j == i:
+                    continue
+                sides = {a: [(key[(j, a)][x], key[(j, a)][y]) for x, y in pairs] for a in ALPHAS}
+                for p, q in _match(sides["+"], sides["-"], max_pairs):
+                    (x, y), (z, w) = pairs[p], pairs[q]
+                    _run(_interchange_plan(i, j), model, report,
+                         [sample[x], sample[y], sample[z], sample[w], ab[p], ab[q]], n)
     return report
-
-
-def _unary_families(model: CubModel, report: AxiomReport, A: Cell, n: int) -> None:
-    can_raise = n + 1 <= model.max_dim  # room for one eps/Gamma above A
-    can_raise2 = n + 2 <= model.max_dim
-    # single-step results are shared across many equation instances
-    face_a = {
-        (i, a): model.face(A, i, a) for i in range(1, n + 1) for a in ALPHAS
-    }
-    if can_raise:
-        deg_a = {j: model.deg(A, j) for j in range(1, n + 2)}
-        conn_a = {
-            (j, b): model.conn(A, j, b) for j in range(1, n + 1) for b in ALPHAS
-        }
-    # face/face
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i == j:
-                continue
-            for a in ALPHAS:
-                for b in ALPHAS:
-                    _eq(model, report, "face-face", n,
-                        lambda: model.face(face_a[(i, b)], lower(j, i), a),
-                        lambda: model.face(face_a[(j, a)], lower(i, j), b),
-                        lambda: f"d_{lower(j,i)}^{a} d_{i}^{b} != d_{lower(i,j)}^{b} d_{j}^{a} on {A.payload!r}")
-    # face/degeneracy
-    if can_raise:
-        for j in range(1, n + 2):
-            for i in range(1, n + 2):
-                for a in ALPHAS:
-                    if i == j:
-                        _eq(model, report, "face-deg", n,
-                            lambda: model.face(deg_a[j], i, a),
-                            lambda: A,
-                            lambda: f"d_{i}^{a} eps_{i} != id on {A.payload!r}")
-                    elif n >= 1:  # the inner face acts on an n-cell
-                        _eq(model, report, "face-deg", n,
-                            lambda: model.face(deg_a[j], i, a),
-                            lambda: model.deg(face_a[(lower(i, j), a)], lower(j, i)),
-                            lambda: f"d_{i}^{a} eps_{j} on {A.payload!r}")
-    # face/connection
-    if can_raise:
-        for j in range(1, n + 1):
-            for i in range(1, n + 2):
-                for a in ALPHAS:
-                    for b in ALPHAS:
-                        if i in (j, j + 1):
-                            if a == b:
-                                _eq(model, report, "face-conn", n,
-                                    lambda: model.face(conn_a[(j, b)], i, a),
-                                    lambda: A,
-                                    lambda: f"d_{i}^{a} Gamma_{j}^{b} != id on {A.payload!r}")
-                            else:
-                                _eq(model, report, "face-conn", n,
-                                    lambda: model.face(conn_a[(j, b)], i, a),
-                                    lambda: model.deg(face_a[(j, a)], j),
-                                    lambda: f"d_{i}^{a} Gamma_{j}^{b} != eps_j d_j^{a} on {A.payload!r}")
-                        else:
-                            _eq(model, report, "face-conn", n,
-                                lambda: model.face(conn_a[(j, b)], i, a),
-                                lambda: model.conn(face_a[(lower(i, j), a)], lower(j, i), b),
-                                lambda: f"d_{i}^{a} Gamma_{j}^{b} on {A.payload!r}")
-    # degeneracy/degeneracy: eps_i then eps_{j^i} equals eps_j then eps_{i^j}
-    # (this family is printed in diagram order: leftmost operator first;
-    # for i <= j it is the classical eps_i eps_j = eps_{j+1} eps_i)
-    if can_raise2:
-        for i in range(1, n + 2):
-            for j in range(1, n + 2):
-                _eq(model, report, "deg-deg", n,
-                    lambda: model.deg(deg_a[i], raise_(j, i)),
-                    lambda: model.deg(deg_a[j], raise_(i, j)),
-                    lambda: f"eps_{raise_(j,i)} eps_{i} != eps_{raise_(i,j)} eps_{j} on {A.payload!r}")
-    # connection/connection
-    if can_raise2:
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                for a in ALPHAS:
-                    for b in ALPHAS:
-                        if i != j:
-                            _eq(model, report, "conn-conn", n,
-                                lambda: model.conn(conn_a[(j, b)], raise_(i, j), a),
-                                lambda: model.conn(conn_a[(i, a)], raise_(j, i), b),
-                                lambda: f"Gamma_{raise_(i,j)}^{a} Gamma_{j}^{b} on {A.payload!r}")
-                        elif a == b:
-                            _eq(model, report, "conn-conn", n,
-                                lambda: model.conn(conn_a[(i, a)], i + 1, a),
-                                lambda: model.conn(conn_a[(i, a)], i, a),
-                                lambda: f"Gamma_{i+1}^{a} Gamma_{i}^{a} != Gamma_i Gamma_i on {A.payload!r}")
-    # connection/degeneracy
-    if can_raise2:
-        for i in range(1, n + 2):
-            for j in range(1, n + 2):
-                for a in ALPHAS:
-                    if i == j:
-                        _eq(model, report, "conn-deg", n,
-                            lambda: model.conn(deg_a[i], i, a),
-                            lambda: model.deg(deg_a[i], i),
-                            lambda: f"Gamma_{i}^{a} eps_{i} != eps_i eps_i on {A.payload!r}")
-                    else:
-                        if lower(i, j) > n:
-                            continue
-                        _eq(model, report, "conn-deg", n,
-                            lambda: model.conn(deg_a[j], i, a),
-                            lambda: model.deg(conn_a[(lower(i, j), a)], raise_(j, i)),
-                            lambda: f"Gamma_{i}^{a} eps_{j} on {A.payload!r}")
-    # units and transport
-    for i in range(1, n + 1):
-        _eq(model, report, "unit", n,
-            lambda: model.comp(A, model.deg(face_a[(i, "+")], i), i),
-            lambda: A, f"right unit in direction {i} on {A.payload!r}")
-        _eq(model, report, "unit", n,
-            lambda: model.comp(model.deg(face_a[(i, "-")], i), A, i),
-            lambda: A, f"left unit in direction {i} on {A.payload!r}")
-    if can_raise:
-        for i in range(1, n + 1):
-            _eq(model, report, "transport", n,
-                lambda: model.comp(conn_a[(i, "+")], conn_a[(i, "-")], i),
-                lambda: deg_a[i + 1],
-                lambda: f"Gamma_i^+ *_i Gamma_i^- != eps_(i+1) on {A.payload!r}")
-            _eq(model, report, "transport", n,
-                lambda: model.comp(conn_a[(i, "+")], conn_a[(i, "-")], i + 1),
-                lambda: deg_a[i],
-                lambda: f"Gamma_i^+ *_(i+1) Gamma_i^- != eps_i on {A.payload!r}")
-
-
-def _pair_families(model: CubModel, report: AxiomReport, A: Cell, B: Cell,
-                   i: int, n: int) -> None:
-    AB = model.comp(A, B, i)
-    # faces of a composite
-    for k in range(1, n + 1):
-        for a in ALPHAS:
-            if k == i:
-                _eq(model, report, "face-comp", n,
-                    lambda: model.face(AB, i, a),
-                    lambda: model.face(A, i, "-") if a == "-" else model.face(B, i, "+"),
-                    f"d_{i}^{a} of *_{i}-composite")
-            else:
-                _eq(model, report, "face-comp", n,
-                    lambda: model.face(AB, k, a),
-                    lambda: model.comp(model.face(A, k, a), model.face(B, k, a), lower(i, k)),
-                    f"d_{k}^{a} of *_{i}-composite")
-    if n + 1 > model.max_dim:
-        return
-    # degeneracies of a composite
-    for k in range(1, n + 2):
-        _eq(model, report, "deg-comp", n,
-            lambda: model.deg(AB, k),
-            lambda: model.comp(model.deg(A, k), model.deg(B, k), raise_(i, k)),
-            f"eps_{k} of *_{i}-composite")
-    # connections of a composite
-    for k in range(1, n + 1):
-        if k == i:
-            continue
-        for a in ALPHAS:
-            _eq(model, report, "conn-comp", n,
-                lambda: model.conn(AB, k, a),
-                lambda: model.comp(model.conn(A, k, a), model.conn(B, k, a), raise_(i, k)),
-                f"Gamma_{k}^{a} of *_{i}-composite")
-    # the two 2D transport tables at k == i
-    _eq(model, report, "conn-comp", n,
-        lambda: model.conn(AB, i, "-"),
-        lambda: grid2(model,
-                      [[model.conn(A, i, "-"), model.deg(B, i + 1)],
-                       [model.deg(B, i), model.conn(B, i, "-")]],
-                      i, i + 1),
-        f"Gamma_{i}^- of *_{i}-composite")
-    _eq(model, report, "conn-comp", n,
-        lambda: model.conn(AB, i, "+"),
-        lambda: grid2(model,
-                      [[model.conn(A, i, "+"), model.deg(A, i)],
-                       [model.deg(A, i + 1), model.conn(B, i, "+")]],
-                      i, i + 1),
-        f"Gamma_{i}^+ of *_{i}-composite")
-
-
-def _associativity(model: CubModel, report: AxiomReport, sample: Sequence[Cell],
-                   pairs: Sequence[tuple[Cell, Cell]], i: int, n: int,
-                   max_triples: int) -> None:
-    by_minus: dict[tuple, list[Cell]] = {}
-    for C in sample:
-        by_minus.setdefault(model.face(C, i, "-").key(), []).append(C)
-    count = 0
-    for A, B in pairs:
-        for C in by_minus.get(model.face(B, i, "+").key(), ()):
-            _eq(model, report, "assoc", n,
-                lambda: model.comp(model.comp(A, B, i), C, i),
-                lambda: model.comp(A, model.comp(B, C, i), i),
-                f"associativity along {i}")
-            count += 1
-            if count >= max_triples:
-                return
-
-
-def _interchange(model: CubModel, report: AxiomReport,
-                 pairs: Sequence[tuple[Cell, Cell]], i: int, j: int, n: int,
-                 max_quads: int) -> None:
-    by_top: dict[tuple, list[tuple[Cell, Cell]]] = {}
-    for C, D in pairs:
-        key = (model.face(C, j, "-").key(), model.face(D, j, "-").key())
-        by_top.setdefault(key, []).append((C, D))
-    count = 0
-    for A, B in pairs:
-        key = (model.face(A, j, "+").key(), model.face(B, j, "+").key())
-        for C, D in by_top.get(key, ()):
-            _eq(model, report, "interchange", n,
-                lambda: model.comp(model.comp(A, B, i), model.comp(C, D, i), j),
-                lambda: model.comp(model.comp(A, C, j), model.comp(B, D, j), i),
-                f"interchange *_{i} / *_{j}")
-            count += 1
-            if count >= max_quads:
-                return
 
 
 # ---------------------------------------------------------------------------
@@ -898,67 +914,47 @@ class GammaView:
     def check_globular(self, cells_by_dim: Mapping[int, Sequence[Cell]],
                        max_pairs: int = 60) -> AxiomReport:
         """Sampled globular laws: globularity, units, associativity, exchange."""
-        report = AxiomReport()
-        model = self.model
+        report, model = AxiomReport(), self.model
         for n, sample in sorted(cells_by_dim.items()):
+            sample = list(sample)
             for A in sample:
-                if n >= 2:
-                    _eq(model, report, "globularity", n,
-                        lambda: self.src(self.src(A)), lambda: self.src(self.tgt(A)),
-                        "s s != s t")
-                    _eq(model, report, "globularity", n,
-                        lambda: self.tgt(self.src(A)), lambda: self.tgt(self.tgt(A)),
-                        "t s != t t")
-                if n >= 1:
-                    _eq(model, report, "glob-unit", n,
-                        lambda: self.comp(self.identity(self.src(A)), A, n - 1),
-                        lambda: A, "1_s(A) . A != A")
-                    _eq(model, report, "glob-unit", n,
-                        lambda: self.comp(A, self.identity(self.tgt(A)), n - 1),
-                        lambda: A, "A . 1_t(A) != A")
-                _eq(model, report, "glob-id-st", n,
-                    lambda: self.src(self.identity(A)), lambda: A, "s(1_A) != A")
-                _eq(model, report, "glob-id-st", n,
-                    lambda: self.tgt(self.identity(A)), lambda: A, "t(1_A) != A")
+                _run(_globular_plan(n), model, report, [A], n)
             for k in range(n):
-                i = n - k
-                pairs = composable_pairs(model, list(sample), i, max_pairs)
-                for A, B in pairs:
-                    if k == n - 1:
-                        _eq(model, report, "glob-src-comp", n,
-                            lambda: self.src(self.comp(A, B, k)),
-                            lambda: self.src(A), "s(A . B) != s(A)")
-                        _eq(model, report, "glob-src-comp", n,
-                            lambda: self.tgt(self.comp(A, B, k)),
-                            lambda: self.tgt(B), "t(A . B) != t(B)")
-                    else:
-                        _eq(model, report, "glob-src-comp", n,
-                            lambda: self.src(self.comp(A, B, k)),
-                            lambda: self.comp(self.src(A), self.src(B), k),
-                            "s(A . B) != s(A) . s(B)")
+                pairs = composable_pairs(model, sample, n - k, max_pairs)
+                for pair in pairs:
+                    _run(_globular_plan(n, k), model, report, list(pair), n)
                 for j in range(k):
-                    _exchange_glob(self, report, pairs, n, k, j, max_pairs)
+                    key = {a: [(model.face(A, n - j, a).key(), model.face(B, n - j, a).key())
+                               for A, B in pairs] for a in ALPHAS}
+                    for p, q in _match(key["+"], key["-"], max_pairs):
+                        _run(_globular_plan(n, k, j), model, report, [*pairs[p], *pairs[q]], n)
         return report
 
 
-def _exchange_glob(view: GammaView, report: AxiomReport,
-                   pairs: Sequence[tuple[Cell, Cell]], n: int, k: int, j: int,
-                   max_quads: int) -> None:
-    model = view.model
-    i_cub = n - k
-    j_cub = n - j
-    by_top: dict[tuple, list[tuple[Cell, Cell]]] = {}
-    for C, D in pairs:
-        key = (model.face(C, j_cub, "-").key(), model.face(D, j_cub, "-").key())
-        by_top.setdefault(key, []).append((C, D))
-    count = 0
-    for A, B in pairs:
-        key = (model.face(A, j_cub, "+").key(), model.face(B, j_cub, "+").key())
-        for C, D in by_top.get(key, ()):
-            _eq(model, report, "glob-exchange", n,
-                lambda: view.comp(view.comp(A, B, k), view.comp(C, D, k), j),
-                lambda: view.comp(view.comp(A, C, j), view.comp(B, D, j), k),
-                f"exchange .{k} / .{j}")
-            count += 1
-            if count >= max_quads:
-                return
+@functools.cache
+def _globular_plan(n: int, k: int = -1, j: int = -1) -> _Plan:
+    """The globular laws on an n-cell A (k < 0), on a pair A ._k B (j < 0),
+    or the exchange of ._k and ._j on a quadruple A, B, C, D."""
+    p = _Plan(1 if k < 0 else 2 if j < 0 else 4)
+    s, t = (lambda X: p.face(X, 1, "-")), (lambda X: p.face(X, 1, "+"))
+    A, B, C, D = range(4)
+    if k < 0:
+        if n >= 2:
+            p.eq("globularity", s(s(A)), s(t(A)), "s s != s t")
+            p.eq("globularity", t(s(A)), t(t(A)), "t s != t t")
+        if n >= 1:
+            p.eq("glob-unit", p.comp(p.deg(s(A), 1), A, 1), A, "1_s(A) . A != A")
+            p.eq("glob-unit", p.comp(A, p.deg(t(A), 1), 1), A, "A . 1_t(A) != A")
+        p.eq("glob-id-st", s(p.deg(A, 1)), A, "s(1_A) != A")
+        p.eq("glob-id-st", t(p.deg(A, 1)), A, "t(1_A) != A")
+    elif j < 0:
+        AB = p.comp(A, B, n - k)
+        if k == n - 1:
+            p.eq("glob-src-comp", s(AB), s(A), "s(A . B) != s(A)")
+            p.eq("glob-src-comp", t(AB), t(B), "t(A . B) != t(B)")
+        else:
+            p.eq("glob-src-comp", s(AB), p.comp(s(A), s(B), n - 1 - k), "s(A . B) != s(A) . s(B)")
+    else:
+        p.eq("glob-exchange", p.comp(p.comp(A, B, n - k), p.comp(C, D, n - k), n - j),
+             p.comp(p.comp(A, C, n - j), p.comp(B, D, n - j), n - k), f"exchange .{k} / .{j}")
+    return p

@@ -251,7 +251,8 @@ class _NerveBase(CubModel):
             nonlocal nodes
             nodes += 1
             if nodes > budget:
-                raise BudgetExceeded(f"enumeration exceeded {budget} nodes")
+                raise BudgetExceeded(
+                    f"enumeration of {n}-cells at bound {bound} exceeded {budget} nodes")
             if step == len(order):
                 out.append(Cell(self, n, tuple(values)))
                 return limit is not None and len(out) >= limit

@@ -5,7 +5,7 @@ import pytest
 from cubeforge.adc import disk, save_adc, to_json_dict, with_group_cones_above
 from cubeforge.cli import main
 from cubeforge.core import is_thin
-from cubeforge.nerve import NcModel, cell_to_json
+from cubeforge.nerve import NcModel, _NerveBase, cell_to_json
 from cubeforge.transfor import homotopy_lax_transfor
 
 
@@ -39,6 +39,23 @@ def test_check_missing_file_exit2(capsys):
     code, _, err = run(capsys, "check", "--adc", "nowhere.adc", "--dim", "1")
     assert code == 2
     assert "no such file" in err
+
+
+@pytest.mark.parametrize("flag", ["--dim", "--bound", "--max-pairs"])
+def test_check_negative_value_exit2(capsys, flag):
+    code, out, err = run(capsys, "check", "--adc", "disk:2", flag, "-1")
+    assert code == 2 and out == ""
+    assert err == f"error: {flag} must be >= 0, got -1\n"
+
+
+def test_check_budget_exceeded_exit2(capsys, monkeypatch):
+    cells = _NerveBase.cells
+    monkeypatch.setattr(_NerveBase, "cells",
+                        lambda self, n, bound: cells(self, n, bound, budget=50))
+    code, out, err = run(capsys, "check", "--adc", "disk:2", "--dim", "2")
+    assert code == 2 and out == ""
+    assert err == ("error: enumeration of 2-cells at bound 1 exceeded 50 nodes; "
+                   "lower the dimension or the bound\n")
 
 
 def test_check_json_deterministic(tmp_path, capsys):
