@@ -25,9 +25,11 @@ coherent; ``disk`` and ``cube`` accept either and default to
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
+
+from .core import Report
 
 TARGET_MINUS_SOURCE = "target-minus-source"
 SOURCE_MINUS_TARGET = "source-minus-target"
@@ -153,18 +155,9 @@ def make_adc(
     )
 
 
-@dataclass
-class AdcReport:
-    violations: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def validate(K: Adc) -> AdcReport:
+def validate(K: Adc) -> Report:
     """Check d o d = 0, e o d = 0 and shape consistency."""
-    report = AdcReport()
+    report = Report()
     for k in range(1, K.top + 1):
         m = K.boundary[k - 1]
         if len(m) != K.rank(k - 1) or (m and any(len(r) != K.rank(k) for r in m)):
@@ -173,6 +166,7 @@ def validate(K: Adc) -> AdcReport:
         report.violations.append("augmentation vector has wrong length")
     if report.violations:
         return report
+    report.checked = {"d o d": sum(K.rank(k) for k in range(2, K.top + 1)), "e o d": K.rank(1)}
     for k in range(2, K.top + 1):
         for j in range(K.rank(k)):
             col = tuple(1 if i == j else 0 for i in range(K.rank(k)))
@@ -622,12 +616,6 @@ def smith_normal_form(rows: Sequence[Sequence[int]]) -> tuple[Matrix, Matrix, Ma
             r[k][dst] += c * r[k][src]
         for j in range(ncols):
             v[src][j] -= c * v[dst][j]
-
-    def col_neg(a):
-        for k in range(nrows):
-            r[k][a] = -r[k][a]
-        for j in range(ncols):
-            v[a][j] = -v[a][j]
 
     def find_pivot(t: int) -> tuple[int, int] | None:
         pivot = None

@@ -65,11 +65,11 @@ ORIENTATIONS = {"printed": TARGET_MINUS_SOURCE, "flipped": SOURCE_MINUS_TARGET}
 
 
 def resolve_adc(ref: str, orientation: str) -> Adc:
-    conv = ORIENTATIONS[orientation]
-    if ref.startswith("disk:"):
-        return disk(int(ref.split(":", 1)[1]), conv)
-    if ref.startswith("cube:"):
-        return cube(int(ref.split(":", 1)[1]), conv)
+    kind, colon, n = ref.partition(":")
+    if colon and kind in ("disk", "cube"):
+        if int(n) < 0:
+            raise CliError(f"{kind}:N needs N >= 0, got {ref!r}")
+        return (disk if kind == "disk" else cube)(int(n), ORIENTATIONS[orientation])
     try:
         return load_adc(ref)
     except FileNotFoundError:
@@ -113,14 +113,19 @@ def header(K: Adc | None = None) -> list[str]:
 
 
 def parse_dims(text: str) -> list[int]:
-    if ".." in text:
-        a, b = text.split("..", 1)
-        lo, hi = int(a), int(b)
-    else:
-        lo = hi = int(text)
+    a, _, b = text.partition("..")
+    lo, hi = int(a), int(b or a)
+    if lo < 0:
+        raise CliError(f"--dims must be >= 0, got {text!r}")
     if hi < lo:
         raise CliError(f"empty dimension range {text!r}")
     return list(range(lo, hi + 1))
+
+
+def require_nonneg(args, *flags: str) -> None:
+    for flag in flags:
+        if getattr(args, flag) < 0:
+            raise CliError(f"--{flag.replace('_', '-')} must be >= 0, got {getattr(args, flag)}")
 
 
 # ---------------------------------------------------------------------------
@@ -128,9 +133,7 @@ def parse_dims(text: str) -> list[int]:
 
 
 def cmd_check(args) -> int:
-    for flag in ("dim", "bound", "max_pairs"):
-        if getattr(args, flag) < 0:
-            raise CliError(f"--{flag.replace('_', '-')} must be >= 0, got {getattr(args, flag)}")
+    require_nonneg(args, "dim", "bound", "random", "max_pairs")
     K = resolve_adc(args.adc, args.orientation)
     adc_report = validate(K)
     model = NcModel(K)
@@ -162,19 +165,16 @@ def cmd_check(args) -> int:
     )
     for v in payload["complex_violations"]:
         lines.append(f"complex violation: {v}")
-    lines.append(f"checked {sum(report.checked.values())} equation instances")
-    for fam in sorted(report.checked):
-        lines.append(f"  {fam}: {report.checked[fam]}")
-    for v in payload["violations"]:
-        lines.append(f"VIOLATION {v}")
+    lines.append(report.summary())
     lines.append("result: " + ("ok" if ok else "violations found"))
     emit(payload, args.format, lines)
     return 0 if ok else 1
 
 
 def cmd_classify(args) -> int:
-    K = resolve_adc(args.adc, args.orientation)
+    require_nonneg(args, "bound", "random")
     dims = parse_dims(args.dims)
+    K = resolve_adc(args.adc, args.orientation)
     model = NcModel(K)
     rng = random.Random(args.seed)
     report = classify_omega_p(
@@ -201,13 +201,7 @@ def cmd_classify(args) -> int:
     }
     lines = header(K)
     lines.append(f"dims {dims}, bound {args.bound}, seed {args.seed}")
-    for e in report.evidence:
-        status = "all invertible" if e.all_invertible else "non-invertible cell found"
-        lines.append(f"dim {e.dim}: {e.checked} cells, {status}")
-        if e.witness is not None:
-            lines.append(f"  witness: {e.witness!r}")
-    lines.append(f"p-estimate: >= {report.p_estimate} (sample-based)")
-    lines.append(f"cross-checks consistent: {report.consistent}")
+    lines.append(report.summary())
     emit(payload, args.format, lines)
     return 0
 
@@ -226,15 +220,11 @@ def _load_cell(path: str, orientation: str):
 def _emit_cell(model, cell, fmt: str) -> None:
     payload = cell_to_json(model, cell)
     payload["version"] = __version__
-    if fmt == "json":
-        print(json.dumps(payload, sort_keys=True, indent=2))
-    else:
-        lines = header(model.K)
-        lines.append(f"{payload['kind']} {cell.dim}-cell:")
-        for name in sorted(payload["assignment"]):
-            lines.append(f"  {name or chr(0x2205)}: {payload['assignment'][name]}")
-        for line in lines:
-            print(line)
+    lines = header(model.K)
+    lines.append(f"{payload['kind']} {cell.dim}-cell:")
+    for name in sorted(payload["assignment"]):
+        lines.append(f"  {name or chr(0x2205)}: {payload['assignment'][name]}")
+    emit(payload, fmt, lines)
 
 
 def cmd_invert(args) -> int:
@@ -378,14 +368,10 @@ def cmd_transfor(args) -> int:
             for A, FA in table.pairs()
         ],
     }
-    if args.format == "json":
-        print(json.dumps(payload, sort_keys=True, indent=2))
-    else:
-        lines = header(tgt.K)
-        lines.append(f"{table.variance} {table.p}-transfor, {len(payload['entries'])} entries")
-        lines.append("valid: yes")
-        for line in lines:
-            print(line)
+    lines = header(tgt.K)
+    lines.append(f"{table.variance} {table.p}-transfor, {len(payload['entries'])} entries")
+    lines.append("valid: yes")
+    emit(payload, args.format, lines)
     return 0
 
 

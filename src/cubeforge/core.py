@@ -135,15 +135,8 @@ class CubModel:
 # 2D composites
 
 
-DEBUG_GRID = False
-
-
 def grid2(model: CubModel, rows: Sequence[Sequence[Cell]], row_dir: int, col_dir: int) -> Cell:
-    """Compose a rectangular array: rows along `row_dir`, then down `col_dir`.
-
-    With DEBUG_GRID set, 2x2 grids are also evaluated column-major and the
-    two results compared (the interchange law); a mismatch raises.
-    """
+    """Compose a rectangular array: rows along `row_dir`, then down `col_dir`."""
     composed_rows = []
     for row in rows:
         acc = row[0]
@@ -153,11 +146,6 @@ def grid2(model: CubModel, rows: Sequence[Sequence[Cell]], row_dir: int, col_dir
     result = composed_rows[0]
     for band in composed_rows[1:]:
         result = model.comp(result, band, col_dir)
-    if DEBUG_GRID and len(rows) == 2 and len(rows[0]) == len(rows[1]) == 2:
-        (a, b), (c, d) = rows
-        other = model.comp(model.comp(a, c, col_dir), model.comp(b, d, col_dir), row_dir)
-        if not model.equal(result, other):
-            raise AssertionError("interchange violated in grid2")
     return result
 
 
@@ -302,9 +290,6 @@ class BoxModel(CubModel):
             for a in ALPHAS
         )
         return Cell(self, self.n + 1, ("shell", items))
-
-    def from_shell(self, shell: Shell) -> Cell:
-        return self.shell_cell(dict(shell.faces))
 
     def shell_faces(self, A: Cell) -> dict[tuple[int, str], Cell]:
         _, items = A.payload
@@ -566,24 +551,20 @@ class Violation:
 
 
 @dataclass
-class AxiomReport:
+class Report:
+    """Counts of checked equation instances by family, and the violations found."""
+
     checked: dict[str, int] = field(default_factory=dict)
-    violations: list[Violation] = field(default_factory=list)
+    violations: list = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
         return not self.violations
 
     def summary(self) -> str:
-        total = sum(self.checked.values())
-        lines = [f"checked {total} equation instances in {len(self.checked)} families"]
-        for family in sorted(self.checked):
-            lines.append(f"  {family}: {self.checked[family]}")
-        if self.violations:
-            lines.append(f"VIOLATIONS ({len(self.violations)}):")
-            lines.extend(f"  {v}" for v in self.violations)
-        else:
-            lines.append("no violations")
+        lines = [f"checked {sum(self.checked.values())} equation instances"]
+        lines += [f"  {family}: {self.checked[family]}" for family in sorted(self.checked)]
+        lines += [f"VIOLATION {v}" for v in sorted(map(str, self.violations))]
         return "\n".join(lines)
 
 
@@ -677,7 +658,7 @@ class _Plan:
         self.equations.append((family, lhs, rhs, detail, tuple(steps)))
 
 
-def _run(plan: _Plan, model: CubModel, report: AxiomReport, vals: list, n: int) -> None:
+def _run(plan: _Plan, model: CubModel, report: Report, vals: list, n: int) -> None:
     """Evaluate `plan` on the leaf cells `vals`, adding to `report`.
 
     A node is computed when an equation first needs it, then shared.  A
@@ -829,7 +810,7 @@ def check_axioms(
     *,
     bound: int = 1,
     max_pairs: int = 120,
-) -> AxiomReport:
+) -> Report:
     """Evaluate every cubical-set and composition equation family on a sample.
 
     `cells_by_dim` maps each dimension <= dim to the sample cells; when
@@ -844,7 +825,7 @@ def check_axioms(
     """
     if cells_by_dim is None:
         cells_by_dim = {n: model.cells(n, bound) for n in range(dim + 1)}
-    report = AxiomReport()
+    report = Report()
     for n in range(dim + 1):
         sample = list(cells_by_dim.get(n, ()))
         unary, block = _unary_plan(n, model.max_dim), _block(n, model.max_dim)
@@ -912,9 +893,9 @@ class GammaView:
         return self.model.comp(A, B, A.dim - k)
 
     def check_globular(self, cells_by_dim: Mapping[int, Sequence[Cell]],
-                       max_pairs: int = 60) -> AxiomReport:
+                       max_pairs: int = 60) -> Report:
         """Sampled globular laws: globularity, units, associativity, exchange."""
-        report, model = AxiomReport(), self.model
+        report, model = Report(), self.model
         for n, sample in sorted(cells_by_dim.items()):
             sample = list(sample)
             for A in sample:

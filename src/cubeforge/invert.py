@@ -339,10 +339,6 @@ def is_sigma_invertible(model: CubModel, A: Cell, sigma: Perm) -> bool:
         return False
 
 
-def sigma_witness(model: CubModel, A: Cell, sigma: Perm) -> InverseWitness:
-    return InverseWitness(("sigma", sigma.images), A, sigma_act(model, A, sigma), True)
-
-
 # ---------------------------------------------------------------------------
 # (omega, p) classification
 
@@ -363,8 +359,6 @@ class OmegaPReport:
 
     evidence: list[DimEvidence]
     bound: int
-    extra_random: int
-    seed: object
 
     @property
     def p_estimate(self) -> int:
@@ -378,16 +372,14 @@ class OmegaPReport:
         return all(e.shell_route_agrees and e.t_shell_route_agrees for e in self.evidence)
 
     def summary(self) -> str:
-        lines = [
-            f"sample-based classification (bound {self.bound}, "
-            f"{self.extra_random} random cells/dim, seed {self.seed}):"
-        ]
+        lines = []
         for e in self.evidence:
             status = "all invertible" if e.all_invertible else "non-invertible cell found"
-            lines.append(f"  dim {e.dim}: {e.checked} cells, {status}")
+            lines.append(f"dim {e.dim}: {e.checked} cells, {status}")
             if e.witness is not None:
-                lines.append(f"    witness: {e.witness!r}")
+                lines.append(f"  witness: {e.witness!r}")
         lines.append(f"p-estimate: >= {self.p_estimate} (sample-based)")
+        lines.append(f"cross-checks consistent: {self.consistent}")
         return "\n".join(lines)
 
 
@@ -433,4 +425,4 @@ def classify_omega_p(
         evidence.append(
             DimEvidence(n, len(cells), all_inv, witness, shell_ok, t_shell_ok)
         )
-    return OmegaPReport(evidence, bound, extra_random, getattr(rng, "seed_value", None))
+    return OmegaPReport(evidence, bound)

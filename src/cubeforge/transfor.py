@@ -17,15 +17,12 @@ because conversion crosses it.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .core import (
-    Cell,
-    CompositionError,
-    CubModel,
-    NotInvertible,
-)
+from .adc import mat_vec
+from .core import Cell, CompositionError, CubModel, NotInvertible, Report
 from .invert import is_plain_invertible, sigma_act
 from .perms import rho
 
@@ -91,35 +88,13 @@ def make_table(
 # validation
 
 
-@dataclass
-class TransforReport:
-    checked: dict[str, int] = field(default_factory=dict)
-    violations: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def count(self, family: str) -> None:
-        self.checked[family] = self.checked.get(family, 0) + 1
-
-    def summary(self) -> str:
-        total = sum(self.checked.values())
-        head = f"checked {total} transfor equation instances"
-        if self.violations:
-            return head + "\nVIOLATIONS:\n" + "\n".join(
-                f"  {v}" for v in self.violations
-            )
-        return head + "\nno violations"
-
-
-def validate_transfor(F: TransforTable) -> TransforReport:
+def validate_transfor(F: TransforTable) -> Report:
     """Check the four equation families of the declared variance.
 
     Instances are checked wherever the needed source cells are present
     in the sample; the report counts what was applicable.
     """
-    report = TransforReport()
+    report, checked = Report(), Counter()
     src_model, tgt, p = F.source, F.target, F.p
     for n in F.dims():
         for A, FA in F.entries[n]:
@@ -129,7 +104,7 @@ def validate_transfor(F: TransforTable) -> TransforReport:
                     lower_img = F.image(src_model.face(A, i, a))
                     if lower_img is None:
                         continue
-                    report.count("boundary")
+                    checked["boundary"] += 1
                     tgt_dir = p + i if F.variance == LAX else i
                     if not tgt.equal(tgt.face(FA, tgt_dir, a), lower_img):
                         report.violations.append(
@@ -140,7 +115,7 @@ def validate_transfor(F: TransforTable) -> TransforReport:
                 E = src_model.deg(A, i)
                 img = F.image(E)
                 if img is not None:
-                    report.count("degeneracy")
+                    checked["degeneracy"] += 1
                     tgt_dir = p + i if F.variance == LAX else i
                     if not tgt.equal(img, tgt.deg(FA, tgt_dir)):
                         report.violations.append(
@@ -151,7 +126,7 @@ def validate_transfor(F: TransforTable) -> TransforReport:
                         G = src_model.conn(A, i, a)
                         imgG = F.image(G)
                         if imgG is not None:
-                            report.count("connection")
+                            checked["connection"] += 1
                             tgt_dir = p + i if F.variance == LAX else i
                             if not tgt.equal(imgG, tgt.conn(FA, tgt_dir, a)):
                                 report.violations.append(
@@ -169,7 +144,7 @@ def validate_transfor(F: TransforTable) -> TransforReport:
                     FAB = F.image(AB)
                     if FAB is None:
                         continue
-                    report.count("composition")
+                    checked["composition"] += 1
                     tgt_dir = p + i if F.variance == LAX else i
                     try:
                         composed = tgt.comp(FA, FB, tgt_dir)
@@ -182,6 +157,7 @@ def validate_transfor(F: TransforTable) -> TransforReport:
                         report.violations.append(
                             f"composition law fails at dim {n}, i={i}"
                         )
+    report.checked = dict(checked)
     return report
 
 
@@ -303,8 +279,6 @@ def chain_map_transfor(source, target, matrices: Sequence, dims: Sequence[int],
     `matrices[k]` maps degree-k chains of the source complex to the
     target complex (rows indexed by the target basis).
     """
-    from .adc import mat_vec
-
     def push(chain: tuple, k: int) -> tuple:
         if k >= len(matrices) or target.K.rank(k) == 0:
             return target.zero_chain(k)
@@ -334,8 +308,6 @@ def homotopy_lax_transfor(source, target, f_minus: Sequence, f_plus: Sequence,
     otherwise.  The image of an n-cell A is the (n+1)-cell whose slot-1
     symbol selects f_minus, f_plus, or h applied to A's assignment.
     """
-    from .adc import mat_vec
-
     K, L = source.K, target.K
     if K.d_convention != L.d_convention:
         raise ValueError("source and target must share a d_convention")

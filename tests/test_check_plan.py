@@ -21,12 +21,12 @@ import cubeforge.core as core
 from cubeforge.adc import cube, disk, with_group_cones_above
 from cubeforge.core import (
     ALPHAS,
-    AxiomReport,
     BoxModel,
     CompositionError,
     CubModel,
     GammaView,
     PosetModel,
+    Report,
     Violation,
     check_axioms,
     grid2,
@@ -67,7 +67,7 @@ def oracle_pairs(model, cells, i, max_pairs):
 
 
 def oracle_check_axioms(model, dim, cells_by_dim, max_pairs):
-    report = AxiomReport()
+    report = Report()
     for n in range(dim + 1):
         sample = list(cells_by_dim.get(n, ()))
         for A in sample:
@@ -276,7 +276,7 @@ def oracle_interchange(model, report, pairs, i, j, n, max_quads):
 
 
 def oracle_check_globular(view, cells_by_dim, max_pairs):
-    report = AxiomReport()
+    report = Report()
     model = view.model
     for n, sample in sorted(cells_by_dim.items()):
         for A in sample:
@@ -527,7 +527,7 @@ def test_plans_are_smaller_than_the_calls_they_replace(name, dims):
     for n in dims:
         A = pool(name, n)[-1]
         counter = Counting(m)
-        oracle_unary(counter, AxiomReport(), A, n)
+        oracle_unary(counter, Report(), A, n)
         # the caller computes A's block once for the unary and pair plans
         block = len(core._block(n, m.max_dim))
         assert block + len(core._unary_plan(n, m.max_dim).nodes) < counter.calls
@@ -535,7 +535,7 @@ def test_plans_are_smaller_than_the_calls_they_replace(name, dims):
             B = next(B for B in pool(name, n)
                      if m.face(B, i, "-") == m.face(A, i, "+"))
             counter.calls = 0
-            oracle_pair(counter, AxiomReport(), A, B, i, n)
+            oracle_pair(counter, Report(), A, B, i, n)
             # the caller computes A *_i B once for the pair plan
             assert 1 + len(core._pair_plan(n, m.max_dim, i).nodes) < counter.calls
             assert len(core._assoc_plan(i).nodes) < 4

@@ -48,6 +48,22 @@ def test_check_negative_value_exit2(capsys, flag):
     assert err == f"error: {flag} must be >= 0, got -1\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["check", "--adc", "disk:1", "--dim", "1", "--random", "-5"], "--random must be >= 0, got -5"),
+    (["classify", "--adc", "disk:2", "--dims", "1..2", "--bound", "-1"],
+     "--bound must be >= 0, got -1"),
+    (["classify", "--adc", "disk:2", "--dims", "1..2", "--random", "-3"],
+     "--random must be >= 0, got -3"),
+    (["classify", "--adc", "disk:2", "--dims=-2..1"], "--dims must be >= 0, got '-2..1'"),
+    (["check", "--adc", "disk:-1", "--dim", "1"], "disk:N needs N >= 0, got 'disk:-1'"),
+    (["check", "--adc", "cube:-1", "--dim", "1"], "cube:N needs N >= 0, got 'cube:-1'"),
+])
+def test_negative_input_exit2(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_check_budget_exceeded_exit2(capsys, monkeypatch):
     cells = _NerveBase.cells
     monkeypatch.setattr(_NerveBase, "cells",
@@ -238,3 +254,26 @@ def test_shorthand_adc(capsys):
 def test_usage_error_exit2(capsys):
     code = main(["check"])  # missing --adc
     assert code == 2
+
+
+def test_transfor_invalid_prints_report(tmp_path, capsys):
+    src = NcModel(disk(1))
+    from cubeforge.transfor import chain_map_transfor
+
+    F = chain_map_transfor(src, src, [[[1, 0], [0, 1]], [[1]]], [0, 1], 1)
+    entries = [
+        {"dim": A.dim,
+         "cell": {k: list(A.payload[pos]) for pos, (_, k) in enumerate(src.elements(A.dim))},
+         "image": {k: list(FA.payload[pos]) for pos, (_, k) in enumerate(src.elements(FA.dim))}}
+        for A, FA in F.pairs()
+    ]
+    # the identity with the images of the two vertices swapped
+    entries[0]["image"], entries[1]["image"] = entries[1]["image"], entries[0]["image"]
+    path = tmp_path / "bad.transfor"
+    path.write_text(json.dumps({"variance": "lax", "p": 0, "adc_source": "disk:1",
+                                "adc_target": "disk:1", "entries": entries}))
+    code, out, err = run(capsys, "transfor", "--table", str(path))
+    assert code == 1 and out == ""
+    assert err == ("checked 10 equation instances\n  boundary: 6\n  composition: 4\n"
+                   + 3 * "VIOLATION boundary law fails at dim 1, i=1, alpha=+\n"
+                   + 3 * "VIOLATION boundary law fails at dim 1, i=1, alpha=-\n")

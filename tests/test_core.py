@@ -1,6 +1,5 @@
 import pytest
 
-import cubeforge.core as core
 from cubeforge.core import (
     BoxModel,
     Cell,
@@ -175,19 +174,16 @@ def test_poset_r_inverse_oracle(chain3):
     assert not chain3.has_r_inverse(e, 1)
 
 
-def test_grid2_debug_interchange(chain3):
+def test_grid2_interchange(chain3):
     A = chain3.cell(["a", "a", "a", "b"], 2)
     B = chain3.cell(["a", "b", "b", "b"], 2)
     C = chain3.cell(["a", "b", "a", "b"], 2)
     D = chain3.cell(["b", "b", "b", "c"], 2)
-    # (A *_2 B), (C *_2 D) composable along 1
-    old = core.DEBUG_GRID
-    core.DEBUG_GRID = True
-    try:
-        out = grid2(chain3, [[A, B], [C, D]], 2, 1)
-    finally:
-        core.DEBUG_GRID = old
-    assert out.dim == 2
+    # (A *_2 B), (C *_2 D) composable along 1; the row-major grid equals
+    # the column-major composite
+    out = grid2(chain3, [[A, B], [C, D]], 2, 1)
+    comp = chain3.comp
+    assert chain3.equal(out, comp(comp(A, C, 1), comp(B, D, 1), 2))
 
 
 def test_shell_requires_all_faces(chain3):
