@@ -212,6 +212,11 @@ def with_group_cones_above(K: Adc, p: int, name: str = "") -> Adc:
 # disk and cube complexes
 
 
+def orientation_sign(d_convention: str) -> int:
+    """+1 under the target-minus-source convention, -1 under the flipped one."""
+    return 1 if d_convention == TARGET_MINUS_SOURCE else -1
+
+
 def disk(n: int, d_convention: str = TARGET_MINUS_SOURCE) -> Adc:
     """The n-disk complex: generators s_k, t_k below degree n and x on top.
 
@@ -219,7 +224,7 @@ def disk(n: int, d_convention: str = TARGET_MINUS_SOURCE) -> Adc:
     d[s_{k+1}] = d[t_{k+1}] = t_k - s_k; the flipped convention negates
     every boundary.  All cones are non-negative.
     """
-    sign = 1 if d_convention == TARGET_MINUS_SOURCE else -1
+    sign = orientation_sign(d_convention)
     degrees = [[f"s{k}", f"t{k}"] for k in range(n)] + [["x"]]
     boundary = []
     for k in range(1, n + 1):
@@ -256,7 +261,7 @@ def cube_basis(n: int, k: int) -> list[str]:
 
 def cube_d_terms(s: str, d_convention: str = TARGET_MINUS_SOURCE) -> list[tuple[int, str]]:
     """Boundary of a sign-sequence basis element as (coefficient, sequence) terms."""
-    sign = 1 if d_convention == TARGET_MINUS_SOURCE else -1
+    sign = orientation_sign(d_convention)
     terms = []
     zeros_before = 0
     for i, sym in enumerate(s):
@@ -514,7 +519,7 @@ def comp_split(n: int, i: int, s: str) -> list[tuple[int, str]]:
 
 def walking_composite(d_convention: str = TARGET_MINUS_SOURCE) -> Adc:
     """Three vertices v0, v1, v2 and edges a: v0->v1, b: v1->v2."""
-    sign = 1 if d_convention == TARGET_MINUS_SOURCE else -1
+    sign = orientation_sign(d_convention)
     return make_adc(
         [["v0", "v1", "v2"], ["a", "b"]],
         [[[-sign, 0], [sign, -sign], [0, sign]]],

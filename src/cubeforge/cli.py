@@ -35,7 +35,13 @@ from .adc import (
 )
 from .core import BudgetExceeded, CompositionError, NotInvertible, check_axioms, phi, psi
 from .invert import classify_omega_p, sigma_act, t_inverse
-from .nerve import NcModel, cell_from_json, cell_to_json
+from .nerve import (
+    NcModel,
+    assignment_from_json,
+    assignment_to_json,
+    cell_from_json,
+    cell_to_json,
+)
 from .perms import (
     BCWord,
     TWord,
@@ -128,6 +134,12 @@ def require_nonneg(args, *flags: str) -> None:
             raise CliError(f"--{flag.replace('_', '-')} must be >= 0, got {getattr(args, flag)}")
 
 
+def require_at_most(value: int, max_dim: int, flag: str) -> None:
+    """Reject a dimension above the nerve's bound, where no cell can be built."""
+    if value > max_dim:
+        raise CliError(f"{flag} must be <= {max_dim}, the nerve's dimension bound, got {value}")
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -135,8 +147,9 @@ def require_nonneg(args, *flags: str) -> None:
 def cmd_check(args) -> int:
     require_nonneg(args, "dim", "bound", "random", "max_pairs")
     K = resolve_adc(args.adc, args.orientation)
-    adc_report = validate(K)
     model = NcModel(K)
+    require_at_most(args.dim, model.max_dim, "--dim")
+    adc_report = validate(K)
     cells = {}
     rng = random.Random(args.seed)
     for n in range(args.dim + 1):
@@ -176,6 +189,7 @@ def cmd_classify(args) -> int:
     dims = parse_dims(args.dims)
     K = resolve_adc(args.adc, args.orientation)
     model = NcModel(K)
+    require_at_most(dims[-1], model.max_dim, "--dims end")
     rng = random.Random(args.seed)
     report = classify_omega_p(
         model, dims, bound=args.bound, extra_random=args.random, rng=rng
@@ -330,9 +344,8 @@ def cmd_transfor(args) -> int:
     try:
         for entry in data["entries"]:
             n = int(entry["dim"])
-            cell = src.make(n, {k: tuple(v) for k, v in entry["cell"].items()})
-            img = tgt.make(n + p, {k: tuple(v) for k, v in entry["image"].items()})
-            pairs.append((cell, img))
+            pairs.append((assignment_from_json(src, n, entry["cell"]),
+                          assignment_from_json(tgt, n + p, entry["image"])))
         table = make_table(variance, p, src, tgt, pairs)
     except (KeyError, ValueError) as exc:
         raise CliError(f"bad table file: {exc}")
@@ -360,10 +373,8 @@ def cmd_transfor(args) -> int:
         "entries": [
             {
                 "dim": A.dim,
-                "cell": {k: list(A.payload[pos])
-                         for pos, (_, k) in enumerate(src.elements(A.dim))},
-                "image": {k: list(FA.payload[pos])
-                          for pos, (_, k) in enumerate(tgt.elements(FA.dim))},
+                "cell": assignment_to_json(src, A),
+                "image": assignment_to_json(tgt, FA),
             }
             for A, FA in table.pairs()
         ],

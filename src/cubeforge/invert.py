@@ -72,10 +72,6 @@ def r_witness(model: CubModel, A: Cell, k: int) -> InverseWitness:
     return InverseWitness(("R", k), A, r_inverse(model, A, k), True)
 
 
-def is_r_invertible(model: CubModel, A: Cell, k: int) -> bool:
-    return model.has_r_inverse(A, k)
-
-
 def has_r_invertible_shell(model: CubModel, A: Cell, i: int) -> bool:
     """Face-wise reversal invertibility, with the displaced direction i_j."""
     if A.dim < 1:

@@ -515,15 +515,22 @@ class NgModel(_NerveBase):
 # serialization
 
 
+def assignment_to_json(model: _NerveBase, A: Cell) -> dict:
+    """A cell's assignment as a JSON object: element name -> coefficient list."""
+    return {name: list(A.payload[pos]) for pos, (_, name) in enumerate(model.elements(A.dim))}
+
+
+def assignment_from_json(model: _NerveBase, dim: int, assignment: dict) -> Cell:
+    """The dim-cell whose assignment a JSON object of `assignment_to_json` names."""
+    return model.make(dim, {name: tuple(v) for name, v in assignment.items()})
+
+
 def cell_to_json(model: _NerveBase, A: Cell) -> dict:
     """Serialize a nerve cell: named assignment plus the complex and flag."""
     return {
         "kind": "cubical" if isinstance(model, NcModel) else "globular",
         "dim": A.dim,
-        "assignment": {
-            name: list(A.payload[pos])
-            for pos, (_, name) in enumerate(model.elements(A.dim))
-        },
+        "assignment": assignment_to_json(model, A),
         "adc": to_json_dict(model.K),
         "d_convention": model.K.d_convention,
     }
@@ -533,9 +540,7 @@ def cell_from_json(model: _NerveBase, data: dict) -> Cell:
     expected = "cubical" if isinstance(model, NcModel) else "globular"
     if data.get("kind", expected) != expected:
         raise ValueError(f"cell kind {data.get('kind')!r} does not fit the model")
-    dim = int(data["dim"])
-    values = {name: tuple(v) for name, v in data["assignment"].items()}
-    return model.make(dim, values)
+    return assignment_from_json(model, int(data["dim"]), data["assignment"])
 
 
 @dataclass

@@ -12,19 +12,20 @@ permutation: a pseudo lax table (every image plainly invertible, with
 pseudo boundary tables) converts to oplax by acting with the swap moving
 the p transfor directions past the n source directions, and back with
 the inverse swap.  The variance is a runtime tag, not a type split,
-because conversion crosses it.
+because conversion crosses it; only `TransforTable.source_dir`,
+`transfor_dir` and `swap` read it.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
-from .adc import mat_vec
+from .adc import mat_vec, orientation_sign
 from .core import Cell, CompositionError, CubModel, NotInvertible, Report
 from .invert import is_plain_invertible, sigma_act
-from .perms import rho
+from .perms import Perm, rho
 
 LAX = "lax"
 OPLAX = "oplax"
@@ -70,6 +71,18 @@ class TransforTable:
             self._lookup[k].payload == other._lookup[k].payload for k in self._lookup
         )
 
+    def source_dir(self, i: int) -> int:
+        """The image direction of source direction i."""
+        return self.p + i if self.variance == LAX else i
+
+    def transfor_dir(self, n: int, i: int) -> int:
+        """The image direction of transfor direction i on an n-cell."""
+        return i if self.variance == LAX else n + i
+
+    def swap(self, n: int) -> Perm:
+        """The block swap taking an n-cell's image to the other variance."""
+        return rho(n, self.p) if self.variance == LAX else rho(self.p, n)
+
 
 def make_table(
     variance: str,
@@ -84,8 +97,23 @@ def make_table(
     return TransforTable(variance, p, source, target, entries)
 
 
+def _lift(F: TransforTable, variance: str, p: int,
+          image: Callable[[Cell, Cell], Cell]) -> TransforTable:
+    """The table on F's sample that sends A to image(A, F(A))."""
+    return make_table(variance, p, F.source, F.target,
+                      [(A, image(A, FA)) for A, FA in F.pairs()])
+
+
 # ---------------------------------------------------------------------------
 # validation
+
+# (family, operation, directions beyond n, sign arguments): each family
+# checks F(op_i A) == op_{source_dir(i)} F(A) for i in 1..n+extra.
+_LAWS = (
+    ("boundary", "face", 0, (("-",), ("+",))),
+    ("degeneracy", "deg", 1, ((),)),
+    ("connection", "conn", 0, (("-",), ("+",))),
+)
 
 
 def validate_transfor(F: TransforTable) -> Report:
@@ -95,43 +123,21 @@ def validate_transfor(F: TransforTable) -> Report:
     in the sample; the report counts what was applicable.
     """
     report, checked = Report(), Counter()
-    src_model, tgt, p = F.source, F.target, F.p
+    src_model, tgt = F.source, F.target
+    laws = [(family, getattr(src_model, op), getattr(tgt, op), extra, signs)
+            for family, op, extra, signs in _LAWS]
     for n in F.dims():
         for A, FA in F.entries[n]:
-            # boundaries
-            for i in range(1, n + 1):
-                for a in "-+":
-                    lower_img = F.image(src_model.face(A, i, a))
-                    if lower_img is None:
-                        continue
-                    checked["boundary"] += 1
-                    tgt_dir = p + i if F.variance == LAX else i
-                    if not tgt.equal(tgt.face(FA, tgt_dir, a), lower_img):
-                        report.violations.append(
-                            f"boundary law fails at dim {n}, i={i}, alpha={a}"
-                        )
-            # degeneracies and connections of source cells
-            for i in range(1, n + 1):
-                E = src_model.deg(A, i)
-                img = F.image(E)
-                if img is not None:
-                    checked["degeneracy"] += 1
-                    tgt_dir = p + i if F.variance == LAX else i
-                    if not tgt.equal(img, tgt.deg(FA, tgt_dir)):
-                        report.violations.append(
-                            f"degeneracy law fails at dim {n}, i={i}"
-                        )
-                if n >= 1 and i <= n:
-                    for a in "-+":
-                        G = src_model.conn(A, i, a)
-                        imgG = F.image(G)
-                        if imgG is not None:
-                            checked["connection"] += 1
-                            tgt_dir = p + i if F.variance == LAX else i
-                            if not tgt.equal(imgG, tgt.conn(FA, tgt_dir, a)):
-                                report.violations.append(
-                                    f"connection law fails at dim {n}, i={i}, alpha={a}"
-                                )
+            for family, src_op, tgt_op, extra, signs in laws:
+                for i in range(1, n + 1 + extra):
+                    for sign in signs:
+                        img = F.image(src_op(A, i, *sign))
+                        if img is None:
+                            continue
+                        checked[family] += 1
+                        if not tgt.equal(img, tgt_op(FA, F.source_dir(i), *sign)):
+                            at = "".join(f", alpha={a}" for a in sign)
+                            report.violations.append(f"{family} law fails at dim {n}, i={i}{at}")
         # compositions
         sample = F.entries[n]
         for i in range(1, n + 1):
@@ -145,18 +151,13 @@ def validate_transfor(F: TransforTable) -> Report:
                     if FAB is None:
                         continue
                     checked["composition"] += 1
-                    tgt_dir = p + i if F.variance == LAX else i
                     try:
-                        composed = tgt.comp(FA, FB, tgt_dir)
+                        composed = tgt.comp(FA, FB, F.source_dir(i))
                     except CompositionError:
-                        report.violations.append(
-                            f"images not composable at dim {n}, i={i}"
-                        )
+                        report.violations.append(f"images not composable at dim {n}, i={i}")
                         continue
                     if not tgt.equal(FAB, composed):
-                        report.violations.append(
-                            f"composition law fails at dim {n}, i={i}"
-                        )
+                        report.violations.append(f"composition law fails at dim {n}, i={i}")
     report.checked = dict(checked)
     return report
 
@@ -168,31 +169,22 @@ def validate_transfor(F: TransforTable) -> Report:
 def transfor_face(F: TransforTable, i: int, alpha: str) -> TransforTable:
     if not 1 <= i <= F.p:
         raise ValueError(f"no transfor face {i} at degree {F.p}")
-    out = []
-    for A, FA in F.pairs():
-        tgt_dir = i if F.variance == LAX else A.dim + i
-        out.append((A, F.target.face(FA, tgt_dir, alpha)))
-    return make_table(F.variance, F.p - 1, F.source, F.target, out)
+    return _lift(F, F.variance, F.p - 1,
+                 lambda A, FA: F.target.face(FA, F.transfor_dir(A.dim, i), alpha))
 
 
 def transfor_deg(F: TransforTable, i: int) -> TransforTable:
     if not 1 <= i <= F.p + 1:
         raise ValueError(f"no transfor degeneracy {i} at degree {F.p}")
-    out = []
-    for A, FA in F.pairs():
-        tgt_dir = i if F.variance == LAX else A.dim + i
-        out.append((A, F.target.deg(FA, tgt_dir)))
-    return make_table(F.variance, F.p + 1, F.source, F.target, out)
+    return _lift(F, F.variance, F.p + 1,
+                 lambda A, FA: F.target.deg(FA, F.transfor_dir(A.dim, i)))
 
 
 def transfor_conn(F: TransforTable, i: int, alpha: str) -> TransforTable:
     if not 1 <= i <= F.p:
         raise ValueError(f"no transfor connection {i} at degree {F.p}")
-    out = []
-    for A, FA in F.pairs():
-        tgt_dir = i if F.variance == LAX else A.dim + i
-        out.append((A, F.target.conn(FA, tgt_dir, alpha)))
-    return make_table(F.variance, F.p + 1, F.source, F.target, out)
+    return _lift(F, F.variance, F.p + 1,
+                 lambda A, FA: F.target.conn(FA, F.transfor_dir(A.dim, i), alpha))
 
 
 def transfor_comp(F: TransforTable, G: TransforTable, i: int) -> TransforTable:
@@ -200,14 +192,14 @@ def transfor_comp(F: TransforTable, G: TransforTable, i: int) -> TransforTable:
         raise ValueError("mismatched tables")
     if not 1 <= i <= F.p:
         raise ValueError(f"no transfor composition {i} at degree {F.p}")
-    out = []
-    for A, FA in F.pairs():
+
+    def image(A: Cell, FA: Cell) -> Cell:
         GA = G.image(A)
         if GA is None:
             raise ValueError("tables must share their sample domain")
-        tgt_dir = i if F.variance == LAX else A.dim + i
-        out.append((A, F.target.comp(FA, GA, tgt_dir)))
-    return make_table(F.variance, F.p, F.source, F.target, out)
+        return F.target.comp(FA, GA, F.transfor_dir(A.dim, i))
+
+    return _lift(F, F.variance, F.p, image)
 
 
 # ---------------------------------------------------------------------------
@@ -237,20 +229,16 @@ def is_pseudo(F: TransforTable, direct_samples: int = 0, rng=None) -> bool:
         if rng is not None:
             rng.shuffle(pairs)
         for A, FA in pairs[:direct_samples]:
-            swap = rho(A.dim, F.p) if F.variance == LAX else rho(F.p, A.dim)
             try:
-                sigma_act(F.target, FA, swap)
+                sigma_act(F.target, FA, F.swap(A.dim))
             except NotInvertible:
                 return False
     return True
 
 
 def _convert(F: TransforTable, to_variance: str) -> TransforTable:
-    out = []
-    for A, FA in F.pairs():
-        swap = rho(A.dim, F.p) if F.variance == LAX else rho(F.p, A.dim)
-        out.append((A, sigma_act(F.target, FA, swap)))
-    return make_table(to_variance, F.p, F.source, F.target, out)
+    return _lift(F, to_variance, F.p,
+                 lambda A, FA: sigma_act(F.target, FA, F.swap(A.dim)))
 
 
 def to_oplax(F: TransforTable) -> TransforTable:
@@ -271,6 +259,27 @@ def to_lax(F: TransforTable) -> TransforTable:
 # constructors over nerve models
 
 
+def _push(target, mats: Sequence, k: int, chain: tuple, out_degree: int) -> tuple:
+    """The degree-`out_degree` target chain that `mats[k]` sends a source
+    chain to (zero where either side has no generators)."""
+    if target.K.rank(out_degree) == 0 or k >= len(mats) or not chain:
+        return target.zero_chain(out_degree)
+    return mat_vec(mats[k], chain)
+
+
+def _unit(K, k: int, j: int) -> tuple:
+    return tuple(1 if m == j else 0 for m in range(K.rank(k)))
+
+
+def _homotopy_rhs(target, K, eta: int, f_minus, f_plus, h, k: int, e: tuple) -> tuple:
+    """eta (f_plus - f_minus)(e) - h(d e): what d h(e) must equal."""
+    rhs = [eta * (p - m) for p, m in zip(_push(target, f_plus, k, e, k),
+                                         _push(target, f_minus, k, e, k))]
+    if k >= 1:
+        rhs = [a - b for a, b in zip(rhs, _push(target, h, k - 1, K.d(k, e), k))]
+    return tuple(rhs)
+
+
 def chain_map_transfor(source, target, matrices: Sequence, dims: Sequence[int],
                        bound: int) -> TransforTable:
     """The degree-0 table induced by a chain map between the coefficient
@@ -279,16 +288,11 @@ def chain_map_transfor(source, target, matrices: Sequence, dims: Sequence[int],
     `matrices[k]` maps degree-k chains of the source complex to the
     target complex (rows indexed by the target basis).
     """
-    def push(chain: tuple, k: int) -> tuple:
-        if k >= len(matrices) or target.K.rank(k) == 0:
-            return target.zero_chain(k)
-        return mat_vec(matrices[k], chain)
-
     out = []
     for n in dims:
         for A in source.cells(n, bound):
             values = {
-                name: push(source.value(A, name), k)
+                name: _push(target, matrices, k, source.value(A, name), k)
                 for k, name in source.elements(n)
             }
             out.append((A, target.make(n, values)))
@@ -311,33 +315,15 @@ def homotopy_lax_transfor(source, target, f_minus: Sequence, f_plus: Sequence,
     K, L = source.K, target.K
     if K.d_convention != L.d_convention:
         raise ValueError("source and target must share a d_convention")
-    eta = 1 if K.d_convention == "target-minus-source" else -1
-
-    def apply(mats, k: int, chain: tuple, out_degree: int) -> tuple:
-        if target.K.rank(out_degree) == 0:
-            return target.zero_chain(out_degree)
-        if k >= len(mats) or not chain:
-            return target.zero_chain(out_degree)
-        return mat_vec(mats[k], chain)
-
-    def boundary_L(degree: int, v: tuple) -> tuple:
-        if degree > L.top:
-            return target.zero_chain(degree - 1)
-        return L.d(degree, v)
+    eta = orientation_sign(K.d_convention)
 
     # check the homotopy law on generators before building anything
     for k in range(K.top + 1):
         for j in range(K.rank(k)):
-            e = tuple(1 if m == j else 0 for m in range(K.rank(k)))
-            lhs = list(boundary_L(k + 1, apply(h, k, e, k + 1)))
-            if k >= 1:
-                for t, c in enumerate(apply(h, k - 1, K.d(k, e), k)):
-                    lhs[t] += c
-            rhs = tuple(
-                eta * (p - m)
-                for p, m in zip(apply(f_plus, k, e, k), apply(f_minus, k, e, k))
-            )
-            if tuple(lhs) != rhs:
+            e = _unit(K, k, j)
+            he = _push(target, h, k, e, k + 1)
+            dh = L.d(k + 1, he) if k + 1 <= L.top else target.zero_chain(k)
+            if tuple(dh) != _homotopy_rhs(target, K, eta, f_minus, f_plus, h, k, e):
                 raise ValueError(f"homotopy law fails on a degree-{k} generator")
 
     out = []
@@ -348,11 +334,11 @@ def homotopy_lax_transfor(source, target, f_minus: Sequence, f_plus: Sequence,
                 head, tail = u[0], u[1:]
                 chain = source.value(A, tail)
                 if head == "-":
-                    values[u] = apply(f_minus, k, chain, k)
+                    values[u] = _push(target, f_minus, k, chain, k)
                 elif head == "+":
-                    values[u] = apply(f_plus, k, chain, k)
+                    values[u] = _push(target, f_plus, k, chain, k)
                 else:
-                    values[u] = apply(h, k - 1, chain, k)
+                    values[u] = _push(target, h, k - 1, chain, k)
             out.append((A, target.make(n + 1, values)))
     return make_table(LAX, 1, source, target, out)
 
@@ -372,74 +358,42 @@ def random_homotopy_data(source, target, rng, coeff_bound: int = 1,
     f_minus, which makes chains of composable transfors constructible.
     """
     K, L = source.K, target.K
-    eta = 1 if K.d_convention == "target-minus-source" else -1
+    eta = orientation_sign(K.d_convention)
     solver = target.solver
-
-    def unit(k: int, j: int) -> tuple:
-        return tuple(1 if m == j else 0 for m in range(K.rank(k)))
 
     def cols_to_matrix(cols, out_rank: int):
         return [[col[r] for col in cols] for r in range(out_rank)]
 
-    def apply_cols(cols, chain: tuple, out_rank: int) -> tuple:
-        out = [0] * out_rank
-        for j, c in enumerate(chain):
-            if c:
-                for r in range(out_rank):
-                    out[r] += c * cols[j][r]
-        return tuple(out)
-
     def random_chain_map():
-        mats_cols = []
+        mats = []
         for k in range(K.top + 1):
             cols = []
             for j in range(K.rank(k)):
                 if k == 0:
                     cands = solver.vertex_chains(coeff_bound)
                 else:
-                    rhs = apply_cols(mats_cols[k - 1], K.d(k, unit(k, j)),
-                                     L.rank(k - 1))
+                    rhs = _push(target, mats, k - 1, K.d(k, _unit(K, k, j)), k - 1)
                     cands = solver.chains_with_boundary(k, rhs, coeff_bound)
                 if not cands:
                     raise _Retry
                 cols.append(rng.choice(cands))
-            mats_cols.append(cols)
-        return mats_cols
-
-    def matrix_to_cols(mats):
-        return [
-            [tuple(mats[k][r][j] for r in range(L.rank(k)))
-             for j in range(K.rank(k))]
-            for k in range(K.top + 1)
-        ]
+            mats.append(cols_to_matrix(cols, L.rank(k)))
+        return mats
 
     for _ in range(tries):
         try:
-            fm_cols = matrix_to_cols(start) if start is not None else random_chain_map()
-            fp_cols = random_chain_map()
-            h_cols = []
+            f_minus = start if start is not None else random_chain_map()
+            f_plus = random_chain_map()
+            h = []
             for k in range(K.top + 1):
                 cols = []
                 for j in range(K.rank(k)):
-                    e = unit(k, j)
-                    rhs = [
-                        eta * (p - m)
-                        for p, m in zip(
-                            apply_cols(fp_cols[k], e, L.rank(k)),
-                            apply_cols(fm_cols[k], e, L.rank(k)),
-                        )
-                    ]
-                    if k >= 1:
-                        back = apply_cols(h_cols[k - 1], K.d(k, e), L.rank(k))
-                        rhs = [a - b for a, b in zip(rhs, back)]
-                    cands = solver.chains_with_boundary(k + 1, tuple(rhs), coeff_bound)
+                    rhs = _homotopy_rhs(target, K, eta, f_minus, f_plus, h, k, _unit(K, k, j))
+                    cands = solver.chains_with_boundary(k + 1, rhs, coeff_bound)
                     if not cands:
                         raise _Retry
                     cols.append(rng.choice(cands))
-                h_cols.append(cols)
-            f_minus = [cols_to_matrix(fm_cols[k], L.rank(k)) for k in range(K.top + 1)]
-            f_plus = [cols_to_matrix(fp_cols[k], L.rank(k)) for k in range(K.top + 1)]
-            h = [cols_to_matrix(h_cols[k], L.rank(k + 1)) for k in range(K.top + 1)]
+                h.append(cols_to_matrix(cols, L.rank(k + 1)))
             return f_minus, f_plus, h
         except _Retry:
             continue

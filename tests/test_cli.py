@@ -64,6 +64,20 @@ def test_negative_input_exit2(capsys, argv, message):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["check", "--adc", "disk:0", "--dim", "7"],
+     "--dim must be <= 6, the nerve's dimension bound, got 7"),
+    (["classify", "--adc", "disk:0", "--dims", "7..7"],
+     "--dims end must be <= 6, the nerve's dimension bound, got 7"),
+    (["classify", "--adc", "disk:2", "--dims", "1..9"],
+     "--dims end must be <= 6, the nerve's dimension bound, got 9"),
+])
+def test_dimension_above_bound_exit2(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_check_budget_exceeded_exit2(capsys, monkeypatch):
     cells = _NerveBase.cells
     monkeypatch.setattr(_NerveBase, "cells",
@@ -274,6 +288,8 @@ def test_transfor_invalid_prints_report(tmp_path, capsys):
                                 "adc_target": "disk:1", "entries": entries}))
     code, out, err = run(capsys, "transfor", "--table", str(path))
     assert code == 1 and out == ""
-    assert err == ("checked 10 equation instances\n  boundary: 6\n  composition: 4\n"
+    assert err == ("checked 12 equation instances\n  boundary: 6\n  composition: 4\n"
+                   + "  degeneracy: 2\n"
                    + 3 * "VIOLATION boundary law fails at dim 1, i=1, alpha=+\n"
-                   + 3 * "VIOLATION boundary law fails at dim 1, i=1, alpha=-\n")
+                   + 3 * "VIOLATION boundary law fails at dim 1, i=1, alpha=-\n"
+                   + 2 * "VIOLATION degeneracy law fails at dim 0, i=1\n")

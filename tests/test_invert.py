@@ -16,7 +16,6 @@ from cubeforge.invert import (
     has_r_invertible_shell,
     has_t_invertible_shell,
     is_plain_invertible,
-    is_r_invertible,
     is_sigma_invertible,
     is_t_invertible,
     plain_witness,
@@ -194,7 +193,7 @@ def test_equivalence_of_characterisations(plain_disk2, omega0, sample2):
     for model, cells in ((plain_disk2, plain_disk2.cells(2, 1)), (omega0, sample2)):
         for A in cells:
             for j in (1, 2):
-                closed = is_r_invertible(model, A, j)
+                closed = model.has_r_inverse(A, j)
                 composite = is_plain_invertible(model, A) and has_r_invertible_shell(
                     model, A, j
                 )
@@ -360,4 +359,4 @@ def test_omega1_every_cell_transposition_invertible():
 def test_omega0_every_cell_reverses_everywhere(omega0, sample2, sample3):
     for A in sample2[:40] + sample3[:20]:
         for i in range(1, A.dim + 1):
-            assert is_r_invertible(omega0, A, i)
+            assert omega0.has_r_inverse(A, i)

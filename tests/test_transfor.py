@@ -186,3 +186,25 @@ def test_random_homotopy_generator(models):
         G = to_oplax(F)
         assert validate_transfor(G).ok
         assert to_lax(G).same_table(F)
+
+
+def test_identity_counts_one_degeneracy_per_vertex():
+    D = NcModel(disk(1))
+    F = chain_map_transfor(D, D, [[[1, 0], [0, 1]], [[1]]], [0, 1], 1)
+    report = validate_transfor(F)
+    assert report.ok, report.summary()
+    assert report.checked["degeneracy"] == len(D.cells(0, 1)) == 2
+
+
+def test_degeneracy_checked_at_last_slot():
+    # replace the image of eps_2 A by eps_1 F(A) for one non-degenerate
+    # 1-cell A: only the law at slot n+1 = 2 compares against it
+    D = NcModel(disk(1))
+    F = chain_map_transfor(D, D, [[[1, 0], [0, 1]], [[1]]], [0, 1, 2], 1)
+    A = next(A for A in D.cells(1, 1) if any(D.value(A, "0")))
+    E2 = D.deg(A, 2)
+    assert not D.equal(E2, D.deg(A, 1))
+    pairs = [(B, D.deg(F.image(A), 1) if D.equal(B, E2) else FB) for B, FB in F.pairs()]
+    report = validate_transfor(make_table(LAX, 0, D, D, pairs))
+    assert "degeneracy law fails at dim 1, i=2" in report.violations
+    assert "degeneracy law fails at dim 1, i=1" not in report.violations
