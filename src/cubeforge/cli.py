@@ -346,6 +346,8 @@ def cmd_transfor(args) -> int:
             n = int(entry["dim"])
             pairs.append((assignment_from_json(src, n, entry["cell"]),
                           assignment_from_json(tgt, n + p, entry["image"])))
+        if not pairs:
+            raise ValueError("no entries, so nothing to validate")
         table = make_table(variance, p, src, tgt, pairs)
     except (KeyError, ValueError) as exc:
         raise CliError(f"bad table file: {exc}")

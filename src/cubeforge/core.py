@@ -20,6 +20,14 @@ direction), into a cached `_Plan`: operation words deduplicated by
 structure, evaluated on demand at most once per cell.  A cell's faces,
 eps and Gammas, and a pair's composite, are computed once and shared.
 Counts and violations are those of checking each equation on its own.
+The folds and the constructions and verifications of `cubeforge.invert`
+are plans too.  Plans are model-independent: `CubModel.lower`, the one
+evaluation hook, turns a plan into steps over the model's values; by
+default each step calls one of the five cell-level operations (face,
+deg, conn, comp, r_inverse), and the cubical nerve lowers them to
+payload kernels.  `_run` checks equations with the counts and violation
+text described above; `_eval` runs a construction in the order it was
+built and stops at its first failing equation.
 """
 
 from __future__ import annotations
@@ -27,7 +35,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .indices import DomainError, lower, raise_
 
@@ -78,12 +86,37 @@ class Cell:
         return (self.dim, self.payload)
 
 
+class Lowered(NamedTuple):
+    """A plan on one model: ``steps[k] = (fn, x, y, data)`` gives node slot
+    k the value ``fn(vals[x], vals[y], data)`` (y is read by comp only).
+    `load` maps a leaf cell to its value, `cell(k, value)` a value in slot
+    k back to a cell, and `equal` compares values as the model compares cells.
+    """
+
+    steps: tuple
+    load: Callable[[Cell], Any]
+    cell: Callable[[int, Any], Cell]
+    equal: Callable[[Any, Any], bool]
+
+
+def _unary(a, _b, data):
+    op, args = data
+    return op(a, *args)
+
+
+def _binary(a, b, data):
+    op, i = data
+    return op(a, b, i)
+
+
 class CubModel:
     """Interface for a cubical omega-category truncated at ``max_dim``.
 
     Subclasses implement the five operations; the optional hooks
     (`cells`, `r_inverse`, `has_r_inverse`) power enumeration-based
-    checks and the invertibility machinery.
+    checks and the invertibility machinery.  `lower` is the one hook
+    through which plans are evaluated; its default calls the operations
+    on cells, so every model runs every plan.
     """
 
     max_dim: int = 0
@@ -121,6 +154,21 @@ class CubModel:
         except NotInvertible:
             return False
 
+    def lower(self, plan: "_Plan", leaf_dims: tuple[int, ...]) -> Lowered:
+        """`plan` as steps over this model's values, for leaves of `leaf_dims`.
+
+        The default values are cells and each step calls the cell-level
+        operation, so exceptions and their order are the operations' own.
+        """
+        steps: list = [None] * plan.leaves
+        for kind, x, args in plan.nodes:
+            op = getattr(self, "r_inverse" if kind == "rev" else kind)
+            if kind == "comp":
+                steps.append((_binary, x, args[0], (op, args[1])))
+            else:
+                steps.append((_unary, x, x, (op, args)))
+        return Lowered(tuple(steps), lambda A: A, lambda k, A: A, self.equal)
+
     # -- generic helpers ------------------------------------------------------
 
     def check_composable(self, A: Cell, B: Cell, i: int) -> None:
@@ -157,27 +205,22 @@ def psi(model: CubModel, A: Cell, i: int) -> Cell:
     """One elementary fold in direction i (1 <= i <= dim-1)."""
     if not 1 <= i <= A.dim - 1:
         raise DomainError(f"psi index {i} out of range for a {A.dim}-cell")
-    left = model.conn(model.face(A, i + 1, "-"), i, "+")
-    right = model.conn(model.face(A, i + 1, "+"), i, "-")
-    return model.comp(model.comp(left, A, i + 1), right, i + 1)
+    return _eval(_fold_plan((i,)), model, [A])
 
 
 def psi_block(model: CubModel, A: Cell, r: int) -> Cell:
     """The block fold: psi_{r-1} ... psi_1 (psi_1 first); 1 <= r <= dim."""
     if not 1 <= r <= A.dim:
         raise DomainError(f"block fold index {r} out of range for a {A.dim}-cell")
-    for i in range(1, r):
-        A = psi(model, A, i)
-    return A
+    return _eval(_fold_plan(tuple(range(1, r))), model, [A])
 
 
 def phi(model: CubModel, A: Cell, m: int) -> Cell:
     """The full globularizing fold: the block folds at m, m-1, ..., 1."""
     if not 0 <= m <= A.dim:
         raise DomainError(f"fold depth {m} out of range for a {A.dim}-cell")
-    for r in range(m, 0, -1):
-        A = psi_block(model, A, r)
-    return A
+    dirs = tuple(i for r in range(m, 0, -1) for i in range(1, r))
+    return _eval(_fold_plan(dirs), model, [A])
 
 
 def fold_tail(model: CubModel, A: Cell) -> Cell:
@@ -185,9 +228,7 @@ def fold_tail(model: CubModel, A: Cell) -> Cell:
 
     This is the fold used by thinness and by plain invertibility.
     """
-    for i in range(A.dim - 1, 0, -1):
-        A = psi(model, A, i)
-    return A
+    return _eval(_fold_plan(tuple(range(A.dim - 1, 0, -1))), model, [A])
 
 
 def in_deg_image(model: CubModel, A: Cell, i: int = 1) -> bool:
@@ -589,15 +630,12 @@ def composable_pairs(model: CubModel, cells: Sequence[Cell], i: int,
     return [(cells[x], cells[y]) for x, y in _match(plus, minus, max_pairs)]
 
 
-_FACE, _DEG, _CONN, _COMP = range(4)
-
-
 def _block(n: int, max_dim: int) -> list[tuple]:
     """The faces, eps and Gammas of an n-cell, as (kind, args): the cell's block."""
-    ops = [(_FACE, (i, a)) for i, a in product(range(1, n + 1), ALPHAS)]
+    ops = [("face", (i, a)) for i, a in product(range(1, n + 1), ALPHAS)]
     if n + 1 <= max_dim:  # room for one eps/Gamma above the cell
-        ops += [(_DEG, (j,)) for j in range(1, n + 2)]
-        ops += [(_CONN, (j, b)) for j, b in product(range(1, n + 1), ALPHAS)]
+        ops += [("deg", (j,)) for j in range(1, n + 2)]
+        ops += [("conn", (j, b)) for j, b in product(range(1, n + 1), ALPHAS)]
     return ops
 
 
@@ -606,9 +644,12 @@ class _Plan:
 
     Slots ``0 .. leaves-1`` hold the cells a caller passes in.  Node
     ``(kind, x, args)`` fills the next slot with the operation `kind` on
-    slot x and `args`: (i, alpha) for face and conn, (i,) for deg, and
-    (slot y, i) for comp.  Nodes are deduplicated by structure.  Each
-    equation keeps the nodes its lhs, then its rhs, need, in order.
+    slot x and `args`: (i, alpha) for face and conn, (i,) for deg and rev
+    (the reversal inverse), and (slot y, i) for comp.  Nodes are
+    deduplicated by structure.  Each equation keeps the nodes its lhs,
+    then its rhs, need, in order, and the number of slots built before
+    it; `out` is the slot a construction returns.  A plan names
+    operations only: `CubModel.lower` supplies the code.
     """
 
     def __init__(self, leaves: int, on_cell: bool = False):
@@ -616,14 +657,15 @@ class _Plan:
         self.on_cell = on_cell  # details end in " on <payload of slot 0>"
         self.nodes: list[tuple] = []
         self.slots: dict[tuple, int] = {}
-        self.equations: list[tuple] = []  # (family, lhs, rhs, detail, steps)
+        self.equations: list[tuple] = []  # (family, lhs, rhs, detail, steps, built)
+        self.out = 0
 
     def block(self, x: int, n: int, max_dim: int) -> None:
         """Slots x+1, x+2, ... hold the block of the n-cell at slot x."""
         for offset, (kind, args) in enumerate(_block(n, max_dim), 1):
             self.slots[(kind, x, args)] = x + offset
 
-    def op(self, kind: int, x: int, *args) -> int:
+    def op(self, kind: str, x: int, *args) -> int:
         node = (kind, x, args)
         if node not in self.slots:
             self.slots[node] = self.leaves + len(self.nodes)
@@ -631,16 +673,25 @@ class _Plan:
         return self.slots[node]
 
     def face(self, x: int, i: int, alpha: str) -> int:
-        return self.op(_FACE, x, i, alpha)
+        return self.op("face", x, i, alpha)
 
     def deg(self, x: int, i: int) -> int:
-        return self.op(_DEG, x, i)
+        return self.op("deg", x, i)
 
     def conn(self, x: int, i: int, alpha: str) -> int:
-        return self.op(_CONN, x, i, alpha)
+        return self.op("conn", x, i, alpha)
 
     def comp(self, x: int, y: int, i: int) -> int:
-        return self.op(_COMP, x, y, i)
+        return self.op("comp", x, y, i)
+
+    def rev(self, x: int, i: int) -> int:
+        return self.op("rev", x, i)
+
+    def psi(self, x: int, i: int) -> int:
+        """The elementary fold of slot x in direction i, built as `psi` computes it."""
+        left = self.conn(self.face(x, i + 1, "-"), i, "+")
+        right = self.conn(self.face(x, i + 1, "+"), i, "-")
+        return self.comp(self.comp(left, x, i + 1), right, i + 1)
 
     def eq(self, family: str, lhs: int, rhs: int, detail: str) -> None:
         steps: list[int] = []
@@ -649,43 +700,77 @@ class _Plan:
             if slot >= self.leaves and slot not in steps:
                 kind, x, args = self.nodes[slot - self.leaves]
                 need(x)
-                if kind == _COMP:
+                if kind == "comp":
                     need(args[0])
                 steps.append(slot)
 
         need(lhs)
         need(rhs)
-        self.equations.append((family, lhs, rhs, detail, tuple(steps)))
+        built = self.leaves + len(self.nodes)
+        self.equations.append((family, lhs, rhs, detail, tuple(steps), built))
 
 
-def _run(plan: _Plan, model: CubModel, report: Report, vals: list, n: int) -> None:
-    """Evaluate `plan` on the leaf cells `vals`, adding to `report`.
+def _run(plan: _Plan, model: CubModel, report: Report, cells: list, n: int) -> None:
+    """Check the equations of `plan` on the leaf `cells`, adding to `report`.
 
     A node is computed when an equation first needs it, then shared.  A
     `CompositionError` ends its equation as a violation, and a node it
     left uncomputed is computed afresh by the next equation needing it.
     """
-    ops, comp = (model.face, model.deg, model.conn), model.comp
-    nodes, base = plan.nodes, plan.leaves
-    vals = vals + [None] * len(nodes)
-    for family, lhs, rhs, detail, steps in plan.equations:
-        report.checked[family] = report.checked.get(family, 0) + 1
+    low = model.lower(plan, tuple(A.dim for A in cells))
+    steps, equal, checked = low.steps, low.equal, report.checked
+    vals = list(map(low.load, cells))
+    vals += [None] * len(plan.nodes)
+    for family, lhs, rhs, detail, need, _ in plan.equations:
+        checked[family] = checked.get(family, 0) + 1
         try:
-            for k in steps:
+            for k in need:
                 if vals[k] is None:
-                    kind, x, args = nodes[k - base]
-                    if kind == _COMP:
-                        vals[k] = comp(vals[x], vals[args[0]], args[1])
-                    else:
-                        vals[k] = ops[kind](vals[x], *args)
+                    fn, x, y, data = steps[k]
+                    vals[k] = fn(vals[x], vals[y], data)
         except CompositionError as exc:
             why = f": composition failed ({exc})"
         else:
-            if model.equal(vals[lhs], vals[rhs]):
+            if equal(vals[lhs], vals[rhs]):
                 continue
             why = ""
-        on = f" on {vals[0].payload!r}" if plan.on_cell else ""
+        on = f" on {cells[0].payload!r}" if plan.on_cell else ""
         report.violations.append(Violation(family, n, detail + on + why))
+
+
+def _eval(plan: _Plan, model: CubModel, cells: list) -> Cell | None:
+    """Run `plan` as a construction on the leaf `cells`.
+
+    Nodes are computed in the order the plan built them, and each
+    equation is tested once the nodes built before it are computed, so
+    work, exceptions and short-circuiting follow the code the plan
+    replaces.  Returns None at the first failing equation, else the
+    cell in slot `plan.out`.
+    """
+    low = model.lower(plan, tuple(A.dim for A in cells))
+    steps, equal = low.steps, low.equal
+    vals = list(map(low.load, cells))
+
+    def build(upto: int) -> None:
+        for fn, x, y, data in steps[len(vals):upto]:
+            vals.append(fn(vals[x], vals[y], data))
+
+    for _, lhs, rhs, _, _, built in plan.equations:
+        build(built)
+        if not equal(vals[lhs], vals[rhs]):
+            return None
+    build(len(steps))
+    out = plan.out
+    return cells[out] if out < plan.leaves else low.cell(out, vals[out])
+
+
+@functools.cache
+def _fold_plan(dirs: tuple[int, ...]) -> _Plan:
+    """The elementary folds psi_i, for i in `dirs` in that order, of one cell."""
+    p = _Plan(1)
+    for i in dirs:
+        p.out = p.psi(p.out, i)
+    return p
 
 
 @functools.cache
@@ -829,11 +914,11 @@ def check_axioms(
     for n in range(dim + 1):
         sample = list(cells_by_dim.get(n, ()))
         unary, block = _unary_plan(n, model.max_dim), _block(n, model.max_dim)
-        ops, known = (model.face, model.deg, model.conn), []
+        ops, known = {"face": model.face, "deg": model.deg, "conn": model.conn}, []
         for A in sample:
             known.append([A] + [ops[kind](A, *args) for kind, args in block])
             _run(unary, model, report, known[-1], n)
-        key = {(i, a): [cell[1 + block.index((_FACE, (i, a)))].key() for cell in known]
+        key = {(i, a): [cell[1 + block.index(("face", (i, a)))].key() for cell in known]
                for i in range(1, n + 1) for a in ALPHAS}
         for i in range(1, n + 1):
             pairs, ab = _match(key[(i, "+")], key[(i, "-")], max_pairs), []

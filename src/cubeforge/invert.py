@@ -16,10 +16,15 @@ Three notions are implemented, all relative to a model's inverse oracle
 Every constructor here is fail-closed: it checks the defining equations
 of the inverse it built before returning it.  The index arithmetic is
 delicate enough that silent corruption must be impossible.
+
+The two verifications and the fold-route transposition inverse are
+cached `core` plans, one per direction, run by `core._eval` in the order
+the formulas below compute them.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
@@ -29,8 +34,9 @@ from .core import (
     CubModel,
     NotInvertible,
     OracleUnavailable,
+    _eval,
+    _Plan,
     fold_tail,
-    grid2,
     psi,
 )
 from .indices import DomainError, lower
@@ -51,13 +57,21 @@ class InverseWitness:
 # reversal (R) invertibility
 
 
+@functools.cache
+def _r_plan(k: int) -> _Plan:
+    p, (A, B) = _Plan(2), range(2)
+    left, right = p.comp(A, B, k), p.comp(B, A, k)
+    p.eq("R", left, p.deg(p.face(A, k, "-"), k), f"A *_{k} B != eps_{k} d_{k}^- A")
+    p.eq("R", right, p.deg(p.face(A, k, "+"), k), f"B *_{k} A != eps_{k} d_{k}^+ A")
+    return p
+
+
 def verify_r_inverse(model: CubModel, A: Cell, B: Cell, k: int) -> bool:
-    """Do A and B compose to the two k-degenerate identities?"""
-    left = model.comp(A, B, k)
-    right = model.comp(B, A, k)
-    return model.equal(
-        left, model.deg(model.face(A, k, "-"), k)
-    ) and model.equal(right, model.deg(model.face(A, k, "+"), k))
+    """Do A and B compose to the two k-degenerate identities?
+
+    Both composites are computed before either is compared.
+    """
+    return _eval(_r_plan(k), model, [A, B]) is not None
 
 
 def r_inverse(model: CubModel, A: Cell, k: int) -> Cell:
@@ -212,32 +226,46 @@ def plain_witness(model: CubModel, A: Cell) -> InverseWitness:
 # transposition (T) invertibility
 
 
-def verify_t_inverse(model: CubModel, A: Cell, B: Cell, i: int) -> bool:
-    """The two defining 2D equations of the transposition inverse."""
+def _t_equations(p: _Plan, A: int, B: int, i: int) -> None:
+    """The defining equations of B as the transposition inverse of A at i."""
     for j, a in ((i, "-"), (i, "+"), (i + 1, "-"), (i + 1, "+")):
         other = i + 1 if j == i else i
-        if not model.equal(model.face(B, j, a), model.face(A, other, a)):
-            return False
+        p.eq("T-face", p.face(B, j, a), p.face(A, other, a), f"d_{j}^{a} B != d_{other}^{a} A")
+    for X, Y in ((A, B), (B, A)):
+        # [[corner+, Y], [X, corner-]] composed (rows *_i, columns *_{i+1}),
+        # every cell before any composite, as `grid2` receives them
+        corner_plus = p.conn(p.face(Y, i, "-"), i, "+")
+        corner_minus = p.conn(p.face(X, i, "+"), i, "-")
+        lhs = p.comp(p.comp(corner_plus, Y, i), p.comp(X, corner_minus, i), i + 1)
+        rhs = p.comp(p.conn(p.face(X, i, "-"), i, "-"), p.conn(p.face(X, i + 1, "+"), i, "+"), i)
+        p.eq("T-braid", lhs, rhs, "braid")
 
-    def braid(X: Cell, Y: Cell) -> bool:
-        # [[corner+, Y], [X, corner-]] composed (rows *_i, columns *_{i+1})
-        lhs = grid2(
-            model,
-            [
-                [model.conn(model.face(Y, i, "-"), i, "+"), Y],
-                [X, model.conn(model.face(X, i, "+"), i, "-")],
-            ],
-            i,
-            i + 1,
-        )
-        rhs = model.comp(
-            model.conn(model.face(X, i, "-"), i, "-"),
-            model.conn(model.face(X, i + 1, "+"), i, "+"),
-            i,
-        )
-        return model.equal(lhs, rhs)
 
-    return braid(A, B) and braid(B, A)
+@functools.cache
+def _verify_t_plan(i: int) -> _Plan:
+    p = _Plan(2)
+    _t_equations(p, 0, 1, i)
+    return p
+
+
+def verify_t_inverse(model: CubModel, A: Cell, B: Cell, i: int) -> bool:
+    """The two defining 2D equations of the transposition inverse.
+
+    The four face equations come first, then the braid of (A, B), then
+    that of (B, A); the first failing one ends the check.
+    """
+    return _eval(_verify_t_plan(i), model, [A, B]) is not None
+
+
+@functools.cache
+def _t_plan(i: int) -> _Plan:
+    p, A = _Plan(1), 0
+    mid = p.rev(p.psi(A, i), i)
+    top = p.comp(p.deg(p.face(A, i + 1, "-"), i), p.conn(p.face(A, i, "+"), i, "+"), i + 1)
+    bottom = p.comp(p.conn(p.face(A, i, "-"), i, "-"), p.deg(p.face(A, i + 1, "+"), i), i + 1)
+    p.out = p.comp(p.comp(top, mid, i), bottom, i)
+    _t_equations(p, A, p.out, i)
+    return p
 
 
 def t_inverse(model: CubModel, A: Cell, i: int) -> Cell:
@@ -250,19 +278,8 @@ def t_inverse(model: CubModel, A: Cell, i: int) -> Cell:
     """
     if not 1 <= i <= A.dim - 1:
         raise DomainError(f"no transposition {i} on a {A.dim}-cell")
-    mid = model.r_inverse(psi(model, A, i), i)
-    top = model.comp(
-        model.deg(model.face(A, i + 1, "-"), i),
-        model.conn(model.face(A, i, "+"), i, "+"),
-        i + 1,
-    )
-    bottom = model.comp(
-        model.conn(model.face(A, i, "-"), i, "-"),
-        model.deg(model.face(A, i + 1, "+"), i),
-        i + 1,
-    )
-    candidate = model.comp(model.comp(top, mid, i), bottom, i)
-    if not verify_t_inverse(model, A, candidate, i):
+    candidate = _eval(_t_plan(i), model, [A])
+    if candidate is None:
         raise NotInvertible(f"fold route produced a bad transposition inverse at {i}")
     return candidate
 

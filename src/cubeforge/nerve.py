@@ -17,7 +17,11 @@ co-structure maps of `cubeforge.adc` (`cube_face`, `cube_deg`,
 composition direction as `comp_split` says.  Each map is compiled once
 per (operation, dimension, direction, sign) into an
 `operator.itemgetter` over the payload, with the zero chains the map
-kills appended, so an operation is one C-level gather.
+kills appended, so an operation is one C-level gather.  An operation and
+a plan node share one payload kernel over that table: the cell-level
+methods wrap it, and `NcModel.lower` turns each node of a `core` plan
+into a step calling it on raw payloads, with the same range checks,
+composability compare and cone check, raising the same errors.
 The globular nerve is the same story over the disk complexes.
 
 Cells are immutable; payloads are tuples of coefficient tuples aligned
@@ -32,12 +36,13 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from operator import add, itemgetter
+from operator import add, attrgetter, eq, itemgetter
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .adc import (Adc, Chain, ChainMap, comp_split, cube, cube_conn, cube_deg,
                   cube_face, cube_rev, cube_swap, disk, to_json_dict, vec_neg)
-from .core import BudgetExceeded, Cell, CompositionError, CubModel, NotInvertible, phi
+from .core import (BudgetExceeded, Cell, CompositionError, CubModel, Lowered, NotInvertible,
+                   phi)
 
 
 def _box_ranges(flags: Sequence[bool], bound: int) -> list[range]:
@@ -298,12 +303,56 @@ _CO_MAPS = {
 }
 
 
+# -- payload kernels: (payload, payload of the second operand, data) -> payload
+
+_SHIFT = {"face": -1, "deg": 1, "conn": 1}  # the dimension change of a plan node
+
+
+def _gather(a: tuple, _b: tuple, tab: _Table) -> tuple:
+    getter, zeros, _ = tab
+    return getter(a + zeros)
+
+
+def _compose(a: tuple, b: tuple, data: tuple) -> tuple:
+    (getter, slab, _), plus, minus, i = data
+    fa, fb = _gather(a, b, plus), _gather(b, a, minus)
+    if fa != fb:
+        raise CompositionError(f"faces differ along direction {i}: {fa!r} vs {fb!r}")
+    return getter(a + b + tuple(tuple(map(add, a[p], b[p])) for p in slab))
+
+
+def _negated(payload: tuple, negs: tuple, in_cone) -> tuple:
+    """The values `negs` names, negated, and None; or None and the name of
+    the first value whose negation leaves the cone."""
+    flipped = []
+    for k, p, name in negs:
+        neg = vec_neg(payload[p])
+        if not in_cone(k, neg):
+            return None, name
+        flipped.append(neg)
+    return tuple(flipped), None
+
+
+def _invert(a: tuple, _b: tuple, data: tuple) -> tuple:
+    (getter, negs, _), in_cone = data
+    flipped, bad = _negated(a, negs, in_cone)
+    if flipped is None:
+        raise NotInvertible(f"value at {bad} is not invertible in the cone")
+    return getter(a + flipped)
+
+
+def _refuse(_a: tuple, _b: tuple, error: tuple) -> tuple:
+    kind, text = error
+    raise kind(text)
+
+
 class NcModel(_NerveBase):
     """The cubical nerve of an augmented directed complex."""
 
     def __init__(self, K: Adc, max_dim: int = 6):
         super().__init__(K, max_dim)
         self._tables: dict[tuple, _Table] = {}
+        self._lowered: dict[tuple, Lowered] = {}
 
     def __repr__(self) -> str:
         return f"NcModel({self.K.name or 'K'})"
@@ -363,64 +412,102 @@ class NcModel(_NerveBase):
                 index.append(pos if pieces[0][0] == 1 else width + pos)
         return _Table(_kernel(index), tuple(slab), tuple(index))
 
+    def _step(self, kind: str, n: int, *args) -> tuple:
+        """The kernel and its data for operation `kind` on n-cells.
+
+        Raises what the operation raises on a request out of range: args
+        are (i, alpha) for face and conn, (i,) for deg, rev and swap, and
+        (the second operand's dimension, i) for comp.
+        """
+        if kind == "face":
+            i, alpha = args
+            if not (1 <= i <= n and alpha in "-+"):
+                raise ValueError(f"no face (i={i}, alpha={alpha}) on a {n}-cell")
+            return _gather, self._table(kind, n, i, alpha)
+        if kind == "deg":
+            (i,) = args
+            if not 1 <= i <= n + 1:
+                raise ValueError(f"no degeneracy slot {i} on a {n}-cell")
+            if n + 1 > self.max_dim:
+                raise ValueError("degeneracy exceeds the model dimension bound")
+            return _gather, self._table(kind, n, i)
+        if kind == "conn":
+            i, alpha = args
+            if not (1 <= i <= n and alpha in "-+"):
+                raise ValueError(f"no connection (i={i}, alpha={alpha}) on a {n}-cell")
+            if n + 1 > self.max_dim:
+                raise ValueError("connection exceeds the model dimension bound")
+            return _gather, self._table(kind, n, i, alpha)
+        if kind == "comp":
+            m, i = args
+            if m != n or not 1 <= i <= n:
+                raise ValueError("bad composition request")
+            return _compose, (self._table(kind, n, i), self._table("face", n, i, "+"),
+                              self._table("face", n, i, "-"), i)
+        (i,) = args
+        if kind == "rev" and not 1 <= i <= n:
+            raise NotInvertible(f"no direction {i} on a {n}-cell")
+        if kind == "swap" and not 1 <= i <= n - 1:
+            raise NotInvertible(f"no transposition {i} on a {n}-cell")
+        return _invert, (self._table(kind, n, i), self.K.in_cone)
+
+    def lower(self, plan, leaf_dims: tuple[int, ...]) -> Lowered:
+        """`plan` as payload kernels over the compiled tables, built once per
+        (plan, leaf dimensions).  A node out of range becomes a step raising
+        what the operation would raise, when (and if) it runs."""
+        key = (plan, leaf_dims)
+        low = self._lowered.get(key)
+        if low is None:
+            dims, steps = list(leaf_dims), [None] * plan.leaves
+            for kind, x, args in plan.nodes:
+                y, args = (args[0], (dims[args[0]], args[1])) if kind == "comp" else (x, args)
+                try:
+                    fn, data = self._step(kind, dims[x], *args)
+                except (ValueError, NotInvertible) as exc:
+                    fn, data = _refuse, (type(exc), str(exc))
+                steps.append((fn, x, y, data))
+                dims.append(dims[x] + _SHIFT.get(kind, 0))
+            low = Lowered(tuple(steps), attrgetter("payload"),
+                          lambda k, payload: Cell(self, dims[k], payload), eq)
+            self._lowered[key] = low
+        return low
+
     # -- the cubical operations ------------------------------------------------
 
     def face(self, A: Cell, i: int, alpha: str) -> Cell:
-        if not (1 <= i <= A.dim and alpha in "-+"):
-            raise ValueError(f"no face (i={i}, alpha={alpha}) on a {A.dim}-cell")
-        getter, zeros, _ = self._table("face", A.dim, i, alpha)
-        return Cell(self, A.dim - 1, getter(A.payload + zeros))
+        fn, tab = self._step("face", A.dim, i, alpha)
+        return Cell(self, A.dim - 1, fn(A.payload, (), tab))
 
     def deg(self, A: Cell, i: int) -> Cell:
-        if not 1 <= i <= A.dim + 1:
-            raise ValueError(f"no degeneracy slot {i} on a {A.dim}-cell")
-        if A.dim + 1 > self.max_dim:
-            raise ValueError("degeneracy exceeds the model dimension bound")
-        getter, zeros, _ = self._table("deg", A.dim, i)
-        return Cell(self, A.dim + 1, getter(A.payload + zeros))
+        fn, tab = self._step("deg", A.dim, i)
+        return Cell(self, A.dim + 1, fn(A.payload, (), tab))
 
     def conn(self, A: Cell, i: int, alpha: str) -> Cell:
-        if not (1 <= i <= A.dim and alpha in "-+"):
-            raise ValueError(f"no connection (i={i}, alpha={alpha}) on a {A.dim}-cell")
-        if A.dim + 1 > self.max_dim:
-            raise ValueError("connection exceeds the model dimension bound")
-        getter, zeros, _ = self._table("conn", A.dim, i, alpha)
-        return Cell(self, A.dim + 1, getter(A.payload + zeros))
+        fn, tab = self._step("conn", A.dim, i, alpha)
+        return Cell(self, A.dim + 1, fn(A.payload, (), tab))
 
     def comp(self, A: Cell, B: Cell, i: int) -> Cell:
-        if A.dim != B.dim or not 1 <= i <= A.dim:
-            raise ValueError("bad composition request")
-        self.check_composable(A, B, i)
-        getter, slab, _ = self._table("comp", A.dim, i)
-        a, b = A.payload, B.payload
-        sums = tuple(tuple(map(add, a[p], b[p])) for p in slab)
-        return Cell(self, A.dim, getter(a + b + sums))
+        fn, data = self._step("comp", A.dim, B.dim, i)
+        return Cell(self, A.dim, fn(A.payload, B.payload, data))
 
     # -- closed-form inverses ---------------------------------------------------
 
-    def _invert(self, A: Cell, kind: str, i: int) -> Cell:
-        """Precomposition with an invertible co-map; negated values must stay in the cone."""
-        getter, negs, _ = self._table(kind, A.dim, i)
-        payload = A.payload
-        flipped = []
-        for k, p, name in negs:
-            neg = vec_neg(payload[p])
-            if not self.K.in_cone(k, neg):
-                raise NotInvertible(f"value at {name} is not invertible in the cone")
-            flipped.append(neg)
-        return Cell(self, A.dim, getter(payload + tuple(flipped)))
-
     def r_inverse(self, A: Cell, i: int) -> Cell:
         """The reversal inverse in direction i, when every slab chain flips."""
+        fn, data = self._step("rev", A.dim, i)
+        return Cell(self, A.dim, fn(A.payload, (), data))
+
+    def has_r_inverse(self, A: Cell, i: int) -> bool:
+        """Whether `r_inverse` succeeds, from its cone check alone."""
         if not 1 <= i <= A.dim:
-            raise NotInvertible(f"no direction {i} on a {A.dim}-cell")
-        return self._invert(A, "rev", i)
+            return False
+        _, ((_, negs, _), in_cone) = self._step("rev", A.dim, i)
+        return _negated(A.payload, negs, in_cone)[0] is not None
 
     def t_inverse(self, A: Cell, i: int) -> Cell:
         """The transposition inverse exchanging directions i and i+1."""
-        if not 1 <= i <= A.dim - 1:
-            raise NotInvertible(f"no transposition {i} on a {A.dim}-cell")
-        return self._invert(A, "swap", i)
+        fn, data = self._step("swap", A.dim, i)
+        return Cell(self, A.dim, fn(A.payload, (), data))
 
     def content(self, A: Cell) -> Chain:
         """The top value: the chain assigned to the all-0 sequence."""
@@ -522,6 +609,8 @@ def assignment_to_json(model: _NerveBase, A: Cell) -> dict:
 
 def assignment_from_json(model: _NerveBase, dim: int, assignment: dict) -> Cell:
     """The dim-cell whose assignment a JSON object of `assignment_to_json` names."""
+    if not isinstance(assignment, dict):
+        raise ValueError(f"an assignment must be a JSON object, not {type(assignment).__name__}")
     return model.make(dim, {name: tuple(v) for name, v in assignment.items()})
 
 

@@ -486,3 +486,21 @@ def test_abelianize_finite_nerve_sample():
     )
     # cone image: every generator class is recorded
     assert set(pres[1].cone_image()) == set(pres[1].generators)
+
+
+@pytest.mark.parametrize("conv", [TARGET_MINUS_SOURCE, SOURCE_MINUS_TARGET])
+@pytest.mark.parametrize("a, b", [(a, b) for a in (1, 2) for b in range(0, 5 - a)])
+def test_tensor_of_cubes_is_the_cube(conv, a, b):
+    """Under s(x)t -> st, cube(a) (x) cube(b) has the bases and boundary of cube(a+b)."""
+    T, C = tensor(cube(a, conv), cube(b, conv)), cube(a + b, conv)
+
+    def boundary(K, rename):
+        return [{(rename(K.degrees[k][r]), rename(K.degrees[k + 1][c])): v
+                 for r, row in enumerate(m) for c, v in enumerate(row) if v}
+                for k, m in enumerate(K.boundary)]
+
+    def rename(name):
+        return name.replace("⊗", "")
+
+    assert [sorted(map(rename, d)) for d in T.degrees] == [sorted(d) for d in C.degrees]
+    assert boundary(T, rename) == boundary(C, str)

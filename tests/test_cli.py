@@ -270,17 +270,21 @@ def test_usage_error_exit2(capsys):
     assert code == 2
 
 
-def test_transfor_invalid_prints_report(tmp_path, capsys):
+def _disk1_identity_entries():
     src = NcModel(disk(1))
     from cubeforge.transfor import chain_map_transfor
 
     F = chain_map_transfor(src, src, [[[1, 0], [0, 1]], [[1]]], [0, 1], 1)
-    entries = [
+    return [
         {"dim": A.dim,
          "cell": {k: list(A.payload[pos]) for pos, (_, k) in enumerate(src.elements(A.dim))},
          "image": {k: list(FA.payload[pos]) for pos, (_, k) in enumerate(src.elements(FA.dim))}}
         for A, FA in F.pairs()
     ]
+
+
+def test_transfor_invalid_prints_report(tmp_path, capsys):
+    entries = _disk1_identity_entries()
     # the identity with the images of the two vertices swapped
     entries[0]["image"], entries[1]["image"] = entries[1]["image"], entries[0]["image"]
     path = tmp_path / "bad.transfor"
@@ -293,3 +297,25 @@ def test_transfor_invalid_prints_report(tmp_path, capsys):
                    + 3 * "VIOLATION boundary law fails at dim 1, i=1, alpha=+\n"
                    + 3 * "VIOLATION boundary law fails at dim 1, i=1, alpha=-\n"
                    + 2 * "VIOLATION degeneracy law fails at dim 0, i=1\n")
+
+
+@pytest.mark.parametrize("field", ["cell", "image"])
+def test_transfor_entry_not_an_object_exit2(tmp_path, capsys, field):
+    entries = _disk1_identity_entries()
+    entries[0][field] = list(entries[0][field].values())
+    path = tmp_path / "list.transfor"
+    path.write_text(json.dumps({"variance": "lax", "p": 0, "adc_source": "disk:1",
+                                "adc_target": "disk:1", "entries": entries}))
+    code, out, err = run(capsys, "transfor", "--table", str(path))
+    assert (code, out) == (2, "")
+    assert err == ("error: bad table file: an assignment must be a JSON object, "
+                   "not list\n")
+
+
+def test_transfor_no_entries_exit2(tmp_path, capsys):
+    path = tmp_path / "empty.transfor"
+    path.write_text(json.dumps({"variance": "lax", "p": 0, "adc_source": "disk:1",
+                                "adc_target": "disk:1", "entries": []}))
+    code, out, err = run(capsys, "transfor", "--table", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: bad table file: no entries, so nothing to validate\n"
