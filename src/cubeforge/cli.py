@@ -93,14 +93,17 @@ def adc_from_ref_obj(ref, orientation: str) -> Adc:
     raise CliError("complex reference must be a dict, a path, or disk:N / cube:N")
 
 
-def load_json(path: str) -> dict:
+def load_json(path: str, what: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except FileNotFoundError:
         raise CliError(f"no such file: {path}")
     except json.JSONDecodeError as exc:
         raise CliError(f"cannot parse {path}: {exc}")
+    if not isinstance(data, dict):
+        raise CliError(f"bad {what}: expected a JSON object, not {type(data).__name__}")
+    return data
 
 
 def emit(payload: dict, fmt: str, text_lines: list[str]) -> None:
@@ -221,7 +224,7 @@ def cmd_classify(args) -> int:
 
 
 def _load_cell(path: str, orientation: str):
-    data = load_json(path)
+    data = load_json(path, f"cell file {path}")
     K = adc_from_ref_obj(data.get("adc"), orientation)
     model = NcModel(K)
     try:
@@ -335,19 +338,20 @@ def cmd_perm(args) -> int:
 
 
 def cmd_transfor(args) -> int:
-    data = load_json(args.table)
+    data = load_json(args.table, "table file")
     src = NcModel(adc_from_ref_obj(data.get("adc_source"), args.orientation))
     tgt = NcModel(adc_from_ref_obj(data.get("adc_target"), args.orientation))
     variance = data.get("variance", LAX)
-    p = int(data.get("p", 0))
-    pairs = []
     try:
-        for entry in data["entries"]:
-            n = int(entry["dim"])
-            pairs.append((assignment_from_json(src, n, entry["cell"]),
-                          assignment_from_json(tgt, n + p, entry["image"])))
-        if not pairs:
+        p, entries = data.get("p", 0), data["entries"]
+        if type(p) is not int or p < 0:
+            raise ValueError(f"p must be an int >= 0, not {p!r}")
+        if not (isinstance(entries, list) and all(isinstance(e, dict) for e in entries)):
+            raise ValueError("entries must be a list of JSON objects")
+        if not entries:
             raise ValueError("no entries, so nothing to validate")
+        pairs = [(assignment_from_json(src, e["dim"], e["cell"]),
+                  assignment_from_json(tgt, e["dim"] + p, e["image"])) for e in entries]
         table = make_table(variance, p, src, tgt, pairs)
     except (KeyError, ValueError) as exc:
         raise CliError(f"bad table file: {exc}")

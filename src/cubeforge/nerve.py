@@ -607,10 +607,17 @@ def assignment_to_json(model: _NerveBase, A: Cell) -> dict:
     return {name: list(A.payload[pos]) for pos, (_, name) in enumerate(model.elements(A.dim))}
 
 
-def assignment_from_json(model: _NerveBase, dim: int, assignment: dict) -> Cell:
-    """The dim-cell whose assignment a JSON object of `assignment_to_json` names."""
+def assignment_from_json(model: _NerveBase, dim, assignment) -> Cell:
+    """The dim-cell that a JSON object of `assignment_to_json` names, or ValueError."""
+    if type(dim) is not int or not 0 <= dim <= model.max_dim:
+        raise ValueError(f"a cell dimension must be an int in 0..{model.max_dim}, not {dim!r}")
     if not isinstance(assignment, dict):
         raise ValueError(f"an assignment must be a JSON object, not {type(assignment).__name__}")
+    for k, name in model.elements(dim):
+        v, rank = assignment.get(name), model.K.rank(k)
+        if not (isinstance(v, list) and len(v) == rank and all(type(c) is int for c in v)):
+            got = repr(v) if name in assignment else "nothing"
+            raise ValueError(f"{dim}-cell element {name!r} needs a list of {rank} ints, got {got}")
     return model.make(dim, {name: tuple(v) for name, v in assignment.items()})
 
 
@@ -629,7 +636,7 @@ def cell_from_json(model: _NerveBase, data: dict) -> Cell:
     expected = "cubical" if isinstance(model, NcModel) else "globular"
     if data.get("kind", expected) != expected:
         raise ValueError(f"cell kind {data.get('kind')!r} does not fit the model")
-    return assignment_from_json(model, int(data["dim"]), data["assignment"])
+    return assignment_from_json(model, data["dim"], data["assignment"])
 
 
 @dataclass

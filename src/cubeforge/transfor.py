@@ -7,6 +7,11 @@ oplax variant stores them last.  Tables are finite by construction: a
 table is total on an explicitly declared sample of source cells, and
 validity is always relative to that sample.
 
+Between nerves every lax table comes from one construction: a chain map
+Phi: cube(p) ⊗ K -> L sends the n-cell A to the (n+p)-cell s t |->
+Phi(s ⊗ A(t)) (`tensor_transfor`, after Brown and Higgins); chain maps
+(p = 0) and chain homotopies (p = 1) are its named cases.
+
 The conversion between the two variants acts cellwise by the block-swap
 permutation: a pseudo lax table (every image plainly invertible, with
 pseudo boundary tables) converts to oplax by acting with the swap moving
@@ -20,9 +25,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from functools import lru_cache
+from typing import Callable, Iterable, Mapping, Sequence
 
-from .adc import mat_vec, orientation_sign
+from .adc import ChainMap, cube, mat_vec, tensor
 from .core import Cell, CompositionError, CubModel, NotInvertible, Report
 from .invert import is_plain_invertible, sigma_act
 from .perms import Perm, rho
@@ -256,7 +262,7 @@ def to_lax(F: TransforTable) -> TransforTable:
 
 
 # ---------------------------------------------------------------------------
-# constructors over nerve models
+# constructors over nerve models: chain maps out of cube(p) ⊗ K
 
 
 def _push(target, mats: Sequence, k: int, chain: tuple, out_degree: int) -> tuple:
@@ -267,134 +273,115 @@ def _push(target, mats: Sequence, k: int, chain: tuple, out_degree: int) -> tupl
     return mat_vec(mats[k], chain)
 
 
-def _unit(K, k: int, j: int) -> tuple:
-    return tuple(1 if m == j else 0 for m in range(K.rank(k)))
+def _column(mats: Sequence, k: int, j: int) -> tuple:
+    """Column j of `mats[k]`, empty where `mats` stops short of degree k."""
+    return tuple(row[j] for row in mats[k]) if k < len(mats) else ()
 
 
-def _homotopy_rhs(target, K, eta: int, f_minus, f_plus, h, k: int, e: tuple) -> tuple:
-    """eta (f_plus - f_minus)(e) - h(d e): what d h(e) must equal."""
-    rhs = [eta * (p - m) for p, m in zip(_push(target, f_plus, k, e, k),
-                                         _push(target, f_minus, k, e, k))]
-    if k >= 1:
-        rhs = [a - b for a, b in zip(rhs, _push(target, h, k - 1, K.d(k, e), k))]
-    return tuple(rhs)
+@lru_cache(maxsize=None)
+def _cube_tensor(p: int, K) -> tuple:
+    """cube(p) ⊗ K, with each degree-m generator s ⊗ e as (s, k, j): e is
+    K's j-th degree-k generator, and k = m - zeros(s)."""
+    T = tensor(cube(p, K.d_convention), K)
+    return T, tuple(tuple((s, m - s.count("0"), K.basis_index(m - s.count("0"), e))
+                          for s, e in (name.split("⊗", 1) for name in names))
+                    for m, names in enumerate(T.degrees))
 
 
-def chain_map_transfor(source, target, matrices: Sequence, dims: Sequence[int],
-                       bound: int) -> TransforTable:
-    """The degree-0 table induced by a chain map between the coefficient
-    complexes: postcompose every enumerated cell's assignment.
+def tensor_transfor(source, target, Phi: Mapping[str, Sequence], p: int,
+                    dims: Sequence[int], bound: int) -> TransforTable:
+    """The lax p-transfor of a chain map Phi: cube(p) ⊗ K -> L (see above).
 
-    `matrices[k]` maps degree-k chains of the source complex to the
-    target complex (rows indexed by the target basis).
-    """
-    out = []
-    for n in dims:
-        for A in source.cells(n, bound):
-            values = {
-                name: _push(target, matrices, k, source.value(A, name), k)
-                for k, name in source.elements(n)
-            }
-            out.append((A, target.make(n, values)))
-    return make_table(LAX, 0, source, target, out)
-
-
-def homotopy_lax_transfor(source, target, f_minus: Sequence, f_plus: Sequence,
-                          h: Sequence, dims: Sequence[int], bound: int) -> TransforTable:
-    """The lax 1-transfor induced by a chain homotopy between chain maps.
-
-    `f_minus`/`f_plus` are per-degree matrices of chain maps K -> L;
-    `h[k]` maps degree-k chains of K to degree-(k+1) chains of L with
-
-        d o h + h o d = eta (f_plus - f_minus),
-
-    where eta is +1 under the target-minus-source convention and -1
-    otherwise.  The image of an n-cell A is the (n+1)-cell whose slot-1
-    symbol selects f_minus, f_plus, or h applied to A's assignment.
+    `Phi[s][k]` maps degree-k chains of K to degree-(k + zeros(s)) chains
+    of L, rows indexed by L's basis, for each sign sequence s of cube(p).
+    Phi's chain-map law, augmentation included, is checked first.
     """
     K, L = source.K, target.K
     if K.d_convention != L.d_convention:
         raise ValueError("source and target must share a d_convention")
-    eta = orientation_sign(K.d_convention)
-
-    # check the homotopy law on generators before building anything
-    for k in range(K.top + 1):
-        for j in range(K.rank(k)):
-            e = _unit(K, k, j)
-            he = _push(target, h, k, e, k + 1)
-            dh = L.d(k + 1, he) if k + 1 <= L.top else target.zero_chain(k)
-            if tuple(dh) != _homotopy_rhs(target, K, eta, f_minus, f_plus, h, k, e):
-                raise ValueError(f"homotopy law fails on a degree-{k} generator")
-
+    T, gens = _cube_tensor(p, K)
+    terms = tuple(
+        tuple(tuple((c, r) for r, c in enumerate(_column(Phi[s], k, j)) if c)
+              for s, k, j in row)
+        for row in gens)
+    if not ChainMap(T, L, terms).is_chain_map():
+        raise ValueError(f"Phi is not a chain map out of cube({p}) ⊗ K")
     out = []
     for n in dims:
+        slots = [(u, Phi[u[:p]], k - u[:p].count("0"), u[p:], k)
+                 for k, u in target.elements(n + p)]
         for A in source.cells(n, bound):
-            values = {}
-            for k, u in target.elements(n + 1):
-                head, tail = u[0], u[1:]
-                chain = source.value(A, tail)
-                if head == "-":
-                    values[u] = _push(target, f_minus, k, chain, k)
-                elif head == "+":
-                    values[u] = _push(target, f_plus, k, chain, k)
-                else:
-                    values[u] = _push(target, h, k - 1, chain, k)
-            out.append((A, target.make(n + 1, values)))
-    return make_table(LAX, 1, source, target, out)
+            values = {u: _push(target, mats, k_src, source.value(A, t), k)
+                      for u, mats, k_src, t, k in slots}
+            out.append((A, target.make(n + p, values)))
+    return make_table(LAX, p, source, target, out)
 
 
-class _Retry(Exception):
-    pass
+def chain_map_transfor(source, target, matrices: Sequence, dims: Sequence[int],
+                       bound: int) -> TransforTable:
+    """The degree-0 table of a chain map K -> L (`matrices[k]` on degree
+    k): `tensor_transfor` at p = 0."""
+    return tensor_transfor(source, target, {"": matrices}, 0, dims, bound)
+
+
+def homotopy_lax_transfor(source, target, f_minus: Sequence, f_plus: Sequence,
+                          h: Sequence, dims: Sequence[int], bound: int) -> TransforTable:
+    """The lax 1-transfor of a chain homotopy: `tensor_transfor` at p = 1.
+
+    `f_minus`/`f_plus` are per-degree matrices of chain maps K -> L and
+    `h[k]` maps degree k to degree k+1, with d h + h d = eta (f_plus -
+    f_minus) for eta = `adc.orientation_sign`: Phi's chain-map law.
+    """
+    return tensor_transfor(source, target, {"-": f_minus, "+": f_plus, "0": h}, 1,
+                           dims, bound)
+
+
+def random_tensor_map(source, target, p: int, rng, coeff_bound: int = 1,
+                      tries: int = 400, fixed: Mapping[str, Sequence] | None = None) -> dict:
+    """A seeded random chain map Phi: cube(p) ⊗ K -> L, as `tensor_transfor` takes it.
+
+    The column of each generator s ⊗ e is drawn from the target's bounded
+    chain solver (so cones are preserved), ordered by s's number of 0s,
+    then by s with - < + < 0, then by e's degree and index, so that the
+    boundary is mapped first; a dead end retries from scratch.  `fixed`
+    pins the blocks of some s, which draw nothing.
+    """
+    fixed = fixed or {}
+    K, L = source.K, target.K
+    T, gens = _cube_tensor(p, K)
+    order = sorted((s.count("0"), ["-+0".index(c) for c in s], k, j, m, b)
+                   for m, row in enumerate(gens) for b, (s, k, j) in enumerate(row))
+    for _ in range(tries):
+        cols = {}
+        for *_, m, b in order:
+            s, k, j = gens[m][b]
+            if s in fixed:
+                cols[s, k, j] = _column(fixed[s], k, j)
+                continue
+            if m == 0:
+                cands = target.solver.vertex_chains(coeff_bound)
+            else:
+                d = T.d(m, [int(r == b) for r in range(T.rank(m))])
+                rhs = tuple(sum(c * cols[gens[m - 1][r]][i] for r, c in enumerate(d) if c)
+                            for i in range(L.rank(m - 1)))
+                cands = target.solver.chains_with_boundary(m, rhs, coeff_bound)
+            if not cands:
+                break
+            cols[s, k, j] = rng.choice(cands)
+        else:  # every column drawn: Phi[s][k] has L.rank(k + zeros(s)) rows
+            by_zeros = cube(p, K.d_convention).degrees
+            return {s: fixed[s] if s in fixed else
+                    [[[cols[s, k, j][r] for j in range(K.rank(k))]
+                      for r in range(L.rank(k + zeros))] for k in range(K.top + 1)]
+                    for zeros, signs in enumerate(by_zeros) for s in signs}
+    raise RuntimeError("no homotopy data found within the retry budget")
 
 
 def random_homotopy_data(source, target, rng, coeff_bound: int = 1,
                          tries: int = 400, start=None):
-    """Seeded random (f_minus, f_plus, h) triples satisfying the laws.
-
-    Chain maps are built column by column through the target's bounded
-    chain solver (so cone preservation is automatic); the homotopy is
-    then solved degree by degree, retrying on dead ends.  Deterministic
-    for a fixed rng state.  Passing `start` (per-degree matrices) pins
-    f_minus, which makes chains of composable transfors constructible.
-    """
-    K, L = source.K, target.K
-    eta = orientation_sign(K.d_convention)
-    solver = target.solver
-
-    def cols_to_matrix(cols, out_rank: int):
-        return [[col[r] for col in cols] for r in range(out_rank)]
-
-    def random_chain_map():
-        mats = []
-        for k in range(K.top + 1):
-            cols = []
-            for j in range(K.rank(k)):
-                if k == 0:
-                    cands = solver.vertex_chains(coeff_bound)
-                else:
-                    rhs = _push(target, mats, k - 1, K.d(k, _unit(K, k, j)), k - 1)
-                    cands = solver.chains_with_boundary(k, rhs, coeff_bound)
-                if not cands:
-                    raise _Retry
-                cols.append(rng.choice(cands))
-            mats.append(cols_to_matrix(cols, L.rank(k)))
-        return mats
-
-    for _ in range(tries):
-        try:
-            f_minus = start if start is not None else random_chain_map()
-            f_plus = random_chain_map()
-            h = []
-            for k in range(K.top + 1):
-                cols = []
-                for j in range(K.rank(k)):
-                    rhs = _homotopy_rhs(target, K, eta, f_minus, f_plus, h, k, _unit(K, k, j))
-                    cands = solver.chains_with_boundary(k + 1, rhs, coeff_bound)
-                    if not cands:
-                        raise _Retry
-                    cols.append(rng.choice(cands))
-                h.append(cols_to_matrix(cols, L.rank(k + 1)))
-            return f_minus, f_plus, h
-        except _Retry:
-            continue
-    raise RuntimeError("no homotopy data found within the retry budget")
+    """Seeded random (f_minus, f_plus, h): `random_tensor_map` at p = 1.
+    A `start` (per-degree matrices) pins f_minus, so that composable
+    transfors can be drawn one after another."""
+    Phi = random_tensor_map(source, target, 1, rng, coeff_bound, tries,
+                            None if start is None else {"-": start})
+    return Phi["-"], Phi["+"], Phi["0"]

@@ -13,6 +13,7 @@ import pytest
 
 from cubeforge.adc import (
     SOURCE_MINUS_TARGET,
+    TARGET_MINUS_SOURCE,
     cube,
     det,
     disk,
@@ -52,6 +53,8 @@ from cubeforge.transfor import (
     homotopy_lax_transfor,
     is_pseudo,
     random_homotopy_data,
+    random_tensor_map,
+    tensor_transfor,
     to_lax,
     to_oplax,
     transfor_comp,
@@ -519,12 +522,55 @@ def test_criterion_9_transfor_isomorphism(omega0):
         ):
             failures.append("conversion does not commute with composition")
         comp_checks += 1
+    # p = 2: modifications from chain maps out of cube(2) ⊗ disk(1), in
+    # both conventions; pseudo into the omega0 and (omega,1) nerves, and
+    # pseudo exactly where the images invert into plain disk(2)
+    p2_pseudo, p2_plain = 0, []
+    for conv in (TARGET_MINUS_SOURCE, SOURCE_MINUS_TARGET):
+        src2 = NcModel(disk(1, conv))
+        for K, inverts in ((with_group_cones_above(disk(2, conv), 0), True),
+                           (with_group_cones_above(disk(3, conv), 1), True),
+                           (disk(2, conv), False)):
+            tgt2 = NcModel(K)
+            for _ in range(5):
+                F = tensor_transfor(src2, tgt2, random_tensor_map(src2, tgt2, 2, rng), 2,
+                                    [0, 1], 1)
+                if not validate_transfor(F).ok:
+                    failures.append("lax 2-transfor invalid")
+                pseudo = is_pseudo(F)
+                if not inverts:
+                    p2_plain.append(pseudo)
+                elif not pseudo:
+                    failures.append("2-transfor into an invertible target not pseudo")
+                if not pseudo:
+                    continue
+                p2_pseudo += 1
+                if not is_pseudo(F, direct_samples=3, rng=rng):
+                    failures.append("direct check disagrees with the recursion at p = 2")
+                G = to_oplax(F)
+                if not (validate_transfor(G).ok and to_lax(G).same_table(F)):
+                    failures.append("p = 2 round trip fails")
+                for i in (1, 2):
+                    for alpha in "-+":
+                        if not (to_oplax(transfor_face(F, i, alpha)).same_table(
+                                transfor_face(G, i, alpha))
+                                and to_oplax(transfor_conn(F, i, alpha)).same_table(
+                                    transfor_conn(G, i, alpha))):
+                            failures.append("p = 2 conversion does not commute with faces "
+                                            "or connections")
+                for i in (1, 2, 3):
+                    if not to_oplax(transfor_deg(F, i)).same_table(transfor_deg(G, i)):
+                        failures.append("p = 2 conversion does not commute with degeneracies")
+    if all(p2_plain) or not any(p2_plain):
+        failures.append("plain disk(2) did not give both pseudo and non-pseudo 2-transfors")
     elapsed = time.perf_counter() - t0
     ok = len(tables) >= 20 and not failures
     outcome(
         9,
         ok,
         f"{len(tables)} pseudo lax 1-transfors, {comp_checks} compositions, "
+        f"{p2_pseudo} pseudo lax 2-transfors ({p2_plain.count(False)} of "
+        f"{len(p2_plain)} into disk(2) not pseudo), "
         f"{len(failures)} failures, {elapsed:.1f}s",
     )
 

@@ -319,3 +319,62 @@ def test_transfor_no_entries_exit2(tmp_path, capsys):
     code, out, err = run(capsys, "transfor", "--table", str(path))
     assert (code, out) == (2, "")
     assert err == "error: bad table file: no entries, so nothing to validate\n"
+
+
+def _table(**fields):
+    return {"variance": "lax", "p": 0, "adc_source": "disk:1", "adc_target": "disk:1",
+            "entries": _disk1_identity_entries(), **fields}
+
+
+def _entry(**fields):
+    return {**_disk1_identity_entries()[2], **fields}  # a non-degenerate 1-cell
+
+
+def _cell(**fields):
+    entry = _entry()
+    return {"kind": "cubical", "dim": 1, "adc": "disk:1", "assignment": entry["cell"], **fields}
+
+
+BAD_FILES = {
+    "table-dim-null": ("transfor", lambda: _table(entries=[_entry(dim=None)]), "not None"),
+    "table-entries-int": ("transfor", lambda: _table(entries=5), "list of JSON objects"),
+    "table-entries-lists": ("transfor", lambda: _table(entries=[[1]]), "list of JSON objects"),
+    "table-entry-int": ("transfor", lambda: _table(entries=[5]), "list of JSON objects"),
+    "table-top-level-list": ("transfor", lambda: [_table()], "expected a JSON object, not list"),
+    "table-p-negative": ("transfor", lambda: _table(p=-1), "p must be an int >= 0, not -1"),
+    "table-coefficient-int": (
+        "transfor", lambda: _table(entries=[_entry(cell={**_entry()["cell"], "-": 1})]),
+        "1-cell element '-' needs a list of 2 ints, got 1"),
+    "table-coefficient-str": (
+        "transfor", lambda: _table(entries=[_entry(cell={**_entry()["cell"], "-": "ab"})]),
+        "1-cell element '-' needs a list of 2 ints, got 'ab'"),
+    "table-missing-element": (
+        "transfor", lambda: _table(entries=[_entry(cell={"+": [0, 1], "0": [1]})]),
+        "1-cell element '-' needs a list of 2 ints, got nothing"),
+    "cell-top-level-list": ("invert", lambda: [_cell()], "expected a JSON object, not list"),
+    "cell-dim-null": ("invert", lambda: _cell(dim=None), "not None"),
+    "cell-dim-negative": ("invert", lambda: _cell(dim=-1), "in 0..6, not -1"),
+    "cell-dim-above-bound": ("fold", lambda: _cell(dim=9), "in 0..6, not 9"),
+    "cell-coefficient-int": (
+        "fold", lambda: _cell(assignment={**_cell()["assignment"], "0": 1}),
+        "1-cell element '0' needs a list of 1 ints, got 1"),
+    "cell-missing-element": (
+        "invert", lambda: _cell(assignment={"-": [1, 0], "+": [0, 1]}),
+        "1-cell element '0' needs a list of 1 ints, got nothing"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_FILES))
+def test_malformed_file_exits_2_with_one_line(tmp_path, capsys, name):
+    command, build, needle = BAD_FILES[name]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(build()))
+    argv = {"transfor": ["transfor", "--table", str(path)],
+            "invert": ["invert", "--cell", str(path), "--kind", "R", "--i", "1"],
+            "fold": ["fold", "--cell", str(path)]}[command]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert "Traceback" not in err and needle in err
+    prefix = "error: bad table file: " if command == "transfor" else f"error: bad cell file {path}: "
+    assert err.startswith(prefix)

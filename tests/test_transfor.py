@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from cubeforge.adc import disk, with_group_cones_above
+from cubeforge.adc import SOURCE_MINUS_TARGET, TARGET_MINUS_SOURCE, disk, with_group_cones_above
 from cubeforge.nerve import NcModel
 from cubeforge.transfor import (
     LAX,
@@ -12,6 +12,8 @@ from cubeforge.transfor import (
     is_pseudo,
     make_table,
     random_homotopy_data,
+    random_tensor_map,
+    tensor_transfor,
     to_lax,
     to_oplax,
     transfor_comp,
@@ -208,3 +210,62 @@ def test_degeneracy_checked_at_last_slot():
     report = validate_transfor(make_table(LAX, 0, D, D, pairs))
     assert "degeneracy law fails at dim 1, i=2" in report.violations
     assert "degeneracy law fails at dim 1, i=1" not in report.violations
+
+
+def test_chain_map_law_checked():
+    # x -> 0 breaks d f = f d; at dims [0] no image would show it
+    D = NcModel(disk(1))
+    with pytest.raises(ValueError, match="not a chain map"):
+        chain_map_transfor(D, D, [[[1, 0], [0, 1]], [[0]]], [0], 1)
+
+
+def test_chain_map_conventions_must_agree():
+    src, tgt = NcModel(disk(1)), NcModel(disk(1, SOURCE_MINUS_TARGET))
+    with pytest.raises(ValueError, match="d_convention"):
+        chain_map_transfor(src, tgt, [[[1, 0], [0, 1]], [[1]]], [0], 1)
+
+
+# ---------------------------------------------------------------------------
+# p = 2: modifications from chain maps out of cube(2) ⊗ disk(1)
+
+CONVENTIONS = [TARGET_MINUS_SOURCE, SOURCE_MINUS_TARGET]
+
+
+def _modifications(target, conv, seed, count):
+    src, tgt = NcModel(disk(1, conv)), NcModel(target)
+    rng = random.Random(seed)
+    return rng, [tensor_transfor(src, tgt, random_tensor_map(src, tgt, 2, rng), 2, [0, 1], 1)
+                 for _ in range(count)]
+
+
+@pytest.mark.parametrize("conv", CONVENTIONS)
+@pytest.mark.parametrize("target", ["omega0", "omega1-disk3"])
+def test_p2_tables_convert_and_commute(conv, target):
+    K = {"omega0": with_group_cones_above(disk(2, conv), 0),
+         "omega1-disk3": with_group_cones_above(disk(3, conv), 1)}[target]
+    rng, tables = _modifications(K, conv, 5, 3)
+    for F in tables:
+        assert F.p == 2 and F.dims() == [0, 1]
+        assert validate_transfor(F).ok
+        assert is_pseudo(F, direct_samples=3, rng=rng)
+        G = to_oplax(F)
+        assert validate_transfor(G).ok
+        assert to_lax(G).same_table(F)
+        for i in (1, 2):
+            for alpha in "-+":
+                assert to_oplax(transfor_face(F, i, alpha)).same_table(transfor_face(G, i, alpha))
+                assert to_oplax(transfor_conn(F, i, alpha)).same_table(transfor_conn(G, i, alpha))
+        for i in (1, 2, 3):
+            assert to_oplax(transfor_deg(F, i)).same_table(transfor_deg(G, i))
+
+
+@pytest.mark.parametrize("conv", CONVENTIONS)
+def test_p2_pseudo_exactly_where_images_invert(conv):
+    rng, tables = _modifications(disk(2, conv), conv, 11, 10)
+    pseudo = [is_pseudo(F) for F in tables]
+    assert any(pseudo) and not all(pseudo)
+    for F, p in zip(tables, pseudo):
+        assert validate_transfor(F).ok
+        if p:
+            assert is_pseudo(F, direct_samples=4, rng=rng)
+            assert to_lax(to_oplax(F)).same_table(F)
