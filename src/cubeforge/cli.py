@@ -68,6 +68,9 @@ class CliError(Exception):
 
 
 ORIENTATIONS = {"printed": TARGET_MINUS_SOURCE, "flipped": SOURCE_MINUS_TARGET}
+# what `load_adc` and `from_json_dict` raise on JSON of the wrong shape (a
+# JSONDecodeError is a ValueError)
+MALFORMED = (AttributeError, KeyError, TypeError, ValueError)
 
 
 def resolve_adc(ref: str, orientation: str) -> Adc:
@@ -80,14 +83,19 @@ def resolve_adc(ref: str, orientation: str) -> Adc:
         return load_adc(ref)
     except FileNotFoundError:
         raise CliError(f"no such file: {ref}")
-    except (json.JSONDecodeError, KeyError, ValueError) as exc:
+    except MALFORMED as exc:
         raise CliError(f"cannot parse complex from {ref}: {exc}")
 
 
-def adc_from_ref_obj(ref, orientation: str) -> Adc:
-    """A complex reference inside a JSON document: inline dict or spec/path."""
+def adc_from_ref_obj(data: dict, key: str, orientation: str, what: str) -> Adc:
+    """The complex that `data[key]` names: an inline dict or a spec/path."""
+    ref = data.get(key)
     if isinstance(ref, dict):
-        return from_json_dict(ref)
+        try:
+            return from_json_dict(ref)
+        except MALFORMED as exc:
+            why = f"no field {exc}" if isinstance(exc, KeyError) else exc
+            raise CliError(f"bad {what}: cannot read the complex {key!r}: {why}")
     if isinstance(ref, str):
         return resolve_adc(ref, orientation)
     raise CliError("complex reference must be a dict, a path, or disk:N / cube:N")
@@ -225,7 +233,7 @@ def cmd_classify(args) -> int:
 
 def _load_cell(path: str, orientation: str):
     data = load_json(path, f"cell file {path}")
-    K = adc_from_ref_obj(data.get("adc"), orientation)
+    K = adc_from_ref_obj(data, "adc", orientation, f"cell file {path}")
     model = NcModel(K)
     try:
         cell = cell_from_json(model, data)
@@ -339,8 +347,8 @@ def cmd_perm(args) -> int:
 
 def cmd_transfor(args) -> int:
     data = load_json(args.table, "table file")
-    src = NcModel(adc_from_ref_obj(data.get("adc_source"), args.orientation))
-    tgt = NcModel(adc_from_ref_obj(data.get("adc_target"), args.orientation))
+    src = NcModel(adc_from_ref_obj(data, "adc_source", args.orientation, "table file"))
+    tgt = NcModel(adc_from_ref_obj(data, "adc_target", args.orientation, "table file"))
     variance = data.get("variance", LAX)
     try:
         p, entries = data.get("p", 0), data["entries"]

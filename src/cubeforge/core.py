@@ -28,6 +28,16 @@ deg, conn, comp, r_inverse), and the cubical nerve lowers them to
 payload kernels.  `_run` checks equations with the counts and violation
 text described above; `_eval` runs a construction in the order it was
 built and stops at its first failing equation.
+
+On the cubical nerve a lowered plan also offers a fused check, which only
+`_run` asks for (and the nerve builds on that first request).  Every
+equation whose two sides are face/deg/conn gathers from the leaves becomes
+pairs of positions in the concatenated leaf payloads; since equality is an
+equivalence, a spanning forest of those pairs, at most one per position,
+decides them all with two gathers and one tuple compare.  When it holds,
+`_run` counts those equations and runs only the rest (compositions,
+inverses, refused operations) one by one.  When it fails, `_run` runs
+every equation one by one, so violations keep their order and text.
 """
 
 from __future__ import annotations
@@ -91,12 +101,16 @@ class Lowered(NamedTuple):
     k the value ``fn(vals[x], vals[y], data)`` (y is read by comp only).
     `load` maps a leaf cell to its value, `cell(k, value)` a value in slot
     k back to a cell, and `equal` compares values as the model compares cells.
+    `fused()` gives None or a fused check of some equations: ``holds(leaf
+    values)`` is true only if they all hold, ``counts`` gives every family's
+    number of them in first-appearance order, and ``rest`` the other equations.
     """
 
     steps: tuple
     load: Callable[[Cell], Any]
     cell: Callable[[int, Any], Cell]
     equal: Callable[[Any, Any], bool]
+    fused: Callable[[], Any] = lambda: None
 
 
 def _unary(a, _b, data):
@@ -716,12 +730,18 @@ def _run(plan: _Plan, model: CubModel, report: Report, cells: list, n: int) -> N
     A node is computed when an equation first needs it, then shared.  A
     `CompositionError` ends its equation as a violation, and a node it
     left uncomputed is computed afresh by the next equation needing it.
+    The equations a fused check covers skip this loop when it holds.
     """
     low = model.lower(plan, tuple(A.dim for A in cells))
     steps, equal, checked = low.steps, low.equal, report.checked
     vals = list(map(low.load, cells))
+    equations, fused = plan.equations, low.fused()
+    if fused is not None and fused.holds(vals):
+        for family, count in fused.counts:
+            checked[family] = checked.get(family, 0) + count
+        equations = fused.rest
     vals += [None] * len(plan.nodes)
-    for family, lhs, rhs, detail, need, _ in plan.equations:
+    for family, lhs, rhs, detail, need, _ in equations:
         checked[family] = checked.get(family, 0) + 1
         try:
             for k in need:

@@ -22,6 +22,8 @@ a plan node share one payload kernel over that table: the cell-level
 methods wrap it, and `NcModel.lower` turns each node of a `core` plan
 into a step calling it on raw payloads, with the same range checks,
 composability compare and cone check, raising the same errors.
+Composing the gathers of a checked plan gives its fused check
+(`NcModel._fuse`, described in `cubeforge.core`).
 The globular nerve is the same story over the disk complexes.
 
 Cells are immutable; payloads are tuples of coefficient tuples aligned
@@ -33,6 +35,7 @@ coefficient bound, and reports restate it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import Counter
 from dataclasses import dataclass
@@ -137,13 +140,13 @@ class _NerveBase(CubModel):
         return cell
 
     def invalid_reasons(self, A: Cell) -> list[str]:
+        flat = list(zip(self.elements(A.dim), A.payload))
+        problems = [f"value at {name} has wrong rank for degree {k}"
+                    for (k, name), v in flat if len(v) != self.K.rank(k)]
+        if problems:  # the laws below read every value at its rank
+            return problems
         dom = self.domain(A.dim)
-        problems = []
-        for pos, (k, name) in enumerate(self.elements(A.dim)):
-            v = A.payload[pos]
-            if len(v) != self.K.rank(k):
-                problems.append(f"value at {name} has wrong rank for degree {k}")
-                continue
+        for (k, name), v in flat:
             if not self.K.in_cone(k, v):
                 problems.append(f"value at {name} escapes the cone")
             if k == 0:
@@ -346,6 +349,18 @@ def _refuse(_a: tuple, _b: tuple, error: tuple) -> tuple:
     raise kind(text)
 
 
+class _Fused(NamedTuple):
+    """The fused check of a lowered plan (see `core.Lowered`).  `pairs` holds
+    the forest as two aligned tuples of the input positions it compares,
+    `width` the length of the input."""
+
+    holds: Callable[[list], bool]
+    counts: tuple
+    rest: tuple
+    pairs: tuple[tuple[int, ...], tuple[int, ...]]
+    width: int
+
+
 class NcModel(_NerveBase):
     """The cubical nerve of an augmented directed complex."""
 
@@ -467,10 +482,74 @@ class NcModel(_NerveBase):
                     fn, data = _refuse, (type(exc), str(exc))
                 steps.append((fn, x, y, data))
                 dims.append(dims[x] + _SHIFT.get(kind, 0))
-            low = Lowered(tuple(steps), attrgetter("payload"),
-                          lambda k, payload: Cell(self, dims[k], payload), eq)
+            steps = tuple(steps)
+            low = Lowered(steps, attrgetter("payload"),
+                          lambda k, payload: Cell(self, dims[k], payload), eq,
+                          functools.cache(lambda: self._fuse(plan, steps, dims)))
             self._lowered[key] = low
         return low
+
+    def _fuse(self, plan, steps: tuple, dims: list) -> _Fused | None:
+        """One gather and compare for the equations of `plan` whose sides are
+        gathers from the leaves, or None when there are none.
+
+        Such a slot is an index map into one input: the leaf payloads
+        concatenated, then the zero chains.  Equality is an equivalence, so
+        a spanning forest of the position pairs (lhs[p], rhs[p]) of those
+        equations holds exactly when all the pairs do.  The input then
+        keeps only the leaves that the forest reads, and the zero chains.
+        """
+        leaves = plan.leaves
+        zeros = tuple(map(self.zero_chain, range(max(dims) + 1)))
+        sizes = [len(self.elements(d)) for d in dims[:leaves]] + [len(zeros)]
+        offs = list(itertools.accumulate(sizes, initial=0))
+        *maps, zero_at = (tuple(range(a, b)) for a, b in zip(offs, offs[1:]))
+        for fn, x, _, tab in steps[leaves:]:
+            src = maps[x]
+            maps.append(None if fn is not _gather or src is None else tuple(
+                src[j] if j < len(src) else zero_at[j - len(src)] for j in tab.index))
+        parent = list(range(offs[-1]))
+
+        def find(p: int) -> int:
+            while parent[p] != p:
+                parent[p] = p = parent[parent[p]]
+            return p
+
+        counts, rest, forest = {}, [], []
+        for equation in plan.equations:
+            family, lhs, rhs = equation[:3]
+            lhs, rhs = maps[lhs], maps[rhs]
+            fused = lhs is not None and rhs is not None and len(lhs) == len(rhs)
+            counts[family] = counts.get(family, 0) + fused
+            if not fused:
+                rest.append(equation)
+                continue
+            for p, q in zip(lhs, rhs):
+                root_p, root_q = find(p), find(q)
+                if root_p != root_q:
+                    parent[root_p] = root_q
+                    forest.append((p, q))
+        if len(rest) == len(plan.equations):
+            return None
+        touched = {p for pair in forest for p in pair}
+        pick = [k for k in range(leaves) if not touched.isdisjoint(maps[k])]
+        place = dict(zip(itertools.chain(*map(maps.__getitem__, pick), zero_at),
+                         itertools.count()))
+        pairs = tuple(tuple(map(place.__getitem__, side)) for side in zip(*forest)) or ((), ())
+        # an empty forest compares position 0 with itself
+        left, right = (itemgetter(*side or (0,)) for side in pairs)
+        widths = [sizes[k] for k in pick] + [len(zeros)]
+
+        def holds(vals: list) -> bool:
+            inputs = [*map(vals.__getitem__, pick), zeros]
+            if list(map(len, inputs)) != widths:
+                return False
+            # a list: a tuple grown from an iterator is reallocated as it
+            # grows, which left the peak RSS higher pass after pass
+            flat = list(itertools.chain.from_iterable(inputs))
+            return left(flat) == right(flat)
+
+        return _Fused(holds, tuple(counts.items()), tuple(rest), pairs, len(place))
 
     # -- the cubical operations ------------------------------------------------
 

@@ -8,6 +8,12 @@ no pairs, triples or quadruples; the old loops tested the cap only after
 appending).  Both checkers must return the same counts, in the same
 family order, and the same violation strings in the same order, or
 raise the same exception, on sampled and on faulty models.
+
+On the cubical nerve, `core._run` first tries one fused check of the
+equations that are gathers only, and runs them one by one only when it
+fails.  Two faulty nerves make it fail: one with a corrupted compiled
+table, one whose cell-level conn disagrees with the compiled tables.
+The structural guards at the end need no timing.
 """
 
 import functools
@@ -18,6 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cubeforge.core as core
+import cubeforge.invert as invert
 from cubeforge.adc import cube, disk, with_group_cones_above
 from cubeforge.core import (
     ALPHAS,
@@ -33,6 +40,8 @@ from cubeforge.core import (
 )
 from cubeforge.indices import lower, raise_
 from cubeforge.nerve import NcModel
+
+from test_lowering import Swapped
 
 # -- the closure-based oracle ---------------------------------------------------
 
@@ -383,9 +392,11 @@ FAULTY = {
     "corrupted": lambda: Corrupted(*CHAIN),
     "refusing": lambda: RefusingComp(*SQUARE),
     "wrong-conn": lambda: WrongConn(*SQUARE),
+    # the compiled Gamma_1^+ table on 2-cells corrupted, for the fused check
+    "swapped-conn": lambda: Swapped(disk(2), ("conn", 2, 1, "+")),
 }
 TOP = {"disk(3)": 3, "cube(2)": 3, "omega0": 3, "chain3": 3, "square": 3, "box": 2,
-       "corrupted": 2, "refusing": 3, "wrong-conn": 3}
+       "corrupted": 2, "refusing": 3, "wrong-conn": 3, "swapped-conn": 3}
 
 
 @functools.lru_cache(maxsize=None)
@@ -542,3 +553,142 @@ def test_plans_are_smaller_than_the_calls_they_replace(name, dims):
             for j in range(1, n + 1):
                 if j != i:
                     assert len(core._interchange_plan(i, j).nodes) < 6
+
+
+# -- the fused check -------------------------------------------------------------
+
+
+def built(m):
+    """What nerve `m` built when asked for fused checks, by (plan, leaf
+    dimensions): a fused check, or None for a plan with no gather-only
+    equation."""
+    return {key: low.fused() for key, low in m._lowered.items()
+            if low.fused.cache_info().currsize}
+
+
+def fused_checks(m):
+    return {key: check for key, check in built(m).items() if check is not None}
+
+
+def block_payloads(m, A):
+    return [A.payload] + [getattr(m, kind)(A, *args).payload
+                          for kind, args in core._block(A.dim, m.max_dim)]
+
+
+def run_plan(plan):
+    """`core._run` of `plan` as a checker whose cells are the plan's leaves."""
+    def check(m, dim, cells, max_pairs):
+        report = Report()
+        core._run(plan, m, report, cells, dim)
+        return report
+    return check
+
+
+class Unfused(NcModel):
+    """The nerve with no fused checks: every equation runs on the loop."""
+
+    def lower(self, plan, leaf_dims):
+        return super().lower(plan, leaf_dims)._replace(fused=lambda: None)
+
+
+class CellLevelConn(NcModel):
+    """Gamma_2^+ computed as Gamma_1^+ by the cell-level conn on 2-cells;
+    the compiled tables, and so the lowered plans, stay right."""
+
+    def conn(self, A, i, alpha):
+        if A.dim == 2 and (i, alpha) == (2, "+"):
+            return super().conn(A, 1, alpha)
+        return super().conn(A, i, alpha)
+
+
+def test_corrupted_table_falls_back_to_the_oracle_report():
+    m = model("swapped-conn")
+    cells = {n: pool("swapped-conn", n)[:10] for n in range(4)}
+    for check, oracle in ((plans, oracle_check_axioms), (globular, globular_oracle)):
+        got = outcome(check, m, 3, cells, 7)
+        assert got == outcome(oracle, m, 3, cells, 7)
+    # the fault breaks gather-only equations, which only the loop can report
+    assert any(v.startswith("[face-conn]") for v in outcome(plans, m, 3, cells, 7)[1])
+    unary = core._unary_plan(2, m.max_dim)
+    assert any(plan is unary for plan, _ in fused_checks(m))
+
+
+def test_block_leaves_that_disagree_with_the_kernels_fall_back():
+    """`check_axioms` takes a cell's block from the cell-level operations and
+    the words above it from the lowered kernels, which disagree here on the
+    block of a 2-cell, so the fused check of its unary plan fails.  The
+    oracle calls the wrong conn on every 2-cell and the checker on the
+    block only, so the two agree where no plan node applies conn to a
+    2-cell: on 0- and 2-cells, without pairs."""
+    m = CellLevelConn(disk(2))
+    cells = {0: m.cells(0, 1), 2: m.cells(2, 1)[:12]}
+    got = outcome(plans, m, 2, cells, 0)
+    assert got == outcome(oracle_check_axioms, m, 2, cells, 0)
+    assert any(v.startswith("[face-conn]") for v in got[1])
+    # the fused check fails exactly on the cells with a violation it covers
+    (check,) = (f for (plan, dims), f in fused_checks(m).items() if dims[0] == 2)
+    covered = {f"[{family}]" for family, count in check.counts if count}
+    assert covered >= {"[face-conn]", "[conn-conn]"}
+    for A in cells[2]:
+        shown = any(v.split()[0] in covered and v.endswith(f" on {A.payload!r}")
+                    for v in got[1])
+        assert check.holds(block_payloads(m, A)) is not shown
+    got = outcome(globular, m, 2, cells, 60)
+    assert got == outcome(globular_oracle, m, 2, cells, 60)
+
+
+@pytest.mark.parametrize("name", ["disk(3)", "cube(2)", "omega0", "swapped-conn"])
+def test_fused_forests_are_no_wider_than_their_input(name):
+    m = model(name)
+    cells = {n: pool(name, n)[:4] for n in range(4)}
+    check_axioms(m, 3, cells, max_pairs=4)
+    GammaView(m, 3).check_globular(cells, max_pairs=4)
+    checks = fused_checks(m)
+    assert {plan for plan, _ in checks} >= {core._unary_plan(n, m.max_dim) for n in range(4)}
+    for (plan, _), check in checks.items():
+        lhs, rhs = check.pairs
+        assert len(lhs) == len(rhs) < check.width
+        assert all(p != q and max(p, q) < check.width for p, q in zip(lhs, rhs))
+        assert sum(count for _, count in check.counts) + len(check.rest) == len(plan.equations)
+        assert [family for family, _ in check.counts] == list(
+            dict.fromkeys(family for family, *_ in plan.equations))
+
+
+def test_sides_of_unequal_length_stay_on_the_loop():
+    """Leaves A and its face d_1^- A: the fused check covers the second
+    equation only, and the loop reports the first."""
+    m = NcModel(disk(2))
+    p, (A, B) = core._Plan(2, on_cell=True), range(2)
+    p.eq("short", B, A, "d_1^- A != A")
+    p.eq("even", p.face(B, 1, "-"), p.face(p.face(A, 1, "-"), 1, "-"), "d_1^- d_1^-")
+    check = m.lower(p, (2, 1)).fused()
+    assert [family for family, *_ in check.rest] == ["short"]
+    assert check.counts == (("short", 0), ("even", 1)) and check.pairs[0]
+    cell = m.cells(2, 1)[-1]
+    assert outcome(run_plan(p), m, 2, [cell, m.face(cell, 1, "-")], 0) == (
+        [("short", 1), ("even", 1)], [f"[short] dim 2: d_1^- A != A on {cell.payload!r}"])
+
+
+def test_leaves_of_the_wrong_width_fall_back():
+    """Leaf payloads whose concatenation is right but whose widths are not:
+    the fused check must not read them as aligned."""
+    p, (A, B) = core._Plan(2), range(2)
+    p.eq("even", p.face(B, 1, "-"), p.face(p.face(A, 1, "-"), 1, "-"), "d_1^- d_1^-")
+    got = {}
+    for m in (NcModel(disk(2)), Unfused(disk(2))):
+        cell = m.cells(2, 1)[-1]
+        face = m.face(cell, 1, "-").payload
+        leaves = [core.Cell(m, 2, cell.payload + face[:1]), core.Cell(m, 1, face[1:])]
+        got[type(m)] = outcome(run_plan(p), m, 2, leaves, 0)
+    assert got[NcModel] == got[Unfused] != ([("even", 1)], [])
+
+
+def test_constructions_build_no_fused_check():
+    m = NcModel(with_group_cones_above(disk(2), 0))
+    for A in m.cells(2, 1)[:5]:
+        core.phi(m, A, 2)
+        invert.t_inverse(m, A, 1)
+        invert.verify_t_inverse(m, A, m.t_inverse(A, 1), 1)
+    assert m._lowered and not built(m)
+    check_axioms(m, 1, max_pairs=2)
+    assert fused_checks(m)

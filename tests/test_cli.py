@@ -361,6 +361,18 @@ BAD_FILES = {
     "cell-missing-element": (
         "invert", lambda: _cell(assignment={"-": [1, 0], "+": [0, 1]}),
         "1-cell element '0' needs a list of 1 ints, got nothing"),
+    "table-inline-degrees-int": (
+        "transfor", lambda: _table(adc_source={"degrees": 5}),
+        "cannot read the complex 'adc_source': object of type 'int' has no len()"),
+    "table-inline-cone-null": (
+        "transfor", lambda: _table(adc_target={**to_json_dict(disk(1)), "cone": None}),
+        "cannot read the complex 'adc_target': 'NoneType' object is not iterable"),
+    "cell-inline-cone-int": (
+        "invert", lambda: _cell(adc={**to_json_dict(disk(1)), "cone": 7}),
+        "cannot read the complex 'adc': 'int' object is not iterable"),
+    "cell-inline-missing-field": (
+        "fold", lambda: _cell(adc={"degrees": [["x"]], "cone": ["nonneg"]}),
+        "cannot read the complex 'adc': no field 'augmentation'"),
 }
 
 

@@ -69,6 +69,20 @@ def test_validation_rejects_bad_cells(nc_disk1):
         nc_disk1.make(1, {"-": (0, 1), "+": (1, 0), "0": (-1,)})
 
 
+@pytest.mark.parametrize("values, problems", [
+    ({"-": (1,), "+": (0, 1), "0": (1,)}, "value at - has wrong rank for degree 0"),
+    ({"-": (1, 0), "+": (0, 1), "0": (1, 0)}, "value at 0 has wrong rank for degree 1"),
+    ({"-": (1, 0, 0), "+": (0,), "0": ()},
+     "value at + has wrong rank for degree 0; value at - has wrong rank for degree 0; "
+     "value at 0 has wrong rank for degree 1"),
+])
+def test_wrong_ranks_are_listed_not_indexed(nc_disk1, values, problems):
+    """A short or long value is reported before the laws read it at its rank."""
+    with pytest.raises(ValueError) as info:
+        nc_disk1.make(1, values)
+    assert str(info.value) == problems
+
+
 def test_axioms_nerve_disk1_dim2(nc_disk1):
     cells = {n: nc_disk1.cells(n, 1) for n in range(3)}
     report = check_axioms(nc_disk1, 2, cells, max_pairs=60)
