@@ -11,12 +11,14 @@ specs ``disk:N`` and ``cube:N`` also work and honour ``--orientation``
 (files carry their own stored convention).  All randomness flows through
 ``--seed``; output is byte-identical for fixed inputs, seed and flags.
 Exit codes: 0 success, 1 violations or a non-invertible input, 2 parse
-or usage errors and exhausted search budgets.
+or usage errors (an empty sample, an `--i` naming no direction of the
+cell), and exhausted search budgets.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -151,6 +153,13 @@ def require_at_most(value: int, max_dim: int, flag: str) -> None:
         raise CliError(f"{flag} must be <= {max_dim}, the nerve's dimension bound, got {value}")
 
 
+def require_sample(n: int, size: int, args) -> None:
+    """Reject an empty sample of n-cells, on which every verdict is vacuous."""
+    if not size:
+        drawn = f" or, at random, at bound {args.bound + 1}" if args.random else ""
+        raise CliError(f"no {n}-cells at bound {args.bound}{drawn}, so nothing to check")
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -167,6 +176,7 @@ def cmd_check(args) -> int:
         cells[n] = list(model.cells(n, args.bound))
         if args.random:
             cells[n] = cells[n] + model.sample_cells(n, args.random, args.bound + 1, rng)
+        require_sample(n, len(cells[n]), args)
     report = check_axioms(model, args.dim, cells, max_pairs=args.max_pairs)
     ok = adc_report.ok and report.ok
     payload = {
@@ -205,6 +215,8 @@ def cmd_classify(args) -> int:
     report = classify_omega_p(
         model, dims, bound=args.bound, extra_random=args.random, rng=rng
     )
+    for e in report.evidence:
+        require_sample(e.dim, e.checked, args)
     payload = {
         "version": __version__,
         "d_convention": K.d_convention,
@@ -254,14 +266,16 @@ def _emit_cell(model, cell, fmt: str) -> None:
 
 def cmd_invert(args) -> int:
     model, cell = _load_cell(args.cell, args.orientation)
+    if args.kind in ("R", "T"):
+        if args.i is None:
+            raise CliError(f"--i is required for kind {args.kind}")
+        what, top = {"R": ("direction", cell.dim), "T": ("transposition", cell.dim - 1)}[args.kind]
+        if not 1 <= args.i <= top:
+            raise CliError(f"no {what} {args.i} on a {cell.dim}-cell")
     try:
         if args.kind == "R":
-            if args.i is None:
-                raise CliError("--i is required for kind R")
             out = model.r_inverse(cell, args.i)
         elif args.kind == "T":
-            if args.i is None:
-                raise CliError("--i is required for kind T")
             out = t_inverse(model, cell, args.i)
         else:
             if not args.sigma:
@@ -403,7 +417,9 @@ def cmd_transfor(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="cubeforge",
         description="cubical omega-categories with connections, at desk scale",
@@ -423,7 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--random", type=int, default=0, help="extra random cells per dim")
     p.add_argument("--max-pairs", type=int, default=60)
     common(p)
-    p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("classify", help="sample-based (omega, p) classification")
     p.add_argument("--adc", required=True)
@@ -432,7 +447,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--random", type=int, default=0)
     common(p)
-    p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("invert", help="invert a serialized nerve cell")
     p.add_argument("--cell", required=True)
@@ -440,14 +454,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--i", type=int)
     p.add_argument("--sigma", help='a word like "T1 T2"')
     common(p)
-    p.set_defaults(func=cmd_invert)
 
     p = sub.add_parser("fold", help="fold a serialized nerve cell")
     p.add_argument("--cell", required=True)
     p.add_argument("--phi", type=int, help="fold depth (default: full)")
     p.add_argument("--psi", type=int, help="single elementary fold index")
     common(p)
-    p.set_defaults(func=cmd_fold)
 
     p = sub.add_parser("perm", help="word and permutation computations")
     p.add_argument("action", choices=["eval", "boundary", "length", "minrep", "rho", "bc-eval"])
@@ -456,13 +468,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=0)
     p.add_argument("--m", type=int, default=0)
     common(p)
-    p.set_defaults(func=cmd_perm)
 
     p = sub.add_parser("transfor", help="validate or convert a transfor table")
     p.add_argument("--table", required=True)
     p.add_argument("--to", choices=[LAX, OPLAX])
     common(p)
-    p.set_defaults(func=cmd_transfor)
 
     return parser
 
@@ -475,7 +485,8 @@ def main(argv=None) -> int:
         # argparse exits with 2 on usage errors already
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        # found by name when called, so the parser, built once, holds no command
+        return globals()[f"cmd_{args.command}"](args)
     except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

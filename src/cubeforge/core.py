@@ -17,9 +17,11 @@ violation found by `check_axioms` is data in the returned report.
 
 The checkers compile each equation family, once per dimension (and
 direction), into a cached `_Plan`: operation words deduplicated by
-structure, evaluated on demand at most once per cell.  A cell's faces,
-eps and Gammas, and a pair's composite, are computed once and shared.
-Counts and violations are those of checking each equation on its own.
+structure, evaluated on demand at most once per cell.  The leaves are
+the sample cells themselves; only a pair's composite is computed once
+outside the plans, and shared by the plans of its pair, triples and
+quadruples.  Counts and violations are those of checking each equation
+on its own.
 The folds and the constructions and verifications of `cubeforge.invert`
 are plans too.  Plans are model-independent: `CubModel.lower`, the one
 evaluation hook, turns a plan into steps over the model's values; by
@@ -644,15 +646,6 @@ def composable_pairs(model: CubModel, cells: Sequence[Cell], i: int,
     return [(cells[x], cells[y]) for x, y in _match(plus, minus, max_pairs)]
 
 
-def _block(n: int, max_dim: int) -> list[tuple]:
-    """The faces, eps and Gammas of an n-cell, as (kind, args): the cell's block."""
-    ops = [("face", (i, a)) for i, a in product(range(1, n + 1), ALPHAS)]
-    if n + 1 <= max_dim:  # room for one eps/Gamma above the cell
-        ops += [("deg", (j,)) for j in range(1, n + 2)]
-        ops += [("conn", (j, b)) for j, b in product(range(1, n + 1), ALPHAS)]
-    return ops
-
-
 class _Plan:
     """Equations between operation words on a fixed list of leaf cells.
 
@@ -673,11 +666,6 @@ class _Plan:
         self.slots: dict[tuple, int] = {}
         self.equations: list[tuple] = []  # (family, lhs, rhs, detail, steps, built)
         self.out = 0
-
-    def block(self, x: int, n: int, max_dim: int) -> None:
-        """Slots x+1, x+2, ... hold the block of the n-cell at slot x."""
-        for offset, (kind, args) in enumerate(_block(n, max_dim), 1):
-            self.slots[(kind, x, args)] = x + offset
 
     def op(self, kind: str, x: int, *args) -> int:
         node = (kind, x, args)
@@ -795,9 +783,8 @@ def _fold_plan(dirs: tuple[int, ...]) -> _Plan:
 
 @functools.cache
 def _unary_plan(n: int, max_dim: int) -> _Plan:
-    """All families on one n-cell A; leaves: A and its block."""
-    p, A = _Plan(1 + len(_block(n, max_dim)), on_cell=True), 0
-    p.block(A, n, max_dim)
+    """All families on one n-cell A, the plan's one leaf."""
+    p, A = _Plan(1, on_cell=True), 0
     dirs, slots = range(1, n + 1), range(1, n + 2)  # directions of A and of eps A
     can_raise = n + 1 <= max_dim  # room for one eps/Gamma above A
     can_raise2 = n + 2 <= max_dim
@@ -856,15 +843,8 @@ def _unary_plan(n: int, max_dim: int) -> _Plan:
 
 @functools.cache
 def _pair_plan(n: int, max_dim: int, i: int) -> _Plan:
-    """The composite families of A *_i B.
-
-    Leaves: A and its block, B and its block, then A *_i B.
-    """
-    A, B = 0, 1 + len(_block(n, max_dim))
-    AB = 2 * B
-    p = _Plan(AB + 1)
-    p.block(A, n, max_dim)
-    p.block(B, n, max_dim)
+    """The composite families of A *_i B; leaves: A, B, then A *_i B."""
+    p, (A, B, AB) = _Plan(3), range(3)
     for k, a in product(range(1, n + 1), ALPHAS):
         if k == i:
             p.eq("face-comp", p.face(AB, i, a), p.face(A if a == "-" else B, i, a),
@@ -933,19 +913,17 @@ def check_axioms(
     report = Report()
     for n in range(dim + 1):
         sample = list(cells_by_dim.get(n, ()))
-        unary, block = _unary_plan(n, model.max_dim), _block(n, model.max_dim)
-        ops, known = {"face": model.face, "deg": model.deg, "conn": model.conn}, []
+        unary = _unary_plan(n, model.max_dim)
         for A in sample:
-            known.append([A] + [ops[kind](A, *args) for kind, args in block])
-            _run(unary, model, report, known[-1], n)
-        key = {(i, a): [cell[1 + block.index(("face", (i, a)))].key() for cell in known]
+            _run(unary, model, report, [A], n)
+        key = {(i, a): [model.face(A, i, a).key() for A in sample]
                for i in range(1, n + 1) for a in ALPHAS}
         for i in range(1, n + 1):
             pairs, ab = _match(key[(i, "+")], key[(i, "-")], max_pairs), []
             for x, y in pairs:
                 ab.append(model.comp(sample[x], sample[y], i))
                 _run(_pair_plan(n, model.max_dim, i), model, report,
-                     known[x] + known[y] + ab[-1:], n)
+                     [sample[x], sample[y], ab[-1]], n)
             for p, z in _match([key[(i, "+")][y] for _, y in pairs], key[(i, "-")], max_pairs):
                 x, y = pairs[p]
                 _run(_assoc_plan(i), model, report, [sample[x], sample[y], sample[z], ab[p]], n)

@@ -352,7 +352,8 @@ def _refuse(_a: tuple, _b: tuple, error: tuple) -> tuple:
 class _Fused(NamedTuple):
     """The fused check of a lowered plan (see `core.Lowered`).  `pairs` holds
     the forest as two aligned tuples of the input positions it compares,
-    `width` the length of the input."""
+    `width` the length of the input: every leaf payload, then the zero
+    chains."""
 
     holds: Callable[[list], bool]
     counts: tuple
@@ -496,8 +497,7 @@ class NcModel(_NerveBase):
         Such a slot is an index map into one input: the leaf payloads
         concatenated, then the zero chains.  Equality is an equivalence, so
         a spanning forest of the position pairs (lhs[p], rhs[p]) of those
-        equations holds exactly when all the pairs do.  The input then
-        keeps only the leaves that the forest reads, and the zero chains.
+        equations holds exactly when all the pairs do.
         """
         leaves = plan.leaves
         zeros = tuple(map(self.zero_chain, range(max(dims) + 1)))
@@ -531,25 +531,20 @@ class NcModel(_NerveBase):
                     forest.append((p, q))
         if len(rest) == len(plan.equations):
             return None
-        touched = {p for pair in forest for p in pair}
-        pick = [k for k in range(leaves) if not touched.isdisjoint(maps[k])]
-        place = dict(zip(itertools.chain(*map(maps.__getitem__, pick), zero_at),
-                         itertools.count()))
-        pairs = tuple(tuple(map(place.__getitem__, side)) for side in zip(*forest)) or ((), ())
+        pairs = tuple(zip(*forest)) or ((), ())
         # an empty forest compares position 0 with itself
         left, right = (itemgetter(*side or (0,)) for side in pairs)
-        widths = [sizes[k] for k in pick] + [len(zeros)]
 
         def holds(vals: list) -> bool:
-            inputs = [*map(vals.__getitem__, pick), zeros]
-            if list(map(len, inputs)) != widths:
+            inputs = [*vals, zeros]
+            if list(map(len, inputs)) != sizes:
                 return False
             # a list: a tuple grown from an iterator is reallocated as it
             # grows, which left the peak RSS higher pass after pass
             flat = list(itertools.chain.from_iterable(inputs))
             return left(flat) == right(flat)
 
-        return _Fused(holds, tuple(counts.items()), tuple(rest), pairs, len(place))
+        return _Fused(holds, tuple(counts.items()), tuple(rest), pairs, offs[-1])
 
     # -- the cubical operations ------------------------------------------------
 

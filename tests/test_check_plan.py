@@ -11,11 +11,11 @@ raise the same exception, on sampled and on faulty models.
 
 On the cubical nerve, `core._run` first tries one fused check of the
 equations that are gathers only, and runs them one by one only when it
-fails.  Two faulty nerves make it fail: one with a corrupted compiled
-table, one whose cell-level conn disagrees with the compiled tables.
+fails.  One faulty nerve, with a corrupted compiled table, makes it fail.
 The structural guards at the end need no timing.
 """
 
+import collections
 import functools
 import random
 
@@ -539,9 +539,7 @@ def test_plans_are_smaller_than_the_calls_they_replace(name, dims):
         A = pool(name, n)[-1]
         counter = Counting(m)
         oracle_unary(counter, Report(), A, n)
-        # the caller computes A's block once for the unary and pair plans
-        block = len(core._block(n, m.max_dim))
-        assert block + len(core._unary_plan(n, m.max_dim).nodes) < counter.calls
+        assert len(core._unary_plan(n, m.max_dim).nodes) < counter.calls
         for i in range(1, n + 1):
             B = next(B for B in pool(name, n)
                      if m.face(B, i, "-") == m.face(A, i, "+"))
@@ -553,6 +551,39 @@ def test_plans_are_smaller_than_the_calls_they_replace(name, dims):
             for j in range(1, n + 1):
                 if j != i:
                     assert len(core._interchange_plan(i, j).nodes) < 6
+
+
+class CountingNerve(NcModel):
+    """The nerve, counting the calls of its cell-level operations by kind."""
+
+    def __init__(self, K):
+        super().__init__(K)
+        self.calls = collections.Counter()
+
+    def _count(name):
+        def op(self, *args):
+            self.calls[name] += 1
+            return getattr(NcModel, name)(self, *args)
+        return op
+
+    face, deg, conn, comp = _count("face"), _count("deg"), _count("conn"), _count("comp")
+
+
+@pytest.mark.parametrize("name", ["disk(3)", "cube(2)", "omega0"])
+def test_plans_reach_cells_only_through_their_leaves(name):
+    """The sample cells (and each pair's composite) are the plans' only
+    leaves: everything above them is a lowered node, so the checker calls
+    no cell-level deg or conn, and face only for the 2n composability keys
+    of each sample n-cell."""
+    m = CountingNerve(model(name).K)
+    cells = {n: [core.Cell(m, n, A.payload) for A in pool(name, n)[:8]] for n in range(4)}
+    report = check_axioms(m, 3, cells, max_pairs=7)
+    assert report.ok and report.checked["conn-comp"] and report.checked["interchange"]
+    assert m.calls["deg"] == m.calls["conn"] == 0
+    assert m.calls["face"] == sum(2 * n * len(cells[n]) for n in cells)
+    for n in range(4):
+        assert core._unary_plan(n, m.max_dim).leaves == 1
+        assert all(core._pair_plan(n, m.max_dim, i).leaves == 3 for i in range(1, n + 1))
 
 
 # -- the fused check -------------------------------------------------------------
@@ -568,11 +599,6 @@ def built(m):
 
 def fused_checks(m):
     return {key: check for key, check in built(m).items() if check is not None}
-
-
-def block_payloads(m, A):
-    return [A.payload] + [getattr(m, kind)(A, *args).payload
-                          for kind, args in core._block(A.dim, m.max_dim)]
 
 
 def run_plan(plan):
@@ -591,16 +617,6 @@ class Unfused(NcModel):
         return super().lower(plan, leaf_dims)._replace(fused=lambda: None)
 
 
-class CellLevelConn(NcModel):
-    """Gamma_2^+ computed as Gamma_1^+ by the cell-level conn on 2-cells;
-    the compiled tables, and so the lowered plans, stay right."""
-
-    def conn(self, A, i, alpha):
-        if A.dim == 2 and (i, alpha) == (2, "+"):
-            return super().conn(A, 1, alpha)
-        return super().conn(A, i, alpha)
-
-
 def test_corrupted_table_falls_back_to_the_oracle_report():
     m = model("swapped-conn")
     cells = {n: pool("swapped-conn", n)[:10] for n in range(4)}
@@ -611,30 +627,6 @@ def test_corrupted_table_falls_back_to_the_oracle_report():
     assert any(v.startswith("[face-conn]") for v in outcome(plans, m, 3, cells, 7)[1])
     unary = core._unary_plan(2, m.max_dim)
     assert any(plan is unary for plan, _ in fused_checks(m))
-
-
-def test_block_leaves_that_disagree_with_the_kernels_fall_back():
-    """`check_axioms` takes a cell's block from the cell-level operations and
-    the words above it from the lowered kernels, which disagree here on the
-    block of a 2-cell, so the fused check of its unary plan fails.  The
-    oracle calls the wrong conn on every 2-cell and the checker on the
-    block only, so the two agree where no plan node applies conn to a
-    2-cell: on 0- and 2-cells, without pairs."""
-    m = CellLevelConn(disk(2))
-    cells = {0: m.cells(0, 1), 2: m.cells(2, 1)[:12]}
-    got = outcome(plans, m, 2, cells, 0)
-    assert got == outcome(oracle_check_axioms, m, 2, cells, 0)
-    assert any(v.startswith("[face-conn]") for v in got[1])
-    # the fused check fails exactly on the cells with a violation it covers
-    (check,) = (f for (plan, dims), f in fused_checks(m).items() if dims[0] == 2)
-    covered = {f"[{family}]" for family, count in check.counts if count}
-    assert covered >= {"[face-conn]", "[conn-conn]"}
-    for A in cells[2]:
-        shown = any(v.split()[0] in covered and v.endswith(f" on {A.payload!r}")
-                    for v in got[1])
-        assert check.holds(block_payloads(m, A)) is not shown
-    got = outcome(globular, m, 2, cells, 60)
-    assert got == outcome(globular_oracle, m, 2, cells, 60)
 
 
 @pytest.mark.parametrize("name", ["disk(3)", "cube(2)", "omega0", "swapped-conn"])

@@ -57,6 +57,10 @@ def test_check_negative_value_exit2(capsys, flag):
     (["classify", "--adc", "disk:2", "--dims=-2..1"], "--dims must be >= 0, got '-2..1'"),
     (["check", "--adc", "disk:-1", "--dim", "1"], "disk:N needs N >= 0, got 'disk:-1'"),
     (["check", "--adc", "cube:-1", "--dim", "1"], "cube:N needs N >= 0, got 'cube:-1'"),
+    (["check", "--adc", "disk:2", "--dim", "2", "--bound", "0"],
+     "no 0-cells at bound 0, so nothing to check"),
+    (["classify", "--adc", "disk:2", "--dims", "1..2", "--bound", "0"],
+     "no 1-cells at bound 0, so nothing to check"),
 ])
 def test_negative_input_exit2(capsys, argv, message):
     code, out, err = run(capsys, *argv)
@@ -159,6 +163,18 @@ def test_invert_not_invertible_exit1(tmp_path, capsys):
     assert "not invertible" in err
     # the offending basis element is named
     assert "0" in err
+
+
+@pytest.mark.parametrize("kind, i", [("R", 0), ("R", 3), ("T", 0), ("T", 2)])
+def test_invert_direction_out_of_range_exit2(tmp_path, capsys, kind, i):
+    model = NcModel(with_group_cones_above(disk(2), 0))
+    cellfile = tmp_path / "a.cell"
+    cellfile.write_text(json.dumps(cell_to_json(model, model.cells(2, 1)[5])))
+    code, out, err = run(capsys, "invert", "--cell", str(cellfile), "--kind", kind,
+                         "--i", str(i))
+    what = "direction" if kind == "R" else "transposition"
+    assert code == 2 and out == ""
+    assert err == f"error: no {what} {i} on a 2-cell\n"
 
 
 def test_invert_sigma(tmp_path, capsys):
