@@ -585,10 +585,12 @@ def _identity(n: int) -> list[list[int]]:
 def smith_normal_form(rows: Sequence[Sequence[int]]) -> tuple[Matrix, Matrix, Matrix]:
     """Decompose R = U * D * V with U, V unimodular and D in Smith form.
 
-    Returns (U, D, V).  Works over exact Python integers; intermediate
-    entries may grow, which is fine.
+    Returns (U, D, V), re-checked before returning: ArithmeticError if
+    U * D * V != R or det U, det V are not +-1.  Works over exact Python
+    integers; intermediate entries may grow, which is fine.
     """
-    r = [list(map(int, row)) for row in rows]
+    R = _as_matrix(rows)
+    r = [list(row) for row in R]
     nrows = len(r)
     ncols = len(r[0]) if nrows else 0
     u = _identity(nrows)  # accumulates inverses of the row operations
@@ -673,11 +675,10 @@ def smith_normal_form(rows: Sequence[Sequence[int]]) -> tuple[Matrix, Matrix, Ma
         if bad is None:
             break
         col_add(bad, bad + 1, 1)
-    return (
-        _as_matrix(u),
-        _as_matrix(r),
-        _as_matrix(v),
-    )
+    U, D, V = _as_matrix(u), _as_matrix(r), _as_matrix(v)
+    if mat_mul(mat_mul(U, D), V) != R or abs(det(U)) != 1 or abs(det(V)) != 1:
+        raise ArithmeticError("Smith normal form fails U * D * V == R with U, V unimodular")
+    return U, D, V
 
 
 def det(m: Sequence[Sequence[int]]) -> int:

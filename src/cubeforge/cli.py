@@ -36,7 +36,7 @@ from .adc import (
     validate,
 )
 from .core import BudgetExceeded, CompositionError, NotInvertible, check_axioms, phi, psi
-from .invert import classify_omega_p, sigma_act, t_inverse
+from .invert import classify_omega_p, r_inverse, sigma_act, t_inverse
 from .nerve import (
     NcModel,
     assignment_from_json,
@@ -274,7 +274,7 @@ def cmd_invert(args) -> int:
             raise CliError(f"no {what} {args.i} on a {cell.dim}-cell")
     try:
         if args.kind == "R":
-            out = model.r_inverse(cell, args.i)
+            out = r_inverse(model, cell, args.i)
         elif args.kind == "T":
             out = t_inverse(model, cell, args.i)
         else:
@@ -340,6 +340,7 @@ def cmd_perm(args) -> int:
         out["word"] = str(res)
         text = _format_word(res)
     elif args.action == "rho":
+        require_nonneg(args, "n", "m")
         p = rho(args.n, args.m)
         out["images"] = list(p.images)
         text = "(" + " ".join(map(str, p.images)) + ")"

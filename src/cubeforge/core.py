@@ -474,10 +474,10 @@ class PosetModel(CubModel):
     non-groupoid test instance with a full oracle.
     """
 
-    def __init__(self, vertices: Sequence[str], edges: Iterable[tuple[str, str]],
-                 max_dim: int = 4):
+    max_dim = 4
+
+    def __init__(self, vertices: Sequence[str], edges: Iterable[tuple[str, str]]):
         self.vertices = tuple(vertices)
-        self.max_dim = max_dim
         reach = {v: {v} for v in vertices}
         adj: dict[str, set[str]] = {v: set() for v in vertices}
         for a, b in edges:
@@ -644,6 +644,12 @@ def composable_pairs(model: CubModel, cells: Sequence[Cell], i: int,
     minus = [model.face(B, i, "-").key() for B in cells]
     plus = (model.face(A, i, "+").key() for A in cells)
     return [(cells[x], cells[y]) for x, y in _match(plus, minus, max_pairs)]
+
+
+def _face_keys(model: CubModel, cells: Sequence[Cell], n: int) -> dict[tuple[int, str], list]:
+    """The keys of d_i^alpha A for each of the n-cells A of `cells`, by (i, alpha)."""
+    return {(i, a): [model.face(A, i, a).key() for A in cells]
+            for i in range(1, n + 1) for a in ALPHAS}
 
 
 class _Plan:
@@ -916,8 +922,7 @@ def check_axioms(
         unary = _unary_plan(n, model.max_dim)
         for A in sample:
             _run(unary, model, report, [A], n)
-        key = {(i, a): [model.face(A, i, a).key() for A in sample]
-               for i in range(1, n + 1) for a in ALPHAS}
+        key = _face_keys(model, sample, n)
         for i in range(1, n + 1):
             pairs, ab = _match(key[(i, "+")], key[(i, "-")], max_pairs), []
             for x, y in pairs:
@@ -947,7 +952,6 @@ class GammaView:
     """The globular facade on a cubical model: cells are full folds."""
 
     model: CubModel
-    top_dim: int
 
     def globularize(self, A: Cell) -> Cell:
         return phi(self.model, A, A.dim)
@@ -983,15 +987,18 @@ class GammaView:
             sample = list(sample)
             for A in sample:
                 _run(_globular_plan(n), model, report, [A], n)
+            key = _face_keys(model, sample, n)
             for k in range(n):
-                pairs = composable_pairs(model, sample, n - k, max_pairs)
-                for pair in pairs:
-                    _run(_globular_plan(n, k), model, report, list(pair), n)
+                pairs = _match(key[(n - k, "+")], key[(n - k, "-")], max_pairs)
+                for x, y in pairs:
+                    _run(_globular_plan(n, k), model, report, [sample[x], sample[y]], n)
                 for j in range(k):
-                    key = {a: [(model.face(A, n - j, a).key(), model.face(B, n - j, a).key())
-                               for A, B in pairs] for a in ALPHAS}
-                    for p, q in _match(key["+"], key["-"], max_pairs):
-                        _run(_globular_plan(n, k, j), model, report, [*pairs[p], *pairs[q]], n)
+                    sides = {a: [(key[(n - j, a)][x], key[(n - j, a)][y]) for x, y in pairs]
+                             for a in ALPHAS}
+                    for p, q in _match(sides["+"], sides["-"], max_pairs):
+                        (x, y), (z, w) = pairs[p], pairs[q]
+                        _run(_globular_plan(n, k, j), model, report,
+                             [sample[x], sample[y], sample[z], sample[w]], n)
         return report
 
 

@@ -10,6 +10,10 @@ sign sequence s of length n a K-chain of degree equal to the number of
 * augmentation: every vertex value has augmentation 1;
 * positivity: every value lies in the cone of its degree.
 
+Validation and the bounded search read the signed sums from one table
+per dimension (`_boundary_terms`); with the augmentation read as the
+boundary of a vertex (rhs = (1,)), one solver query draws every value.
+
 Faces, degeneracies and connections act by precomposition with the cube
 co-structure maps of `cubeforge.adc` (`cube_face`, `cube_deg`,
 `cube_conn`), the closed-form inverses by precomposition with
@@ -61,43 +65,48 @@ class _ChainSolver:
         self.K = K
         self._cache: dict[tuple, tuple] = {}
 
-    def vertex_chains(self, bound: int, aug: int = 1) -> tuple:
-        key = ("aug", aug, bound)
-        if key not in self._cache:
-            out = []
-            for combo in itertools.product(*_box_ranges(self.K.cone[0], bound)):
-                if self.K.aug(combo) == aug:
-                    out.append(tuple(combo))
-            self._cache[key] = tuple(out)
-        return self._cache[key]
-
     def chains_with_boundary(self, k: int, rhs: tuple, bound: int) -> tuple:
-        """All degree-k cone chains v with d(v) = rhs and coefficients <= bound."""
-        if k > self.K.top:
-            return ((),) if not any(rhs) else ()
+        """All degree-k cone chains v with d(v) = rhs and coefficients <= bound,
+        in box order.  A vertex chain's boundary is its augmentation, (e(v),)."""
         key = (k, rhs, bound)
-        if key not in self._cache:
-            out = []
-            for combo in itertools.product(*_box_ranges(self.K.cone[k], bound)):
-                if self.K.d(k, combo) == rhs:
-                    out.append(tuple(combo))
-            self._cache[key] = tuple(out)
-        return self._cache[key]
+        found = self._cache.get(key)
+        if found is None:
+            K = self.K
+            if k > K.top:
+                found = ((),) if not any(rhs) else ()
+            else:
+                d = functools.partial(K.d, k) if k else lambda v: (K.aug(v),)
+                found = tuple(
+                    v for v in itertools.product(*_box_ranges(K.cone[k], bound)) if d(v) == rhs)
+            self._cache[key] = found
+        return found
+
+
+def _boundary(terms: Sequence[tuple[int, int]], values: Sequence[tuple], rank: int) -> tuple:
+    """The rank-`rank` chain sum(c * values[q] for c, q in terms)."""
+    rhs = [0] * rank
+    for c, q in terms:
+        v = values[q]
+        for t in range(rank):
+            rhs[t] += c * v[t]
+    return tuple(rhs)
 
 
 class _NerveBase(CubModel):
     """Shared machinery: assignment payloads over a graded domain basis."""
 
-    def __init__(self, K: Adc, max_dim: int = 6):
+    max_dim = 6
+
+    def __init__(self, K: Adc):
         self.K = K
-        self.max_dim = max_dim
         self.solver = _ChainSolver(K)
         self._domains: dict[int, Adc] = {}
         self._elements: dict[int, list[tuple[int, str]]] = {}
         self._index: dict[int, dict[str, int]] = {}
         self._cell_cache: dict[tuple[int, int], list[Cell]] = {}
         self._zeros: dict[int, tuple] = {}
-        self._plans: dict[int, tuple] = {}
+        self._terms: dict[int, tuple] = {}
+        self._orders: dict[int, list[int]] = {}
 
     def domain(self, n: int) -> Adc:
         raise NotImplementedError
@@ -140,36 +149,34 @@ class _NerveBase(CubModel):
         return cell
 
     def invalid_reasons(self, A: Cell) -> list[str]:
-        flat = list(zip(self.elements(A.dim), A.payload))
+        K, flat = self.K, list(zip(self.elements(A.dim), A.payload))
         problems = [f"value at {name} has wrong rank for degree {k}"
-                    for (k, name), v in flat if len(v) != self.K.rank(k)]
+                    for (k, name), v in flat if len(v) != K.rank(k)]
         if problems:  # the laws below read every value at its rank
             return problems
-        dom = self.domain(A.dim)
-        for (k, name), v in flat:
-            if not self.K.in_cone(k, v):
+        for ((k, name), v), terms in zip(flat, self._boundary_terms(A.dim)):
+            if not K.in_cone(k, v):
                 problems.append(f"value at {name} escapes the cone")
             if k == 0:
-                if self.K.aug(v) != 1:
+                if K.aug(v) != 1:
                     problems.append(f"augmentation at {name} is not 1")
-            else:
-                rhs = self._boundary_rhs(A, dom, k, name)
-                lhs = self.K.d(k, v) if k <= self.K.top else self.zero_chain(k - 1)
-                if lhs != rhs:
-                    problems.append(f"chain-map law fails at {name}")
+            elif ((K.d(k, v) if k <= K.top else self.zero_chain(k - 1))
+                  != _boundary(terms, A.payload, K.rank(k - 1))):
+                problems.append(f"chain-map law fails at {name}")
         return problems
 
-    def _boundary_rhs(self, A: Cell, dom: Adc, k: int, name: str) -> tuple:
-        col = dom.basis_index(k, name)
-        rhs = list(self.zero_chain(k - 1))
-        if k - 1 <= self.K.top:
-            for row, lowname in enumerate(dom.degrees[k - 1]):
-                c = dom.boundary[k - 1][row][col]
-                if c:
-                    v = self.value(A, lowname)
-                    for t in range(len(rhs)):
-                        rhs[t] += c * v[t]
-        return tuple(rhs)
+    def _boundary_terms(self, n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """The chain-map law of n-cells: per payload position p, the
+        (coefficient, position) pairs of its domain boundary, so the value
+        at p must have boundary `_boundary(terms[p], payload, rank)`."""
+        if n not in self._terms:
+            dom = self.domain(n)
+            offs = list(itertools.accumulate(map(len, dom.degrees), initial=0))
+            self._terms[n] = tuple(
+                tuple((row[j], offs[k - 1] + r)
+                      for r, row in enumerate(dom.boundary[k - 1]) if row[j]) if k else ()
+                for k, names in enumerate(dom.degrees) for j in range(len(names)))
+        return self._terms[n]
 
     # -- enumeration --------------------------------------------------------
 
@@ -192,64 +199,40 @@ class _NerveBase(CubModel):
             out.append(found[0])
         return out
 
-    def _plan(self, n: int) -> tuple[list[int], list[list[tuple[int, int]]]]:
-        """Assignment order and boundary supports for the dimension-n search.
+    def _order(self, n: int) -> list[int]:
+        """Assignment order for the dimension-n search.
 
         Elements are placed as soon as every basis element in their
         boundary is placed (most-constrained first), which lets the
         search prune long before all vertices are chosen.
         """
-        if n in self._plans:
-            return self._plans[n]
-        dom = self.domain(n)
-        flat = self.elements(n)
-        offs = [0]
-        for k in range(dom.top + 1):
-            offs.append(offs[-1] + dom.rank(k))
-        supports: list[list[tuple[int, int]]] = []
-        for k, name in flat:
-            if k == 0:
-                supports.append([])
-                continue
-            col = dom.basis_index(k, name)
-            terms = []
-            for row in range(dom.rank(k - 1)):
-                c = dom.boundary[k - 1][row][col]
-                if c:
-                    terms.append((c, offs[k - 1] + row))
-            supports.append(terms)
-        placed: set[int] = set()
-        order: list[int] = []
-        by_pref = sorted(range(len(flat)), key=lambda p: (-flat[p][0], p))
-        while len(order) < len(flat):
-            for p in by_pref:
-                if p not in placed and all(q in placed for _, q in supports[p]):
-                    order.append(p)
-                    placed.add(p)
-                    break
-        self._plans[n] = (order, supports)
-        return self._plans[n]
+        if n not in self._orders:
+            flat, terms = self.elements(n), self._boundary_terms(n)
+            placed: set[int] = set()
+            order: list[int] = []
+            by_pref = sorted(range(len(flat)), key=lambda p: (-flat[p][0], p))
+            while len(order) < len(flat):
+                for p in by_pref:
+                    if p not in placed and all(q in placed for _, q in terms[p]):
+                        order.append(p)
+                        placed.add(p)
+                        break
+            self._orders[n] = order
+        return self._orders[n]
 
     def _search(self, n: int, bound: int, budget: int, rng, limit) -> list[Cell]:
         flat = self.elements(n)
-        order, supports = self._plan(n)
+        order, terms = self._order(n), self._boundary_terms(n)
+        query = self.solver.chains_with_boundary
+        vertices = query(0, (1,), bound)  # they depend on no placed value
         nodes = 0
         out: list[Cell] = []
         values: list[tuple | None] = [None] * len(flat)
-        ranks = [self.K.rank(flat[p][0] - 1) if flat[p][0] >= 1 else 0
-                 for p in range(len(flat))]
+        ranks = [self.K.rank(k - 1) for k, _ in flat]
 
         def candidates(pos: int) -> Sequence[tuple]:
-            k, _ = flat[pos]
-            if k == 0:
-                cands = self.solver.vertex_chains(bound)
-            else:
-                rhs = [0] * ranks[pos]
-                for c, q in supports[pos]:
-                    v = values[q]
-                    for t in range(len(rhs)):
-                        rhs[t] += c * v[t]
-                cands = self.solver.chains_with_boundary(k, tuple(rhs), bound)
+            k = flat[pos][0]
+            cands = query(k, _boundary(terms[pos], values, ranks[pos]), bound) if k else vertices
             if rng is not None and len(cands) > 1:
                 cands = list(cands)
                 rng.shuffle(cands)
@@ -365,8 +348,8 @@ class _Fused(NamedTuple):
 class NcModel(_NerveBase):
     """The cubical nerve of an augmented directed complex."""
 
-    def __init__(self, K: Adc, max_dim: int = 6):
-        super().__init__(K, max_dim)
+    def __init__(self, K: Adc):
+        super().__init__(K)
         self._tables: dict[tuple, _Table] = {}
         self._lowered: dict[tuple, Lowered] = {}
 

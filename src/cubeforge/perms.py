@@ -247,6 +247,8 @@ def rho(n: int, m: int) -> Perm:
     >>> rho(2, 1).images
     (2, 3, 1)
     """
+    if n < 0 or m < 0:
+        raise ValueError(f"block sizes must be >= 0, got n={n}, m={m}")
     return Perm(tuple(i + m if i <= n else i - n for i in range(1, n + m + 1)))
 
 

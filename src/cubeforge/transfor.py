@@ -29,7 +29,7 @@ from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .adc import ChainMap, cube, mat_vec, tensor
-from .core import Cell, CompositionError, CubModel, NotInvertible, Report
+from .core import Cell, CompositionError, CubModel, NotInvertible, Report, _face_keys, _match
 from .invert import is_plain_invertible, sigma_act
 from .perms import Perm, rho
 
@@ -144,26 +144,23 @@ def validate_transfor(F: TransforTable) -> Report:
                         if not tgt.equal(img, tgt_op(FA, F.source_dir(i), *sign)):
                             at = "".join(f", alpha={a}" for a in sign)
                             report.violations.append(f"{family} law fails at dim {n}, i={i}{at}")
-        # compositions
+        # compositions: every composable pair of the sample
         sample = F.entries[n]
+        key = _face_keys(src_model, [A for A, _ in sample], n)
         for i in range(1, n + 1):
-            by_minus: dict[object, list[tuple[Cell, Cell]]] = {}
-            for B, FB in sample:
-                by_minus.setdefault(src_model.face(B, i, "-").payload, []).append((B, FB))
-            for A, FA in sample:
-                for B, FB in by_minus.get(src_model.face(A, i, "+").payload, ()):
-                    AB = src_model.comp(A, B, i)
-                    FAB = F.image(AB)
-                    if FAB is None:
-                        continue
-                    checked["composition"] += 1
-                    try:
-                        composed = tgt.comp(FA, FB, F.source_dir(i))
-                    except CompositionError:
-                        report.violations.append(f"images not composable at dim {n}, i={i}")
-                        continue
-                    if not tgt.equal(FAB, composed):
-                        report.violations.append(f"composition law fails at dim {n}, i={i}")
+            for x, y in _match(key[(i, "+")], key[(i, "-")], len(sample) ** 2):
+                (A, FA), (B, FB) = sample[x], sample[y]
+                FAB = F.image(src_model.comp(A, B, i))
+                if FAB is None:
+                    continue
+                checked["composition"] += 1
+                try:
+                    composed = tgt.comp(FA, FB, F.source_dir(i))
+                except CompositionError:
+                    report.violations.append(f"images not composable at dim {n}, i={i}")
+                    continue
+                if not tgt.equal(FAB, composed):
+                    report.violations.append(f"composition law fails at dim {n}, i={i}")
     report.checked = dict(checked)
     return report
 
@@ -358,13 +355,12 @@ def random_tensor_map(source, target, p: int, rng, coeff_bound: int = 1,
             if s in fixed:
                 cols[s, k, j] = _column(fixed[s], k, j)
                 continue
-            if m == 0:
-                cands = target.solver.vertex_chains(coeff_bound)
-            else:
+            rhs = (1,)  # a vertex's boundary: its augmentation
+            if m:
                 d = T.d(m, [int(r == b) for r in range(T.rank(m))])
                 rhs = tuple(sum(c * cols[gens[m - 1][r]][i] for r, c in enumerate(d) if c)
                             for i in range(L.rank(m - 1)))
-                cands = target.solver.chains_with_boundary(m, rhs, coeff_bound)
+            cands = target.solver.chains_with_boundary(m, rhs, coeff_bound)
             if not cands:
                 break
             cols[s, k, j] = rng.choice(cands)

@@ -397,6 +397,18 @@ def test_snf_roundtrip_random():
             assert b % a == 0
 
 
+@pytest.mark.parametrize("name, corrupt", [
+    ("det", lambda m: 2),  # U and V no longer look unimodular
+    ("mat_mul", lambda a, b: tuple(tuple(x + 1 for x in row) for row in a)),
+])
+def test_snf_raises_when_its_check_fails(monkeypatch, name, corrupt):
+    import cubeforge.adc as adc
+    smith_normal_form([[2, 4], [6, 8]])
+    monkeypatch.setattr(adc, name, corrupt)
+    with pytest.raises(ArithmeticError, match="U \\* D \\* V == R with U, V unimodular"):
+        smith_normal_form([[2, 4], [6, 8]])
+
+
 # --- serialization -----------------------------------------------------------
 
 

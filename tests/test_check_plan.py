@@ -430,11 +430,11 @@ def plans(m, dim, cells, max_pairs):
 
 
 def globular(m, dim, cells, max_pairs):
-    return GammaView(m, dim).check_globular(cells, max_pairs=max_pairs)
+    return GammaView(m).check_globular(cells, max_pairs=max_pairs)
 
 
 def globular_oracle(m, dim, cells, max_pairs):
-    return oracle_check_globular(GammaView(m, dim), cells, max_pairs)
+    return oracle_check_globular(GammaView(m), cells, max_pairs)
 
 
 def assert_agrees(name, cells, dim, max_pairs, check=plans, oracle=oracle_check_axioms):
@@ -482,7 +482,7 @@ def test_globular_plans_match_oracle(data, name, max_pairs):
 
 def test_globular_plans_match_oracle_on_folded_cells():
     m = model("omega0")
-    view = GammaView(m, 3)
+    view = GammaView(m)
     rng = random.Random(23)
     cells = {n: view.cells(n, m.sample_cells(n, 30, 1, rng)) for n in range(4)}
     checked, violations = assert_agrees("omega0", cells, 3, 40, globular, globular_oracle)
@@ -634,7 +634,7 @@ def test_fused_forests_are_no_wider_than_their_input(name):
     m = model(name)
     cells = {n: pool(name, n)[:4] for n in range(4)}
     check_axioms(m, 3, cells, max_pairs=4)
-    GammaView(m, 3).check_globular(cells, max_pairs=4)
+    GammaView(m).check_globular(cells, max_pairs=4)
     checks = fused_checks(m)
     assert {plan for plan, _ in checks} >= {core._unary_plan(n, m.max_dim) for n in range(4)}
     for (plan, _), check in checks.items():

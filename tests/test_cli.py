@@ -5,6 +5,7 @@ import pytest
 from cubeforge.adc import disk, save_adc, to_json_dict, with_group_cones_above
 from cubeforge.cli import main
 from cubeforge.core import is_thin
+from cubeforge.invert import verify_r_inverse
 from cubeforge.nerve import NcModel, _NerveBase, cell_to_json
 from cubeforge.transfor import homotopy_lax_transfor
 
@@ -61,6 +62,8 @@ def test_check_negative_value_exit2(capsys, flag):
      "no 0-cells at bound 0, so nothing to check"),
     (["classify", "--adc", "disk:2", "--dims", "1..2", "--bound", "0"],
      "no 1-cells at bound 0, so nothing to check"),
+    (["perm", "rho", "--n", "2", "--m", "-3"], "--m must be >= 0, got -3"),
+    (["perm", "rho", "--n", "-1", "--m", "2"], "--n must be >= 0, got -1"),
 ])
 def test_negative_input_exit2(capsys, argv, message):
     code, out, err = run(capsys, *argv)
@@ -163,6 +166,17 @@ def test_invert_not_invertible_exit1(tmp_path, capsys):
     assert "not invertible" in err
     # the offending basis element is named
     assert "0" in err
+
+
+def test_invert_r_reverifies_the_closed_form(tmp_path, capsys, monkeypatch):
+    model = NcModel(with_group_cones_above(disk(2), 0))
+    A = next(c for c in model.cells(2, 1) if not verify_r_inverse(model, c, c, 1))
+    cellfile = tmp_path / "a.cell"
+    cellfile.write_text(json.dumps(cell_to_json(model, A)))
+    monkeypatch.setattr(NcModel, "r_inverse", lambda self, A, i: A)  # a corrupted closed form
+    code, out, err = run(capsys, "invert", "--cell", str(cellfile), "--kind", "R", "--i", "1")
+    assert code == 1 and out == ""
+    assert err == "not invertible: oracle returned a bad reversal inverse in direction 1\n"
 
 
 @pytest.mark.parametrize("kind, i", [("R", 0), ("R", 3), ("T", 0), ("T", 2)])

@@ -10,7 +10,7 @@ from cubeforge.nerve import NcModel
 @pytest.fixture(scope="module")
 def view():
     model = NcModel(disk(2))
-    return model, GammaView(model, 2)
+    return model, GammaView(model)
 
 
 def test_identity_source_target(view):
@@ -48,7 +48,7 @@ def test_globular_axiom_suite_on_folded_cells(view):
 
 def test_exchange_on_omega0_3_cells():
     model = NcModel(with_group_cones_above(disk(2), 0))
-    gv = GammaView(model, 3)
+    gv = GammaView(model)
     rng = random.Random(23)
     cells = {
         0: model.cells(0, 1),

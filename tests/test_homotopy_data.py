@@ -50,7 +50,7 @@ def oracle_random_homotopy_data(source, target, rng, coeff_bound=1, tries=400, s
             cols = []
             for j in range(K.rank(k)):
                 if k == 0:
-                    cands = solver.vertex_chains(coeff_bound)
+                    cands = solver.chains_with_boundary(0, (1,), coeff_bound)
                 else:
                     rhs = apply_cols(mats_cols[k - 1], K.d(k, unit(k, j)), L.rank(k - 1))
                     cands = solver.chains_with_boundary(k, rhs, coeff_bound)

@@ -287,7 +287,7 @@ def test_checkers_match_the_cell_level_loop(data, name, max_pairs):
         lambda model: check_axioms(model, dim, cells, max_pairs=max_pairs), m)
     assert lowered == cell_level
     lowered, cell_level = both_paths(
-        lambda model: GammaView(model, dim).check_globular(cells, max_pairs=max_pairs), m)
+        lambda model: GammaView(model).check_globular(cells, max_pairs=max_pairs), m)
     assert lowered == cell_level
 
 

@@ -1,11 +1,13 @@
+import itertools
 import random
 
 import pytest
 
-from cubeforge.adc import Chain, cube, disk, with_group_cones_above
+from cubeforge.adc import Chain, cube, disk, tensor, with_group_cones_above
 from cubeforge.core import (
     BoxModel,
     BudgetExceeded,
+    Cell,
     CompositionError,
     NotInvertible,
     check_axioms,
@@ -81,6 +83,81 @@ def test_wrong_ranks_are_listed_not_indexed(nc_disk1, values, problems):
     with pytest.raises(ValueError) as info:
         nc_disk1.make(1, values)
     assert str(info.value) == problems
+
+
+NERVES = {
+    "disk(3)": (lambda: NcModel(disk(3)), 3),
+    "cube(2)": (lambda: NcModel(cube(2)), 3),
+    "tensor(disk(1),disk(2))": (lambda: NcModel(tensor(disk(1), disk(2))), 3),
+    "omega0": (lambda: NcModel(with_group_cones_above(disk(2), 0)), 2),
+    "globular disk(3)": (lambda: NgModel(disk(3)), 3),
+}
+
+
+@pytest.mark.parametrize("name", NERVES)
+@pytest.mark.parametrize("bound", [0, 1, 2])
+def test_vertex_query_is_the_augmentation_filter(name, bound):
+    """Degree 0 of `chains_with_boundary` reads the augmentation as the
+    boundary: the box filtered by e(v) == a, in box order."""
+    K = NERVES[name][0]().K
+    box = list(itertools.product(*(range(0 if f else -bound, bound + 1) for f in K.cone[0])))
+    for a in (0, 1, 2):
+        want = tuple(v for v in box if sum(e * c for e, c in zip(K.augmentation, v)) == a)
+        assert NcModel(K).solver.chains_with_boundary(0, (a,), bound) == want
+
+
+def oracle_invalid_reasons(model, A):
+    """The laws with each value's boundary scanned by name from the domain's
+    boundary matrix, as `invalid_reasons` read them before the table."""
+    K, dom = model.K, model.domain(A.dim)
+    flat = list(zip(model.elements(A.dim), A.payload))
+    problems = [f"value at {name} has wrong rank for degree {k}"
+                for (k, name), v in flat if len(v) != K.rank(k)]
+    if problems:
+        return problems
+    for (k, name), v in flat:
+        if not K.in_cone(k, v):
+            problems.append(f"value at {name} escapes the cone")
+        if k == 0:
+            if K.aug(v) != 1:
+                problems.append(f"augmentation at {name} is not 1")
+            continue
+        col = dom.basis_index(k, name)
+        rhs = list(model.zero_chain(k - 1))
+        if k - 1 <= K.top:
+            for row, lowname in enumerate(dom.degrees[k - 1]):
+                c = dom.boundary[k - 1][row][col]
+                if c:
+                    w = model.value(A, lowname)
+                    for t in range(len(rhs)):
+                        rhs[t] += c * w[t]
+        lhs = K.d(k, v) if k <= K.top else model.zero_chain(k - 1)
+        if lhs != tuple(rhs):
+            problems.append(f"chain-map law fails at {name}")
+    return problems
+
+
+@pytest.mark.parametrize("name", NERVES)
+def test_invalid_reasons_matches_the_by_name_law(name):
+    make, top = NERVES[name]
+    model, rng, flagged = make(), random.Random(name), 0
+    for n in range(top + 1):
+        cells = model.cells(n, 1)
+        for A in rng.sample(cells, min(len(cells), 30)):
+            assert model.invalid_reasons(A) == oracle_invalid_reasons(model, A) == []
+            for _ in range(3):  # one coefficient off by +-1, or one value cut short
+                payload = list(A.payload)
+                p = rng.randrange(len(payload))
+                v = list(payload[p])
+                if v and rng.random() < 0.8:
+                    v[rng.randrange(len(v))] += rng.choice((-1, 1))
+                else:
+                    v = v[1:] if v else [0]
+                payload[p] = tuple(v)
+                bad = Cell(model, n, tuple(payload))
+                assert model.invalid_reasons(bad) == oracle_invalid_reasons(model, bad)
+                flagged += bool(oracle_invalid_reasons(model, bad))
+    assert flagged
 
 
 def test_axioms_nerve_disk1_dim2(nc_disk1):

@@ -183,6 +183,12 @@ def test_rho_properties():
             assert rho(n, m).then(rho(m, n)).is_identity()
 
 
+@pytest.mark.parametrize("n, m", [(2, -3), (-1, 2)])
+def test_rho_rejects_a_negative_block(n, m):
+    with pytest.raises(ValueError, match=f"block sizes must be >= 0, got n={n}, m={m}"):
+        rho(n, m)
+
+
 def test_rho_boundaries():
     # deleting a first-block strand gives rho(n-1, p); deleting a
     # second-block strand gives rho(n, p-1)
