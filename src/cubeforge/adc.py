@@ -97,7 +97,9 @@ class Adc:
         return self.degrees[k].index(name)
 
     def d(self, k: int, coeffs: Sequence[int]) -> Vector:
-        """Boundary of a degree-k chain (k >= 1)."""
+        """Boundary of a degree-k chain, 1 <= k <= top (a vertex has `aug`)."""
+        if not 0 < k <= len(self.boundary):
+            raise ValueError(f"degree {k} has no boundary matrix in degrees 1..{self.top}")
         return mat_vec(self.boundary[k - 1], coeffs)
 
     def aug(self, coeffs: Sequence[int]) -> int:
@@ -131,41 +133,48 @@ def make_adc(
     d_convention: str = TARGET_MINUS_SOURCE,
     name: str = "",
 ) -> Adc:
-    """Build an Adc, normalising the cone shorthands."""
+    """Build an Adc, normalising the cone shorthands.
+
+    Raises ValueError naming the field when the entries of `cone`,
+    `boundary` or `augmentation` do not fit the ranks of `degrees`, or
+    when a degree names a basis element twice.
+    """
     degs = tuple(tuple(d) for d in degrees)
+    ranks = [len(names) for names in degs]
+    for k, names in enumerate(degs):
+        if len(set(names)) < len(names):
+            twice = next(x for x in names if names.count(x) > 1)
+            raise ValueError(f"degree {k} names the basis element {twice!r} twice")
+    for what, got, want in (("cone", len(cone), len(degs)),
+                            ("boundary", len(boundary), max(len(degs) - 1, 0))):
+        if got != want:
+            raise ValueError(f"{what} has {got} entries for {len(degs)} degrees, not {want}")
     flags = []
     for k, spec in enumerate(cone):
         if spec == "nonneg":
-            flags.append((True,) * len(degs[k]))
+            flags.append((True,) * ranks[k])
         elif spec == "group":
-            flags.append((False,) * len(degs[k]))
+            flags.append((False,) * ranks[k])
         else:
             flags.append(tuple(bool(x) for x in spec))  # type: ignore[union-attr]
-        if len(flags[-1]) != len(degs[k]):
+        if len(flags[-1]) != ranks[k]:
             raise ValueError(f"cone length mismatch at degree {k}")
+    mats = tuple(_as_matrix(m) for m in boundary)
+    for k, m in enumerate(mats, 1):
+        if len(m) != ranks[k - 1] or any(len(row) != ranks[k] for row in m):
+            raise ValueError(f"boundary matrix at degree {k} has wrong shape: "
+                             f"need {ranks[k - 1]} rows of {ranks[k]}")
+    aug, vertices = tuple(int(x) for x in augmentation), ranks[0] if ranks else 0
+    if len(aug) != vertices:
+        raise ValueError(f"augmentation vector has {len(aug)} entries, not {vertices}")
     if d_convention not in (TARGET_MINUS_SOURCE, SOURCE_MINUS_TARGET):
         raise ValueError(f"unknown d_convention {d_convention!r}")
-    return Adc(
-        degrees=degs,
-        boundary=tuple(_as_matrix(m) for m in boundary),
-        augmentation=tuple(int(x) for x in augmentation),
-        cone=tuple(flags),
-        d_convention=d_convention,
-        name=name,
-    )
+    return Adc(degs, mats, aug, tuple(flags), d_convention, name)
 
 
 def validate(K: Adc) -> Report:
-    """Check d o d = 0, e o d = 0 and shape consistency."""
+    """Check d o d = 0 and e o d = 0 (`make_adc` checks the shapes)."""
     report = Report()
-    for k in range(1, K.top + 1):
-        m = K.boundary[k - 1]
-        if len(m) != K.rank(k - 1) or (m and any(len(r) != K.rank(k) for r in m)):
-            report.violations.append(f"boundary matrix at degree {k} has wrong shape")
-    if len(K.augmentation) != K.rank(0):
-        report.violations.append("augmentation vector has wrong length")
-    if report.violations:
-        return report
     report.checked = {"d o d": sum(K.rank(k) for k in range(2, K.top + 1)), "e o d": K.rank(1)}
     for k in range(2, K.top + 1):
         for j in range(K.rank(k)):
@@ -539,39 +548,6 @@ def rect_adc(n: int, i: int, d_convention: str = TARGET_MINUS_SOURCE) -> Adc:
         cube(n - i, d_convention),
         name=f"rect({n},{i})",
     )
-
-
-def cube_comp(n: int, i: int,
-              d_convention: str = TARGET_MINUS_SOURCE) -> tuple[ChainMap, ChainMap, ChainMap]:
-    """The composition co-map and the two copy inclusions into rect(n, i).
-
-    Returns (star, into_first, into_second), all chain maps
-    cube(n) -> rect(n, i).  ``star`` sends the slot-i symbols -, +, 0 to
-    v0, v2, a + b respectively; the inclusions send them to (v0, v1, a)
-    and (v1, v2, b).  ``star`` is the sum of the copy-tagged pieces of
-    :func:`comp_split` under the inclusions.
-    """
-    rect = rect_adc(n, i, d_convention)
-    src = cube(n, d_convention)
-
-    def relabel(s: str, mid: str) -> str:
-        left = s[: i - 1] or ""
-        right = s[i:] or ""
-        return f"{left}⊗{mid}⊗{right}"
-
-    def build(slot_images: dict[str, list[tuple[int, str]]]) -> ChainMap:
-        image = {}
-        for basis in src.degrees:
-            for s in basis:
-                image[s] = [
-                    (c, relabel(s, mid)) for c, mid in slot_images[s[i - 1]]
-                ]
-        return _basis_map(src, rect, image)
-
-    star = build({"-": [(1, "v0")], "+": [(1, "v2")], "0": [(1, "a"), (1, "b")]})
-    inc1 = build({"-": [(1, "v0")], "+": [(1, "v1")], "0": [(1, "a")]})
-    inc2 = build({"-": [(1, "v1")], "+": [(1, "v2")], "0": [(1, "b")]})
-    return star, inc1, inc2
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,11 @@ partial compositions on opaque cells.  Nothing here assumes a particular
 representation: the shipped instances are the cubical nerve of an
 augmented directed complex (`cubeforge.nerve`), the shell construction
 (`BoxModel` below), and a small poset model (`PosetModel`) that keeps
-this module testable on its own.
+this module testable on its own.  Globular cells speak the same
+vocabulary: source, target, identity and the composite over a
+k-dimensional boundary are d_1^-, d_1^+, eps_1 and *_(n-k), so one
+checker (`check_globular`) covers the full folds of cubical cells
+(`globular_cells`) and the globular nerve (`cubeforge.nerve.NgModel`).
 
 Conventions.  Dimensions and directions are 1-based.  For an n-cell A,
 ``face(A, i, alpha)`` is defined for 1 <= i <= n, ``deg(A, i)`` for
@@ -944,62 +948,36 @@ def check_axioms(
 
 
 # ---------------------------------------------------------------------------
-# the globular view
+# the globular laws
 
 
-@dataclass
-class GammaView:
-    """The globular facade on a cubical model: cells are full folds."""
+def globular_cells(model: CubModel, sample: Iterable[Cell]) -> list[Cell]:
+    """The distinct full folds of the cells of `sample`, in first-seen order."""
+    return list({g.key(): g for g in (phi(model, A, A.dim) for A in sample)}.values())
 
-    model: CubModel
 
-    def globularize(self, A: Cell) -> Cell:
-        return phi(self.model, A, A.dim)
-
-    def cells(self, n: int, sample: Sequence[Cell]) -> list[Cell]:
-        seen = []
+def check_globular(model: CubModel, cells_by_dim: Mapping[int, Sequence[Cell]],
+                   max_pairs: int = 60) -> Report:
+    """Sampled globular laws (globularity, units, associativity, exchange)
+    on globular cells: full folds (`globular_cells`) or globular nerve cells."""
+    report = Report()
+    for n, sample in sorted(cells_by_dim.items()):
+        sample = list(sample)
         for A in sample:
-            g = self.globularize(A)
-            if all(not self.model.equal(g, h) for h in seen):
-                seen.append(g)
-        return seen
-
-    def src(self, A: Cell) -> Cell:
-        return self.model.face(A, 1, "-")
-
-    def tgt(self, A: Cell) -> Cell:
-        return self.model.face(A, 1, "+")
-
-    def identity(self, A: Cell) -> Cell:
-        return self.model.deg(A, 1)
-
-    def comp(self, A: Cell, B: Cell, k: int) -> Cell:
-        """The globular composite over a k-dimensional boundary."""
-        if not 0 <= k < A.dim:
-            raise DomainError(f"no composition over dimension {k} for {A.dim}-cells")
-        return self.model.comp(A, B, A.dim - k)
-
-    def check_globular(self, cells_by_dim: Mapping[int, Sequence[Cell]],
-                       max_pairs: int = 60) -> Report:
-        """Sampled globular laws: globularity, units, associativity, exchange."""
-        report, model = Report(), self.model
-        for n, sample in sorted(cells_by_dim.items()):
-            sample = list(sample)
-            for A in sample:
-                _run(_globular_plan(n), model, report, [A], n)
-            key = _face_keys(model, sample, n)
-            for k in range(n):
-                pairs = _match(key[(n - k, "+")], key[(n - k, "-")], max_pairs)
-                for x, y in pairs:
-                    _run(_globular_plan(n, k), model, report, [sample[x], sample[y]], n)
-                for j in range(k):
-                    sides = {a: [(key[(n - j, a)][x], key[(n - j, a)][y]) for x, y in pairs]
-                             for a in ALPHAS}
-                    for p, q in _match(sides["+"], sides["-"], max_pairs):
-                        (x, y), (z, w) = pairs[p], pairs[q]
-                        _run(_globular_plan(n, k, j), model, report,
-                             [sample[x], sample[y], sample[z], sample[w]], n)
-        return report
+            _run(_globular_plan(n), model, report, [A], n)
+        key = _face_keys(model, sample, n)
+        for k in range(n):
+            pairs = _match(key[(n - k, "+")], key[(n - k, "-")], max_pairs)
+            for x, y in pairs:
+                _run(_globular_plan(n, k), model, report, [sample[x], sample[y]], n)
+            for j in range(k):
+                sides = {a: [(key[(n - j, a)][x], key[(n - j, a)][y]) for x, y in pairs]
+                         for a in ALPHAS}
+                for p, q in _match(sides["+"], sides["-"], max_pairs):
+                    (x, y), (z, w) = pairs[p], pairs[q]
+                    _run(_globular_plan(n, k, j), model, report,
+                         [sample[x], sample[y], sample[z], sample[w]], n)
+    return report
 
 
 @functools.cache

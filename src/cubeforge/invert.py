@@ -43,16 +43,6 @@ from .indices import DomainError, lower
 from .perms import Perm, TWord, eval_word, length, min_rep
 
 
-@dataclass(frozen=True)
-class InverseWitness:
-    """A checked inverse: what kind, for which cell, and the inverse itself."""
-
-    kind: tuple
-    subject: Cell
-    witness: Cell
-    checked: bool
-
-
 # ---------------------------------------------------------------------------
 # reversal (R) invertibility
 
@@ -80,10 +70,6 @@ def r_inverse(model: CubModel, A: Cell, k: int) -> Cell:
     if not verify_r_inverse(model, A, B, k):
         raise NotInvertible(f"oracle returned a bad reversal inverse in direction {k}")
     return B
-
-
-def r_witness(model: CubModel, A: Cell, k: int) -> InverseWitness:
-    return InverseWitness(("R", k), A, r_inverse(model, A, k), True)
 
 
 def has_r_invertible_shell(model: CubModel, A: Cell, i: int) -> bool:
@@ -217,9 +203,9 @@ def is_plain_invertible(model: CubModel, A: Cell) -> bool:
         raise OracleUnavailable(str(exc))
 
 
-def plain_witness(model: CubModel, A: Cell) -> InverseWitness:
-    inv = r_inverse(model, fold_tail(model, A), 1)
-    return InverseWitness(("plain",), A, inv, True)
+def plain_witness(model: CubModel, A: Cell) -> Cell:
+    """The direction-1 reversal inverse of A's full fold, re-verified."""
+    return r_inverse(model, fold_tail(model, A), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -289,10 +275,6 @@ def is_t_invertible(model: CubModel, A: Cell, i: int) -> bool:
     if not 1 <= i <= A.dim - 1:
         return False
     return model.has_r_inverse(psi(model, A, i), i)
-
-
-def t_witness(model: CubModel, A: Cell, i: int) -> InverseWitness:
-    return InverseWitness(("T", i), A, t_inverse(model, A, i), True)
 
 
 def has_t_invertible_shell(model: CubModel, A: Cell, i: int) -> bool:

@@ -28,7 +28,11 @@ into a step calling it on raw payloads, with the same range checks,
 composability compare and cone check, raising the same errors.
 Composing the gathers of a checked plan gives its fused check
 (`NcModel._fuse`, described in `cubeforge.core`).
-The globular nerve is the same story over the disk complexes.
+The globular nerve (`NgModel`) validates and enumerates the same way over
+the disk complexes, and speaks the cubical vocabulary of folded cells:
+source, target, identity and the composite over a k-boundary are its
+d_1^-, d_1^+, eps_1 and *_(n-k), so `core.check_globular` checks it and
+`invert.r_inverse` verifies its inverses.
 
 Cells are immutable; payloads are tuples of coefficient tuples aligned
 with a fixed ordering of the domain basis (by degree, then lexicographic
@@ -49,7 +53,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 from .adc import (Adc, Chain, ChainMap, comp_split, cube, cube_conn, cube_deg,
                   cube_face, cube_rev, cube_swap, disk, to_json_dict, vec_neg)
 from .core import (BudgetExceeded, Cell, CompositionError, CubModel, Lowered, NotInvertible,
-                   phi)
+                   OracleUnavailable, globular_cells)
 
 
 def _box_ranges(flags: Sequence[bool], bound: int) -> list[range]:
@@ -578,8 +582,11 @@ class NcModel(_NerveBase):
 class NgModel(_NerveBase):
     """The globular nerve of a complex: cells over the disk complexes.
 
-    This is not a cubical model; it exposes the globular operations
-    directly (src, tgt, identity, comp over any level, inverse).
+    An n-cell's payload is s0, t0, s1, t1, ..., s_{n-1}, t_{n-1}, x.  It
+    speaks the cubical vocabulary of folded cells: d_i^alpha is the
+    alpha-boundary at level n-i raised by i-1 identities, eps_1 is the
+    identity (no other degeneracy, no connection), *_i composes over the
+    (n-i)-boundary, and the direction-1 reversal inverse negates x.
     """
 
     def __repr__(self) -> str:
@@ -590,69 +597,55 @@ class NgModel(_NerveBase):
             self._domains[n] = disk(n, self.K.d_convention)
         return self._domains[n]
 
-    # payload order for dimension n: s0, t0, s1, t1, ..., s_{n-1}, t_{n-1}, x
+    def _identities(self, head: tuple, top: tuple, r: int) -> tuple:
+        """The payload of eps_1^r X for the cell X with payload head + (top,)."""
+        m = len(head) // 2
+        chains = (top, *map(self.zero_chain, range(m + 1, m + r + 1)))
+        return head + tuple(c for c in chains[:-1] for _ in "st") + chains[-1:]
 
-    def src(self, A: Cell) -> Cell:
-        if A.dim == 0:
-            raise ValueError("0-cells have no source")
-        payload = A.payload[: 2 * (A.dim - 1)] + (A.payload[2 * (A.dim - 1)],)
-        return Cell(self, A.dim - 1, payload)
-
-    def tgt(self, A: Cell) -> Cell:
-        if A.dim == 0:
-            raise ValueError("0-cells have no target")
-        payload = A.payload[: 2 * (A.dim - 1)] + (A.payload[2 * (A.dim - 1) + 1],)
-        return Cell(self, A.dim - 1, payload)
-
-    def identity(self, A: Cell) -> Cell:
-        top = A.payload[-1]
-        payload = A.payload[:-1] + (top, top, self.zero_chain(A.dim + 1))
-        return Cell(self, A.dim + 1, payload)
-
-    def comp(self, A: Cell, B: Cell, k: int) -> Cell:
-        """The composite over a shared k-dimensional boundary."""
+    def face(self, A: Cell, i: int, alpha: str) -> Cell:
         n = A.dim
-        if B.dim != n or not 0 <= k < n:
-            raise ValueError("bad globular composition request")
-        for j in range(k):
-            if (A.payload[2 * j] != B.payload[2 * j]
-                    or A.payload[2 * j + 1] != B.payload[2 * j + 1]):
-                raise CompositionError(f"towers differ below level {k}")
-        if A.payload[2 * k + 1] != B.payload[2 * k]:
-            raise CompositionError(f"target/source mismatch at level {k}")
-        payload = list(A.payload)
-        payload[2 * k + 1] = B.payload[2 * k + 1]
-        for j in range(k + 1, n):
-            payload[2 * j] = tuple(
-                a + b for a, b in zip(A.payload[2 * j], B.payload[2 * j])
-            )
-            payload[2 * j + 1] = tuple(
-                a + b for a, b in zip(A.payload[2 * j + 1], B.payload[2 * j + 1])
-            )
-        payload[-1] = tuple(a + b for a, b in zip(A.payload[-1], B.payload[-1]))
-        return Cell(self, n, tuple(payload))
+        if not (1 <= i <= n and alpha in "-+"):
+            raise ValueError(f"no face (i={i}, alpha={alpha}) on a {n}-cell")
+        m = n - i
+        top = A.payload[2 * m + (alpha == "+")]
+        return Cell(self, n - 1, self._identities(A.payload[:2 * m], top, i - 1))
 
-    def inverse(self, A: Cell) -> Cell:
-        """The two-sided inverse for the top composition, when it exists."""
+    def deg(self, A: Cell, i: int) -> Cell:
         n = A.dim
-        if n == 0:
-            raise NotInvertible("0-cells are not composable")
-        top = A.payload[-1]
-        neg = vec_neg(top)
+        if not 1 <= i <= n + 1:
+            raise ValueError(f"no degeneracy slot {i} on a {n}-cell")
+        if n + 1 > self.max_dim:
+            raise ValueError("degeneracy exceeds the model dimension bound")
+        if i != 1:
+            raise ValueError(f"a globular cell has no degeneracy slot {i}, only the identity")
+        return Cell(self, n + 1, self._identities(A.payload[:-1], A.payload[-1], 1))
+
+    def conn(self, A: Cell, i: int, alpha: str) -> Cell:
+        raise ValueError("a globular cell has no connections")
+
+    def comp(self, A: Cell, B: Cell, i: int) -> Cell:
+        n = A.dim
+        if B.dim != n or not 1 <= i <= n:
+            raise ValueError("bad composition request")
+        self.check_composable(A, B, i)
+        k, a, b = n - i, A.payload, B.payload  # s_k from A, t_k from B, sums above
+        sums = tuple(tuple(map(add, x, y)) for x, y in zip(a[2 * k + 2:], b[2 * k + 2:]))
+        return Cell(self, n, a[:2 * k + 1] + b[2 * k + 1:2 * k + 2] + sums)
+
+    def r_inverse(self, A: Cell, i: int) -> Cell:
+        """The direction-1 inverse (swapped s_{n-1}, t_{n-1}, negated x), when
+        -x lies in the cone; `invert.r_inverse` verifies it."""
+        n = A.dim
+        if not 1 <= i <= n:
+            raise NotInvertible(f"no direction {i} on a {n}-cell")
+        if i != 1:
+            raise OracleUnavailable("the globular nerve inverts along direction 1 only")
+        neg = vec_neg(A.payload[-1])
         if not self.K.in_cone(n, neg):
             raise NotInvertible("top chain is not invertible in the cone")
-        payload = list(A.payload)
-        payload[-1] = neg
-        payload[2 * (n - 1)], payload[2 * n - 1] = (
-            A.payload[2 * n - 1],
-            A.payload[2 * (n - 1)],
-        )
-        B = Cell(self, n, tuple(payload))
-        left = self.comp(A, B, n - 1)
-        right = self.comp(B, A, n - 1)
-        if left != self.identity(self.src(A)) or right != self.identity(self.tgt(A)):
-            raise NotInvertible("inverse candidate fails the defining equations")
-        return B
+        s, t = A.payload[2 * n - 2:2 * n]
+        return Cell(self, n, A.payload[:2 * n - 2] + (t, s, neg))
 
 
 # ---------------------------------------------------------------------------
@@ -747,11 +740,8 @@ def gamma_vs_ng(K: Adc, n: int, bound: int, budget: int = 2_000_000) -> MatchRep
     nc = NcModel(K)
     ng = NgModel(K)
     raw = nc.cells(n, bound, budget)
-    images: dict[tuple, Cell] = {}
-    for A in raw:
-        g = phi(nc, A, n)
-        images.setdefault(g.payload, g)
-    nc_sigs = Counter(globular_signature(nc, g) for g in images.values())
+    images = globular_cells(nc, raw)
+    nc_sigs = Counter(globular_signature(nc, g) for g in images)
     ng_sigs = Counter(B.payload for B in ng.cells(n, bound, budget))
     unmatched_nc = sum((nc_sigs - ng_sigs).values())
     unmatched_ng = sum((ng_sigs - nc_sigs).values())

@@ -7,13 +7,13 @@ from cubeforge.adc import (
     SOURCE_MINUS_TARGET,
     TARGET_MINUS_SOURCE,
     Chain,
+    ChainMap,
     NotInCone,
     abelianize,
     chain_invertible,
     comp_split,
     cube,
     cube_basis,
-    cube_comp,
     cube_conn,
     cube_deg,
     cube_face,
@@ -32,6 +32,7 @@ from cubeforge.adc import (
     validate,
     with_group_cones_above,
 )
+from cubeforge.adc import _basis_map
 
 
 def unit(n, j):
@@ -66,6 +67,21 @@ def test_corrupted_boundary_reported():
     report = validate(bad)
     assert not report.ok
     assert any("d o d" in v for v in report.violations)
+
+
+def test_d_refuses_degrees_without_a_boundary_matrix():
+    K = disk(2)
+    assert K.d(1, (1, 0)) == (-1, 1)  # d s1 = t0 - s0
+    for k in (0, 3, -1):
+        with pytest.raises(ValueError, match=f"degree {k} has no boundary matrix"):
+            K.d(k, (1,) * K.rank(k))
+
+
+@pytest.mark.parametrize("boundary", [[], [[[-1], [1]], [[1]]]])
+def test_make_adc_counts_the_boundary_matrices(boundary):
+    # a JSON complex always yields one matrix per degree above 0; Python callers may not
+    with pytest.raises(ValueError, match=f"boundary has {len(boundary)} entries for 2 degrees"):
+        make_adc([["s0", "t0"], ["x"]], boundary, [1, 1], ["nonneg", "nonneg"])
 
 
 # --- disk -----------------------------------------------------------------
@@ -235,6 +251,40 @@ def test_costructure_maps_are_chain_maps(n, conv):
         for i in range(1, n + 1):
             for alpha in "-+":
                 assert cube_conn(n, i, alpha, conv).is_chain_map()
+
+
+def cube_comp(n: int, i: int,
+              d_convention: str = TARGET_MINUS_SOURCE) -> tuple[ChainMap, ChainMap, ChainMap]:
+    """The composition co-map and the two copy inclusions into rect(n, i);
+    the oracle of `comp_split`, which the nerve's composites read.
+
+    Returns (star, into_first, into_second), all chain maps
+    cube(n) -> rect(n, i).  ``star`` sends the slot-i symbols -, +, 0 to
+    v0, v2, a + b respectively; the inclusions send them to (v0, v1, a)
+    and (v1, v2, b).  ``star`` is the sum of the copy-tagged pieces of
+    :func:`comp_split` under the inclusions.
+    """
+    rect = rect_adc(n, i, d_convention)
+    src = cube(n, d_convention)
+
+    def relabel(s: str, mid: str) -> str:
+        left = s[: i - 1] or ""
+        right = s[i:] or ""
+        return f"{left}⊗{mid}⊗{right}"
+
+    def build(slot_images: dict[str, list[tuple[int, str]]]) -> ChainMap:
+        image = {}
+        for basis in src.degrees:
+            for s in basis:
+                image[s] = [
+                    (c, relabel(s, mid)) for c, mid in slot_images[s[i - 1]]
+                ]
+        return _basis_map(src, rect, image)
+
+    star = build({"-": [(1, "v0")], "+": [(1, "v2")], "0": [(1, "a"), (1, "b")]})
+    inc1 = build({"-": [(1, "v0")], "+": [(1, "v1")], "0": [(1, "a")]})
+    inc2 = build({"-": [(1, "v1")], "+": [(1, "v2")], "0": [(1, "b")]})
+    return star, inc1, inc2
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -18,6 +18,7 @@ The structural guards at the end need no timing.
 import collections
 import functools
 import random
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -25,21 +26,22 @@ from hypothesis import strategies as st
 
 import cubeforge.core as core
 import cubeforge.invert as invert
-from cubeforge.adc import cube, disk, with_group_cones_above
+from cubeforge.adc import cube, disk, tensor, with_group_cones_above
 from cubeforge.core import (
     ALPHAS,
     BoxModel,
     CompositionError,
     CubModel,
-    GammaView,
     PosetModel,
     Report,
     Violation,
     check_axioms,
+    check_globular,
+    globular_cells,
     grid2,
 )
 from cubeforge.indices import lower, raise_
-from cubeforge.nerve import NcModel
+from cubeforge.nerve import NcModel, NgModel
 
 from test_lowering import Swapped
 
@@ -284,9 +286,14 @@ def oracle_interchange(model, report, pairs, i, j, n, max_quads):
             count += 1
 
 
-def oracle_check_globular(view, cells_by_dim, max_pairs):
+def oracle_check_globular(model, cells_by_dim, max_pairs):
+    """The globular laws one closure pair at a time, with source, target,
+    identity and the composite over a k-boundary spelled here from the
+    model's face, deg and comp."""
     report = Report()
-    model = view.model
+    view = types.SimpleNamespace(
+        src=lambda X: model.face(X, 1, "-"), tgt=lambda X: model.face(X, 1, "+"),
+        identity=lambda X: model.deg(X, 1), comp=lambda A, B, k: model.comp(A, B, A.dim - k))
     for n, sample in sorted(cells_by_dim.items()):
         for A in sample:
             if n >= 2:
@@ -323,12 +330,11 @@ def oracle_check_globular(view, cells_by_dim, max_pairs):
                         lambda: view.comp(view.src(A), view.src(B), k),
                         "s(A . B) != s(A) . s(B)")
             for j in range(k):
-                oracle_exchange_glob(view, report, pairs, n, k, j, max_pairs)
+                oracle_exchange_glob(model, view, report, pairs, n, k, j, max_pairs)
     return report
 
 
-def oracle_exchange_glob(view, report, pairs, n, k, j, max_quads):
-    model = view.model
+def oracle_exchange_glob(model, view, report, pairs, n, k, j, max_quads):
     j_cub = n - j
     by_top = {}
     for C, D in pairs:
@@ -377,6 +383,13 @@ class WrongConn(PosetModel):
         return super().conn(A, i, alpha)
 
 
+class FlippedFace(NgModel):
+    """d_2^- and d_2^+ exchanged."""
+
+    def face(self, A, i, alpha):
+        return super().face(A, i, core.opposite(alpha) if i == 2 else alpha)
+
+
 CHAIN = ("abc", [("a", "b"), ("b", "c")])
 SQUARE = ("blrt", [("b", "l"), ("b", "r"), ("l", "t"), ("r", "t")])
 
@@ -395,19 +408,27 @@ FAULTY = {
     # the compiled Gamma_1^+ table on 2-cells corrupted, for the fused check
     "swapped-conn": lambda: Swapped(disk(2), ("conn", 2, 1, "+")),
 }
+# globular nerves, lawful and with d_2^- and d_2^+ exchanged, for the globular checker
+GLOBULAR = {
+    "ng disk(3)": lambda: NgModel(disk(3)),
+    "ng (w,1) disk(3)": lambda: NgModel(with_group_cones_above(disk(3), 1)),
+    "ng tensor": lambda: NgModel(tensor(disk(1), disk(2))),
+    "ng flipped-d2": lambda: FlippedFace(with_group_cones_above(disk(2), 0)),
+}
 TOP = {"disk(3)": 3, "cube(2)": 3, "omega0": 3, "chain3": 3, "square": 3, "box": 2,
-       "corrupted": 2, "refusing": 3, "wrong-conn": 3, "swapped-conn": 3}
+       "corrupted": 2, "refusing": 3, "wrong-conn": 3, "swapped-conn": 3,
+       "ng disk(3)": 3, "ng (w,1) disk(3)": 3, "ng tensor": 2, "ng flipped-d2": 3}
 
 
 @functools.lru_cache(maxsize=None)
 def model(name):
-    return {**MODELS, **FAULTY}[name]()
+    return {**MODELS, **FAULTY, **GLOBULAR}[name]()
 
 
 @functools.lru_cache(maxsize=None)
 def pool(name, n):
     m = model(name)
-    if isinstance(m, NcModel):
+    if isinstance(m, (NcModel, NgModel)):
         if name == "omega0" and n == 3:
             # the bound-1 enumeration of omega0 3-cells exceeds the search budget
             return list(dict.fromkeys(m.sample_cells(3, 40, 1, random.Random(3))))
@@ -430,11 +451,11 @@ def plans(m, dim, cells, max_pairs):
 
 
 def globular(m, dim, cells, max_pairs):
-    return GammaView(m).check_globular(cells, max_pairs=max_pairs)
+    return check_globular(m, cells, max_pairs=max_pairs)
 
 
 def globular_oracle(m, dim, cells, max_pairs):
-    return oracle_check_globular(GammaView(m), cells, max_pairs)
+    return oracle_check_globular(m, cells, max_pairs)
 
 
 def assert_agrees(name, cells, dim, max_pairs, check=plans, oracle=oracle_check_axioms):
@@ -474,7 +495,8 @@ def test_plans_match_oracle_on_faulty_models(data, name, max_pairs):
 
 
 @settings(max_examples=150, deadline=None)
-@given(data=st.data(), name=st.sampled_from(sorted({**MODELS, **FAULTY})), max_pairs=CAPS)
+@given(data=st.data(), name=st.sampled_from(sorted({**MODELS, **FAULTY, **GLOBULAR})),
+       max_pairs=CAPS)
 def test_globular_plans_match_oracle(data, name, max_pairs):
     dim, cells = draw_sample(data, name)
     assert_agrees(name, cells, dim, max_pairs, globular, globular_oracle)
@@ -482,9 +504,8 @@ def test_globular_plans_match_oracle(data, name, max_pairs):
 
 def test_globular_plans_match_oracle_on_folded_cells():
     m = model("omega0")
-    view = GammaView(m)
     rng = random.Random(23)
-    cells = {n: view.cells(n, m.sample_cells(n, 30, 1, rng)) for n in range(4)}
+    cells = {n: globular_cells(m, m.sample_cells(n, 30, 1, rng)) for n in range(4)}
     checked, violations = assert_agrees("omega0", cells, 3, 40, globular, globular_oracle)
     assert violations == [] and dict(checked)["glob-exchange"] > 0
 
@@ -634,7 +655,7 @@ def test_fused_forests_are_no_wider_than_their_input(name):
     m = model(name)
     cells = {n: pool(name, n)[:4] for n in range(4)}
     check_axioms(m, 3, cells, max_pairs=4)
-    GammaView(m).check_globular(cells, max_pairs=4)
+    check_globular(m, cells, max_pairs=4)
     checks = fused_checks(m)
     assert {plan for plan, _ in checks} >= {core._unary_plan(n, m.max_dim) for n in range(4)}
     for (plan, _), check in checks.items():

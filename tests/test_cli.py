@@ -365,6 +365,11 @@ def _cell(**fields):
     return {"kind": "cubical", "dim": 1, "adc": "disk:1", "assignment": entry["cell"], **fields}
 
 
+def _complex(**fields):
+    data = {**to_json_dict(disk(1)), **fields}  # degrees [["s0", "t0"], ["x"]]
+    return {key: value for key, value in data.items() if value is not None}
+
+
 BAD_FILES = {
     "table-dim-null": ("transfor", lambda: _table(entries=[_entry(dim=None)]), "not None"),
     "table-entries-int": ("transfor", lambda: _table(entries=5), "list of JSON objects"),
@@ -403,6 +408,22 @@ BAD_FILES = {
     "cell-inline-missing-field": (
         "fold", lambda: _cell(adc={"degrees": [["x"]], "cone": ["nonneg"]}),
         "cannot read the complex 'adc': no field 'augmentation'"),
+    "complex-cone-short": (
+        "check", lambda: _complex(cone=["nonneg"]), "cone has 1 entries for 2 degrees, not 2"),
+    "complex-cone-long": (
+        "check", lambda: _complex(cone=["nonneg"] * 3), "cone has 3 entries for 2 degrees, not 2"),
+    "complex-duplicate-names": (
+        "check", lambda: _complex(degrees=[["s0", "s0"], ["x"]]),
+        "degree 0 names the basis element 's0' twice"),
+    "complex-boundary-columns": (
+        "check", lambda: _complex(boundary={"1": [[-1, 0], [1, 0]]}),
+        "boundary matrix at degree 1 has wrong shape: need 2 rows of 1"),
+    "complex-no-boundary": (
+        "check", lambda: _complex(boundary=None),
+        "boundary matrix at degree 1 has wrong shape: need 2 rows of 1"),
+    "complex-augmentation-long": (
+        "check", lambda: _complex(augmentation=[1, 1, 1]),
+        "augmentation vector has 3 entries, not 2"),
 }
 
 
@@ -413,10 +434,13 @@ def test_malformed_file_exits_2_with_one_line(tmp_path, capsys, name):
     path.write_text(json.dumps(build()))
     argv = {"transfor": ["transfor", "--table", str(path)],
             "invert": ["invert", "--cell", str(path), "--kind", "R", "--i", "1"],
-            "fold": ["fold", "--cell", str(path)]}[command]
+            "fold": ["fold", "--cell", str(path)],
+            "check": ["check", "--adc", str(path)]}[command]
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert len(err.splitlines()) == 1 and err.startswith("error:")
     assert "Traceback" not in err and needle in err
-    prefix = "error: bad table file: " if command == "transfor" else f"error: bad cell file {path}: "
+    prefix = {"transfor": "error: bad table file: ",
+              "check": f"error: cannot parse complex from {path}: "}.get(
+                  command, f"error: bad cell file {path}: ")
     assert err.startswith(prefix)

@@ -1,63 +1,81 @@
+"""The globular laws on both globular models: full folds of cubical nerve
+cells (`globular_cells`) and the globular nerve `NgModel`.  Both spell
+source, target, identity and the composite over a k-boundary as d_1^-,
+d_1^+, eps_1 and *_(n-k), and one checker (`check_globular`) checks them."""
+
 import random
 
 import pytest
 
-from cubeforge.adc import disk, with_group_cones_above
-from cubeforge.core import GammaView, check_axioms, phi, psi
-from cubeforge.nerve import NcModel
+from cubeforge.adc import cube, disk, tensor, with_group_cones_above
+from cubeforge.core import check_globular, globular_cells, in_deg_image, phi, psi
+from cubeforge.nerve import NcModel, NgModel
 
 
 @pytest.fixture(scope="module")
-def view():
-    model = NcModel(disk(2))
-    return model, GammaView(model)
+def model():
+    return NcModel(disk(2))
 
 
-def test_identity_source_target(view):
-    model, gv = view
-    for A in model.cells(1, 1):
-        one = gv.identity(A)
-        assert model.equal(gv.src(one), A)
-        assert model.equal(gv.tgt(one), A)
+def test_identity_source_target(model):
+    for m in (model, NgModel(disk(2))):
+        for A in m.cells(1, 1):
+            one = m.deg(A, 1)
+            assert m.equal(m.face(one, 1, "-"), A)
+            assert m.equal(m.face(one, 1, "+"), A)
 
 
-def test_source_of_composite(view):
-    model, gv = view
-    ones = [gv.globularize(A) for A in model.cells(1, 1)]
-    found = 0
-    for A in ones:
-        for B in ones:
-            if model.equal(gv.tgt(A), gv.src(B)):
-                assert model.equal(gv.src(gv.comp(A, B, 0)), gv.src(A))
-                found += 1
-    assert found > 0
+def test_source_of_composite(model):
+    for m, ones in ((model, globular_cells(model, model.cells(1, 1))),
+                    (NgModel(disk(2)), NgModel(disk(2)).cells(1, 1))):
+        found = 0
+        for A in ones:
+            for B in ones:
+                if m.equal(m.face(A, 1, "+"), m.face(B, 1, "-")):
+                    assert m.equal(m.face(m.comp(A, B, 1), 1, "-"), m.face(A, 1, "-"))
+                    found += 1
+        assert found > 0
 
 
-def test_globular_axiom_suite_on_folded_cells(view):
-    model, gv = view
+def test_globular_axiom_suite_on_folded_cells(model):
     rng = random.Random(17)
     cells = {
         0: model.cells(0, 1),
-        1: gv.cells(1, model.cells(1, 1)),
-        2: gv.cells(2, model.cells(2, 1) + model.sample_cells(2, 40, 2, rng)),
+        1: globular_cells(model, model.cells(1, 1)),
+        2: globular_cells(model, model.cells(2, 1) + model.sample_cells(2, 40, 2, rng)),
     }
-    report = gv.check_globular(cells, max_pairs=60)
+    report = check_globular(model, cells, max_pairs=60)
     assert report.ok, report.summary()
     assert report.checked.get("glob-exchange", 0) > 0
 
 
 def test_exchange_on_omega0_3_cells():
     model = NcModel(with_group_cones_above(disk(2), 0))
-    gv = GammaView(model)
     rng = random.Random(23)
     cells = {
         0: model.cells(0, 1),
-        1: gv.cells(1, model.sample_cells(1, 25, 1, rng)),
-        2: gv.cells(2, model.sample_cells(2, 60, 1, rng)),
-        3: gv.cells(3, model.sample_cells(3, 60, 1, rng)),
+        1: globular_cells(model, model.sample_cells(1, 25, 1, rng)),
+        2: globular_cells(model, model.sample_cells(2, 60, 1, rng)),
+        3: globular_cells(model, model.sample_cells(3, 60, 1, rng)),
     }
-    report = gv.check_globular(cells, max_pairs=40)
+    report = check_globular(model, cells, max_pairs=40)
     assert report.ok, report.summary()
+
+
+@pytest.mark.parametrize("K, top, instances", [
+    (disk(1), 2, 56),
+    (disk(2), 2, 92),
+    (disk(3), 3, 232),
+    (with_group_cones_above(disk(2), 0), 2, 496),
+    (with_group_cones_above(disk(3), 1), 3, 1004),
+    (cube(2), 2, 216),
+    (tensor(disk(1), disk(2)), 2, 422),
+])
+def test_globular_laws_on_the_globular_nerve(K, top, instances):
+    ng = NgModel(K)
+    report = check_globular(ng, {n: ng.cells(n, 1) for n in range(top + 1)}, max_pairs=60)
+    assert report.ok, report.summary()
+    assert sum(report.checked.values()) == instances
 
 
 def test_phi_absorbs_psi():
@@ -71,11 +89,9 @@ def test_phi_absorbs_psi():
             assert model.equal(phi(model, psi(model, A, i), n), full)
 
 
-def test_gamma_cells_have_degenerate_sides(view):
-    model, gv = view
-    from cubeforge.core import in_deg_image
-
-    for A in gv.cells(2, model.cells(2, 1)):
-        for j in (2,):
+def test_gamma_cells_have_degenerate_sides(model):
+    ng = NgModel(disk(2))
+    for m, cells in ((model, globular_cells(model, model.cells(2, 1))), (ng, ng.cells(2, 1))):
+        for A in cells:
             for a in "-+":
-                assert in_deg_image(model, model.face(A, j, a), 1)
+                assert in_deg_image(m, m.face(A, 2, a), 1)

@@ -25,8 +25,8 @@ from hypothesis import strategies as st
 import cubeforge.core as core
 import cubeforge.invert as invert
 from cubeforge.adc import cube, disk, tensor, with_group_cones_above
-from cubeforge.core import (Cell, CompositionError, CubModel, DomainError, GammaView,
-                            NotInvertible, PosetModel, Violation, check_axioms)
+from cubeforge.core import (Cell, CompositionError, CubModel, DomainError, NotInvertible,
+                            PosetModel, Violation, check_axioms, check_globular)
 from cubeforge.nerve import NcModel, _kernel, _Table
 
 # -- the cell-level oracles -------------------------------------------------------
@@ -287,7 +287,7 @@ def test_checkers_match_the_cell_level_loop(data, name, max_pairs):
         lambda model: check_axioms(model, dim, cells, max_pairs=max_pairs), m)
     assert lowered == cell_level
     lowered, cell_level = both_paths(
-        lambda model: GammaView(model).check_globular(cells, max_pairs=max_pairs), m)
+        lambda model: check_globular(model, cells, max_pairs=max_pairs), m)
     assert lowered == cell_level
 
 

@@ -10,13 +10,16 @@ from cubeforge.core import (
     Cell,
     CompositionError,
     NotInvertible,
+    OracleUnavailable,
     check_axioms,
     fold_tail,
+    globular_cells,
     in_deg_image,
     is_thin,
     phi,
     shell_of,
 )
+from cubeforge.invert import r_inverse
 from cubeforge.nerve import NcModel, NgModel, gamma_vs_ng, globular_signature
 
 
@@ -270,27 +273,50 @@ def test_ng_model_operations():
     ng = NgModel(disk(1))
     ones = ng.cells(1, 1)
     x = next(c for c in ones if any(c.payload[-1]))
-    s, t = ng.src(x), ng.tgt(x)
+    s, t = ng.face(x, 1, "-"), ng.face(x, 1, "+")
     assert s.payload != t.payload
-    idx = ng.identity(s)
-    assert ng.comp(idx, x, 0) == x
-    assert ng.comp(x, ng.identity(t), 0) == x
+    assert ng.comp(ng.deg(s, 1), x, 1) == x
+    assert ng.comp(x, ng.deg(t, 1), 1) == x
     with pytest.raises(CompositionError):
-        ng.comp(x, x, 0)
+        ng.comp(x, x, 1)
+    # eps_1 is the only degeneracy; there are no connections
+    for refused in (lambda: ng.deg(x, 2), lambda: ng.deg(x, 3), lambda: ng.face(x, 2, "-"),
+                    lambda: ng.conn(x, 1, "-"), lambda: ng.comp(x, s, 1),
+                    lambda: ng.comp(x, x, 2)):
+        with pytest.raises(ValueError):
+            refused()
+
+
+def test_ng_faces_are_raised_boundaries():
+    # d_i^alpha of an n-cell is its alpha-boundary at level n-i, raised by
+    # i-1 identities: (d_1^alpha)^i, then eps_1^(i-1)
+    ng = NgModel(with_group_cones_above(disk(2), 1))
+    for A in ng.cells(2, 1) + ng.cells(3, 1):
+        for i in range(1, A.dim + 1):
+            for a in "-+":
+                X = A
+                for _ in range(i):
+                    X = ng.face(X, 1, a)
+                for _ in range(i - 1):
+                    X = ng.deg(X, 1)
+                assert ng.face(A, i, a) == X
+                assert not ng.invalid_reasons(X)
 
 
 def test_ng_inverse_formula():
     G = with_group_cones_above(disk(1), 0)
     ng = NgModel(G)
     x = next(c for c in ng.cells(1, 1) if any(c.payload[-1]))
-    y = ng.inverse(x)
+    y = r_inverse(ng, x, 1)
     assert y.payload[-1] == tuple(-v for v in x.payload[-1])
-    assert ng.comp(x, y, 0) == ng.identity(ng.src(x))
-    assert ng.comp(y, x, 0) == ng.identity(ng.tgt(x))
+    assert ng.comp(x, y, 1) == ng.deg(ng.face(x, 1, "-"), 1)
+    assert ng.comp(y, x, 1) == ng.deg(ng.face(x, 1, "+"), 1)
+    assert ng.has_r_inverse(x, 1) and not ng.has_r_inverse(x, 2)
+    with pytest.raises(OracleUnavailable):
+        ng.r_inverse(ng.deg(x, 1), 2)
+    plain = NgModel(disk(1))
     with pytest.raises(NotInvertible):
-        NgModel(disk(1)).inverse(
-            next(c for c in NgModel(disk(1)).cells(1, 1) if any(c.payload[-1]))
-        )
+        r_inverse(plain, next(c for c in plain.cells(1, 1) if any(c.payload[-1])), 1)
 
 
 def test_ng_associativity_of_top_composition():
@@ -304,8 +330,8 @@ def test_ng_associativity_of_top_composition():
             for C in cells:
                 if B.payload[1] != C.payload[0]:
                     continue
-                lhs = ng.comp(ng.comp(A, B, 0), C, 0)
-                rhs = ng.comp(A, ng.comp(B, C, 0), 0)
+                lhs = ng.comp(ng.comp(A, B, 1), C, 1)
+                rhs = ng.comp(A, ng.comp(B, C, 1), 1)
                 assert lhs == rhs
                 triples += 1
     assert triples > 0
@@ -325,6 +351,25 @@ def test_globular_signature_matches_ng_payload():
     for A in nc.cells(2, 1):
         sig = globular_signature(nc, phi(nc, A, 2))
         assert sig in ng_payloads
+
+
+@pytest.mark.parametrize("K, top", [(disk(1), 2), (disk(2), 2), (disk(3), 3), (cube(2), 2),
+                                    (with_group_cones_above(disk(2), 0), 3),
+                                    (tensor(disk(1), disk(2)), 2)])
+def test_ng_faces_match_folded_faces(K, top):
+    """The globular nerve's faces are those of full folds, read through
+    `globular_signature`: d_i^alpha g = eps_1^(i-1) (d_1^alpha)^i g."""
+    nc, ng, rng = NcModel(K), NgModel(K), random.Random(5)
+    compared = 0
+    for n in range(1, top + 1):
+        raw = nc.cells(n, 1) if n < 3 else nc.sample_cells(n, 40, 1, rng)
+        for g in globular_cells(nc, raw):
+            G = Cell(ng, n, globular_signature(nc, g))
+            assert not ng.invalid_reasons(G)
+            for i, a in itertools.product(range(1, n + 1), "-+"):
+                assert globular_signature(nc, nc.face(g, i, a)) == ng.face(G, i, a).payload
+                compared += 1
+    assert compared > 0
 
 
 def test_budget_exceeded():
