@@ -135,9 +135,10 @@ def make_adc(
 ) -> Adc:
     """Build an Adc, normalising the cone shorthands.
 
-    Raises ValueError naming the field when the entries of `cone`,
-    `boundary` or `augmentation` do not fit the ranks of `degrees`, or
-    when a degree names a basis element twice.
+    A degree's cone is "nonneg", "group" or one bool per element.  Raises
+    ValueError naming the field when a cone is anything else, when the
+    entries of `cone`, `boundary` or `augmentation` do not fit the ranks of
+    `degrees`, or when a degree names a basis element twice.
     """
     degs = tuple(tuple(d) for d in degrees)
     ranks = [len(names) for names in degs]
@@ -151,12 +152,13 @@ def make_adc(
             raise ValueError(f"{what} has {got} entries for {len(degs)} degrees, not {want}")
     flags = []
     for k, spec in enumerate(cone):
-        if spec == "nonneg":
-            flags.append((True,) * ranks[k])
-        elif spec == "group":
-            flags.append((False,) * ranks[k])
+        if spec in ("nonneg", "group"):
+            flags.append((spec == "nonneg",) * ranks[k])
+        elif isinstance(spec, str) or not all(type(x) is bool for x in spec):  # type: ignore[union-attr]
+            raise ValueError(f"cone at degree {k} is {spec!r}, "
+                             "not 'nonneg', 'group' or one bool per element")
         else:
-            flags.append(tuple(bool(x) for x in spec))  # type: ignore[union-attr]
+            flags.append(tuple(spec))  # type: ignore[arg-type]
         if len(flags[-1]) != ranks[k]:
             raise ValueError(f"cone length mismatch at degree {k}")
     mats = tuple(_as_matrix(m) for m in boundary)
@@ -827,12 +829,9 @@ def to_json_dict(K: Adc) -> dict:
 def from_json_dict(data: dict) -> Adc:
     degrees = data["degrees"]
     boundary = [data.get("boundary", {}).get(str(k), []) for k in range(1, len(degrees))]
-    cone = []
-    for spec in data["cone"]:
-        if isinstance(spec, str):
-            cone.append(spec)
-        else:
-            cone.append([f == "nonneg" or f is True for f in spec])
+    flag = {"nonneg": True, "free": False}
+    cone = [spec if isinstance(spec, str) else
+            [flag.get(f, f) if isinstance(f, str) else f for f in spec] for spec in data["cone"]]
     return make_adc(
         degrees,
         boundary,

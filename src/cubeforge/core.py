@@ -71,7 +71,12 @@ class OracleUnavailable(RuntimeError):
 
 
 class BudgetExceeded(RuntimeError):
-    """Bounded enumeration visited more nodes than the configured budget."""
+    """Bounded enumeration of n-cells at a coefficient bound visited `nodes`
+    nodes, more than its `budget`."""
+
+    def __init__(self, n: int, bound: int, nodes: int, budget: int):
+        super().__init__(f"enumeration of {n}-cells at bound {bound} exceeded {budget} nodes")
+        self.n, self.bound, self.nodes, self.budget = n, bound, nodes, budget
 
 
 def opposite(alpha: str) -> str:

@@ -13,6 +13,9 @@ sign sequence s of length n a K-chain of degree equal to the number of
 Validation and the bounded search read the signed sums from one table
 per dimension (`_boundary_terms`); with the augmentation read as the
 boundary of a vertex (rhs = (1,)), one solver query draws every value.
+The search's step table (`_steps`, one per dimension and bound, kept for
+the model's life) memoizes each step's candidates by the values its rhs
+reads, so the sum and the query run once per distinct such values.
 
 Faces, degeneracies and connections act by precomposition with the cube
 co-structure maps of `cubeforge.adc` (`cube_face`, `cube_deg`,
@@ -44,6 +47,7 @@ coefficient bound, and reports restate it.
 from __future__ import annotations
 
 import functools
+import heapq
 import itertools
 from collections import Counter
 from dataclasses import dataclass
@@ -110,7 +114,7 @@ class _NerveBase(CubModel):
         self._cell_cache: dict[tuple[int, int], list[Cell]] = {}
         self._zeros: dict[int, tuple] = {}
         self._terms: dict[int, tuple] = {}
-        self._orders: dict[int, list[int]] = {}
+        self._step_tables: dict[tuple[int, int], tuple[tuple, ...]] = {}
 
     def domain(self, n: int) -> Adc:
         raise NotImplementedError
@@ -208,51 +212,82 @@ class _NerveBase(CubModel):
 
         Elements are placed as soon as every basis element in their
         boundary is placed (most-constrained first), which lets the
-        search prune long before all vertices are chosen.
+        search prune long before all vertices are chosen.  Readiness only
+        grows, so a heap of ready positions keyed by (-degree, position)
+        pops the element a rescan of that ranking would pick.
         """
-        if n not in self._orders:
+        flat, terms = self.elements(n), self._boundary_terms(n)
+        missing = [len(t) for t in terms]
+        users: list[list[int]] = [[] for _ in flat]
+        for p, t in enumerate(terms):
+            for _, q in t:
+                users[q].append(p)
+        ready = [(-flat[p][0], p) for p, m in enumerate(missing) if not m]
+        heapq.heapify(ready)
+        order: list[int] = []
+        while ready:
+            p = heapq.heappop(ready)[1]
+            order.append(p)
+            for u in users[p]:
+                missing[u] -= 1
+                if not missing[u]:
+                    heapq.heappush(ready, (-flat[u][0], u))
+        return order
+
+    def _steps(self, n: int, bound: int) -> tuple[tuple, ...]:
+        """The steps of the dimension-n search at `bound`, in `_order`, built
+        once per (n, bound) and kept with their memos for the model's life.
+
+        A step is (position, gather, memo, degree, terms, rank): the gather
+        takes the values its rhs reads (None for a vertex), the memo maps
+        them to candidates, and the rest is what a miss asks the solver.
+        """
+        key = (n, bound)
+        if key not in self._step_tables:
             flat, terms = self.elements(n), self._boundary_terms(n)
-            placed: set[int] = set()
-            order: list[int] = []
-            by_pref = sorted(range(len(flat)), key=lambda p: (-flat[p][0], p))
-            while len(order) < len(flat):
-                for p in by_pref:
-                    if p not in placed and all(q in placed for _, q in terms[p]):
-                        order.append(p)
-                        placed.add(p)
-                        break
-            self._orders[n] = order
-        return self._orders[n]
+            self._step_tables[key] = tuple(
+                (p, itemgetter(*(q for _, q in terms[p])) if k else None, {},
+                 k, terms[p], self.K.rank(k - 1))
+                for p in self._order(n) for k in (flat[p][0],))
+        return self._step_tables[key]
 
     def _search(self, n: int, bound: int, budget: int, rng, limit) -> list[Cell]:
-        flat = self.elements(n)
-        order, terms = self._order(n), self._boundary_terms(n)
+        """Depth-first placement of values in `_order`, each step drawing
+        from `chains_with_boundary(k, rhs, bound)`.
+
+        A step's rhs is a function of the values at its boundary positions,
+        so its memo maps those values, taken with one gather, to its
+        candidates, and `_boundary` and the query run only on a miss.  The
+        memo lives with the step table, so sampling draws share it.  A
+        random draw shuffles a copy of the candidates.
+        """
+        steps = self._steps(n, bound)
         query = self.solver.chains_with_boundary
         vertices = query(0, (1,), bound)  # they depend on no placed value
-        nodes = 0
+        nodes, last = 0, len(steps)
         out: list[Cell] = []
-        values: list[tuple | None] = [None] * len(flat)
-        ranks = [self.K.rank(k - 1) for k, _ in flat]
-
-        def candidates(pos: int) -> Sequence[tuple]:
-            k = flat[pos][0]
-            cands = query(k, _boundary(terms[pos], values, ranks[pos]), bound) if k else vertices
-            if rng is not None and len(cands) > 1:
-                cands = list(cands)
-                rng.shuffle(cands)
-            return cands
+        values: list[tuple | None] = [None] * last
 
         def descend(step: int) -> bool:
             nonlocal nodes
             nodes += 1
             if nodes > budget:
-                raise BudgetExceeded(
-                    f"enumeration of {n}-cells at bound {bound} exceeded {budget} nodes")
-            if step == len(order):
+                raise BudgetExceeded(n, bound, nodes, budget)
+            if step == last:
                 out.append(Cell(self, n, tuple(values)))
                 return limit is not None and len(out) >= limit
-            pos = order[step]
-            for v in candidates(pos):
+            pos, gather, memo, k, terms, rank = steps[step]
+            if gather is None:
+                cands = vertices
+            else:
+                placed = gather(values)
+                cands = memo.get(placed)
+                if cands is None:
+                    cands = memo[placed] = query(k, _boundary(terms, values, rank), bound)
+            if rng is not None and len(cands) > 1:
+                cands = list(cands)
+                rng.shuffle(cands)
+            for v in cands:
                 values[pos] = v
                 if descend(step + 1):
                     return True

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -82,6 +83,21 @@ def test_make_adc_counts_the_boundary_matrices(boundary):
     # a JSON complex always yields one matrix per degree above 0; Python callers may not
     with pytest.raises(ValueError, match=f"boundary has {len(boundary)} entries for 2 degrees"):
         make_adc([["s0", "t0"], ["x"]], boundary, [1, 1], ["nonneg", "nonneg"])
+
+
+@pytest.mark.parametrize("spec", ["g", "nonnegative", "", ("nonneg",), (1,), (None,)])
+def test_make_adc_refuses_other_cones(spec):
+    with pytest.raises(ValueError, match=f"cone at degree 1 is {re.escape(repr(spec))}, not"):
+        make_adc([["s0", "t0"], ["x"]], [[[-1], [1]]], [1, 1], ["nonneg", spec])
+
+
+@pytest.mark.parametrize("flag", ["nonegative", "group", 1, 0, None])
+def test_json_cone_flags_are_nonneg_free_or_bools(flag):
+    data = {**to_json_dict(disk(1)), "cone": ["nonneg", [flag]]}
+    with pytest.raises(ValueError, match="cone at degree 1 is"):
+        from_json_dict(data)
+    for ok, want in (("nonneg", True), (True, True), ("free", False), (False, False)):
+        assert from_json_dict({**data, "cone": ["nonneg", [ok]]}).cone[1] == (want,)
 
 
 # --- disk -----------------------------------------------------------------
@@ -463,7 +479,9 @@ def test_snf_raises_when_its_check_fails(monkeypatch, name, corrupt):
 
 
 def test_json_roundtrip(tmp_path):
-    for K in (disk(2), cube(2), with_group_cones_above(disk(2), 1)):
+    mixed = tensor(with_group_cones_above(disk(1), 0), disk(1))  # per-element flags in degree 1
+    assert "free" in to_json_dict(mixed)["cone"][1] and "nonneg" in to_json_dict(mixed)["cone"][1]
+    for K in (disk(2), cube(2), with_group_cones_above(disk(2), 1), mixed):
         data = to_json_dict(K)
         K2 = from_json_dict(data)
         assert K2.degrees == K.degrees

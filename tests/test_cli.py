@@ -412,6 +412,11 @@ BAD_FILES = {
         "check", lambda: _complex(cone=["nonneg"]), "cone has 1 entries for 2 degrees, not 2"),
     "complex-cone-long": (
         "check", lambda: _complex(cone=["nonneg"] * 3), "cone has 3 entries for 2 degrees, not 2"),
+    "complex-cone-misspelt": (
+        "check", lambda: _complex(cone=["nonneg", "g"]), "cone at degree 1 is 'g', not"),
+    "complex-cone-flag-misspelt": (
+        "check", lambda: _complex(cone=["nonneg", ["nonegative"]]),
+        "cone at degree 1 is ['nonegative'], not"),
     "complex-duplicate-names": (
         "check", lambda: _complex(degrees=[["s0", "s0"], ["x"]]),
         "degree 0 names the basis element 's0' twice"),

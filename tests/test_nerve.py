@@ -1,7 +1,13 @@
+import hashlib
 import itertools
+import json
 import random
+import re
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubeforge.adc import Chain, cube, disk, tensor, with_group_cones_above
 from cubeforge.core import (
@@ -20,7 +26,7 @@ from cubeforge.core import (
     shell_of,
 )
 from cubeforge.invert import r_inverse
-from cubeforge.nerve import NcModel, NgModel, gamma_vs_ng, globular_signature
+from cubeforge.nerve import NcModel, NgModel, _boundary, gamma_vs_ng, globular_signature
 
 
 @pytest.fixture(scope="module")
@@ -374,8 +380,159 @@ def test_ng_faces_match_folded_faces(K, top):
 
 def test_budget_exceeded():
     nc = NcModel(cube(2))
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(BudgetExceeded) as exc:
         nc._search(3, 1, budget=50, rng=None, limit=None)
+    assert str(exc.value) == "enumeration of 3-cells at bound 1 exceeded 50 nodes"
+    assert (exc.value.n, exc.value.bound, exc.value.nodes, exc.value.budget) == (3, 1, 51, 50)
+
+
+# -- the search against its direct form ---------------------------------------
+
+
+def _rescan_order(model, n):
+    """The placement order by rescanning the (-degree, position) ranking
+    from its start after every placement: the oracle of `_order`."""
+    flat, terms = model.elements(n), model._boundary_terms(n)
+    placed, order = set(), []
+    by_pref = sorted(range(len(flat)), key=lambda p: (-flat[p][0], p))
+    while len(order) < len(flat):
+        for p in by_pref:
+            if p not in placed and all(q in placed for _, q in terms[p]):
+                order.append(p)
+                placed.add(p)
+                break
+    return order
+
+
+@pytest.mark.parametrize("model", [NcModel(disk(1)), NgModel(disk(1))], ids=repr)
+def test_heap_order_is_the_rescan_order(model):
+    for n in range(model.max_dim + 1):
+        assert model._order(n) == _rescan_order(model, n)
+
+
+def _direct_search(model, n, bound, budget, rng, limit):
+    """The search without the candidate memo: every step sums its rhs and
+    asks the solver.  Returns the cells and the nodes visited."""
+    flat, terms = model.elements(n), model._boundary_terms(n)
+    query = model.solver.chains_with_boundary
+    nodes, out, values = 0, [], [None] * len(flat)
+
+    def descend(step):
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget:
+            raise BudgetExceeded(n, bound, nodes, budget)
+        if step == len(order):
+            out.append(Cell(model, n, tuple(values)))
+            return limit is not None and len(out) >= limit
+        pos = order[step]
+        k = flat[pos][0]
+        rhs = _boundary(terms[pos], values, model.K.rank(k - 1)) if k else (1,)
+        cands = query(k, rhs, bound)
+        if rng is not None and len(cands) > 1:
+            cands = list(cands)
+            rng.shuffle(cands)
+        for v in cands:
+            values[pos] = v
+            if descend(step + 1):
+                return True
+        values[pos] = None
+        return False
+
+    order = _rescan_order(model, n)
+    descend(0)
+    return out, nodes
+
+
+def _budget_outcome(search):
+    try:
+        return search()
+    except BudgetExceeded as exc:
+        return ("raised", str(exc), exc.n, exc.bound, exc.nodes, exc.budget)
+
+
+# Models shared across examples, so that each search meets the memos that
+# earlier searches at other dimensions and bounds left behind.
+SEARCH_MODELS = {
+    "disk(1)": NcModel(disk(1)),
+    "disk(2)": NcModel(disk(2)),
+    "disk(3)": NcModel(disk(3)),
+    "cube(2)": NcModel(cube(2)),
+    "tensor(disk(1),disk(2))": NcModel(tensor(disk(1), disk(2))),
+    "omega0": NcModel(with_group_cones_above(disk(2), 0)),
+    "ng omega0": NgModel(with_group_cones_above(disk(2), 0)),
+}
+SEARCH_BUDGET = 20_000  # above every complete search here but tensor's and omega0's 3-cells
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(SEARCH_MODELS)), n=st.integers(0, 3), bound=st.integers(1, 2),
+       budget=st.one_of(st.just(SEARCH_BUDGET), st.integers(1, SEARCH_BUDGET)))
+def test_memo_search_is_the_direct_search(name, n, bound, budget):
+    """Same cells in the same order, and the budget runs out at the same node."""
+    model = SEARCH_MODELS[name]
+    direct = _budget_outcome(lambda: _direct_search(model, n, bound, budget, None, None))
+    memo = _budget_outcome(lambda: model._search(n, bound, budget, None, None))
+    if direct[0] == "raised":
+        assert memo == direct
+        return
+    cells, nodes = direct
+    assert memo == cells
+    assert model._search(n, bound, nodes, None, None) == cells
+    short = _budget_outcome(lambda: model._search(n, bound, nodes - 1, None, None))
+    assert short[0] == "raised"
+    assert short == _budget_outcome(lambda: _direct_search(model, n, bound, nodes - 1, None, None))
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(sorted(SEARCH_MODELS)), n=st.integers(0, 3), bound=st.integers(1, 2),
+       seed=st.integers(0, 2**16))
+def test_memo_sampling_is_the_direct_sampling(name, n, bound, seed):
+    """Identical draws, and the generator left in the same state."""
+    model, count = SEARCH_MODELS[name], 5
+    rng, oracle_rng = random.Random(seed), random.Random(seed)
+    try:
+        drawn = model.sample_cells(n, count, bound, rng, budget=SEARCH_BUDGET)
+    except BudgetExceeded as exc:
+        drawn = ("raised", str(exc))
+    want = []
+    try:
+        for _ in range(count):
+            found, _ = _direct_search(model, n, bound, SEARCH_BUDGET, oracle_rng, 1)
+            if not found:
+                break
+            want.append(found[0])
+    except BudgetExceeded as exc:
+        want = ("raised", str(exc))
+    assert drawn == want
+    assert rng.random() == oracle_rng.random()
+
+
+# -- the recorded enumerations of the benchmark -------------------------------
+
+EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
+ENUM_COMPLEXES = {
+    "cube(2)": lambda: cube(2),
+    "disk(3)": lambda: disk(3),
+    "omega0": lambda: with_group_cones_above(disk(2), 0),
+    "tensor(disk(1),disk(2))": lambda: tensor(disk(1), disk(2)),
+}
+
+
+def test_recorded_enumerations_match():
+    """Count and digest (sorted reprs of (dim, payload), one per line,
+    SHA-256) of every enumeration the benchmark records."""
+    recorded = json.loads(EXPECTED.read_text())["enumerate"]
+    assert len(recorded) == 23
+    models = {}
+    for key, (count, digest) in recorded.items():
+        label, n, bound = re.fullmatch(r"(.+) dim (\d+) bound (\d+)", key).groups()
+        model = models.setdefault((label, bound), NcModel(ENUM_COMPLEXES[label]()))
+        cells = model.cells(int(n), int(bound))
+        h = hashlib.sha256()
+        for text in sorted(repr((c.dim, c.payload)) for c in cells):
+            h.update(text.encode() + b"\n")
+        assert (len(cells), h.hexdigest()) == (count, digest), key
 
 
 def test_content_chain(nc_disk2):
