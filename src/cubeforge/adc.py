@@ -528,6 +528,47 @@ def comp_split(n: int, i: int, s: str) -> list[tuple[int, str]]:
     return [(2, s)]
 
 
+# the globular co-structure: disk(n) has s_k, t_k at levels k < n and x at level n
+
+
+def disk_face(n: int, i: int, alpha: str,
+              d_convention: str = TARGET_MINUS_SOURCE) -> ChainMap:
+    """The face co-map disk(n-1) -> disk(n) of d_i^alpha: levels below m = n-i
+    kept, level m onto s_m (alpha -) or t_m (alpha +), the levels above killed."""
+    if not (1 <= i <= n and alpha in "-+"):
+        raise ValueError(f"no face (i={i}, alpha={alpha}) on the {n}-disk")
+    src, m = disk(n - 1, d_convention), n - i
+    onto = ("s" if alpha == "-" else "t") + str(m)
+    image = {e: [(1, onto if k == m else e)] for k in range(m + 1) for e in src.degrees[k]}
+    return _basis_map(src, disk(n, d_convention), image)
+
+
+def disk_identity(n: int, d_convention: str = TARGET_MINUS_SOURCE) -> ChainMap:
+    """The identity co-map disk(n+1) -> disk(n): s_n and t_n onto x, the top killed."""
+    src = disk(n + 1, d_convention)
+    image = {e: [(1, "x" if k == n else e)] for k in range(n + 1) for e in src.degrees[k]}
+    return _basis_map(src, disk(n, d_convention), image)
+
+
+def disk_rev(n: int, d_convention: str = TARGET_MINUS_SOURCE) -> ChainMap:
+    """The reversal co-map disk(n) -> disk(n): swap s_{n-1} and t_{n-1}, negate x."""
+    if n < 1:
+        raise ValueError("the 0-disk has no reversal")
+    K, m = disk(n, d_convention), n - 1
+    swap = {f"s{m}": (1, f"t{m}"), f"t{m}": (1, f"s{m}"), "x": (-1, "x")}
+    return _basis_map(K, K, {e: [swap.get(e, (1, e))] for names in K.degrees for e in names})
+
+
+def disk_split(n: int, i: int, s: str) -> list[tuple[int, str]]:
+    """`comp_split`'s globular twin: *_i on disk(n) glues over the
+    (n-i)-boundary, so s_{n-i} and the levels below come from the first
+    copy, t_{n-i} from the second, and every level above from both."""
+    k, level = n - i, n if s == "x" else int(s[1:])
+    if level > k:
+        return [(1, s), (2, s)]
+    return [(2, s)] if level == k and s[0] == "t" else [(1, s)]
+
+
 def walking_composite(d_convention: str = TARGET_MINUS_SOURCE) -> Adc:
     """Three vertices v0, v1, v2 and edges a: v0->v1, b: v1->v2."""
     sign = orientation_sign(d_convention)

@@ -78,6 +78,8 @@ MALFORMED = (AttributeError, KeyError, TypeError, ValueError)
 def resolve_adc(ref: str, orientation: str) -> Adc:
     kind, colon, n = ref.partition(":")
     if colon and kind in ("disk", "cube"):
+        if not (n.isascii() and n.removeprefix("-").isdigit()):
+            raise CliError(f"{kind}:N needs an integer N, got {ref!r}")
         if int(n) < 0:
             raise CliError(f"{kind}:N needs N >= 0, got {ref!r}")
         return (disk if kind == "disk" else cube)(int(n), ORIENTATIONS[orientation])

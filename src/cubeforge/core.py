@@ -30,12 +30,12 @@ The folds and the constructions and verifications of `cubeforge.invert`
 are plans too.  Plans are model-independent: `CubModel.lower`, the one
 evaluation hook, turns a plan into steps over the model's values; by
 default each step calls one of the five cell-level operations (face,
-deg, conn, comp, r_inverse), and the cubical nerve lowers them to
-payload kernels.  `_run` checks equations with the counts and violation
+deg, conn, comp, r_inverse), and the nerves lower them to payload
+kernels.  `_run` checks equations with the counts and violation
 text described above; `_eval` runs a construction in the order it was
 built and stops at its first failing equation.
 
-On the cubical nerve a lowered plan also offers a fused check, which only
+On the nerves a lowered plan also offers a fused check, which only
 `_run` asks for (and the nerve builds on that first request).  Every
 equation whose two sides are face/deg/conn gathers from the leaves becomes
 pairs of positions in the concatenated leaf payloads; since equality is an
@@ -963,8 +963,9 @@ def globular_cells(model: CubModel, sample: Iterable[Cell]) -> list[Cell]:
 
 def check_globular(model: CubModel, cells_by_dim: Mapping[int, Sequence[Cell]],
                    max_pairs: int = 60) -> Report:
-    """Sampled globular laws (globularity, units, associativity, exchange)
-    on globular cells: full folds (`globular_cells`) or globular nerve cells."""
+    """Sampled globular laws on globular cells, full folds (`globular_cells`)
+    or globular nerve cells: globularity, glob-unit, glob-id-st (s and t of
+    an identity), glob-src-comp (s and t of a composite) and glob-exchange."""
     report = Report()
     for n, sample in sorted(cells_by_dim.items()):
         sample = list(sample)

@@ -393,12 +393,15 @@ def classify_omega_p(
     checks run on the same sample: cells with a reversal-invertible
     shell in direction 1 must reverse in direction 1, and (dimension
     >= 2) cells with a transposition-invertible shell at 1 must be
-    transposition-invertible at 1.
+    transposition-invertible at 1.  `extra_random` more cells per dimension
+    come from `sample_cells` with `rng`; without both, ValueError.
     """
+    if extra_random and (rng is None or not hasattr(model, "sample_cells")):
+        raise ValueError("extra_random needs an rng and a model with sample_cells")
     evidence = []
     for n in sorted(dims):
         cells = list(model.cells(n, bound))
-        if extra_random and rng is not None and hasattr(model, "sample_cells"):
+        if extra_random:
             cells += model.sample_cells(n, extra_random, bound + 1, rng)
         witness = None
         all_inv = True

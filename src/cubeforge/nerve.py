@@ -1,12 +1,14 @@
 """Executable nerves of augmented directed complexes.
 
-A cubical nerve cell of dimension n over a complex K assigns to every
-sign sequence s of length n a K-chain of degree equal to the number of
-0-symbols in s, subject to three laws checked eagerly at construction:
+An n-cell of a nerve over a complex K assigns a K-chain of the same
+degree to every basis element of its domain: `cube(n)` (sign sequences)
+for the cubical nerve `NcModel`, `disk(n)` (s_k, t_k below level n, x on
+top) for Steiner's globular nerve `NgModel`.  Three laws are checked
+eagerly at construction:
 
-* chain map: the K-boundary of the value at s equals the signed sum of
-  the values at the faces of s (degrees above the top of K force zero
-  values and turn the law into a linear constraint one level down);
+* chain map: the K-boundary of each value equals the signed sum of the
+  values along its domain boundary (degrees above the top of K force
+  zero values and turn the law into a linear constraint one level down);
 * augmentation: every vertex value has augmentation 1;
 * positivity: every value lies in the cone of its degree.
 
@@ -17,30 +19,31 @@ The search's step table (`_steps`, one per dimension and bound, kept for
 the model's life) memoizes each step's candidates by the values its rhs
 reads, so the sum and the query run once per distinct such values.
 
-Faces, degeneracies and connections act by precomposition with the cube
-co-structure maps of `cubeforge.adc` (`cube_face`, `cube_deg`,
-`cube_conn`), the closed-form inverses by precomposition with
-`cube_rev` and `cube_swap`, and compositions split along the
-composition direction as `comp_split` says.  Each map is compiled once
-per (operation, dimension, direction, sign) into an
+One mechanism (`_NerveBase`) runs both nerves; each names only its
+domain family, its co-maps (`_co_map`) and its composition split.  The
+operations act by precomposition with the co-structure maps of
+`cubeforge.adc`: `cube_face`, `cube_deg`, `cube_conn`, `cube_rev` and
+`cube_swap`, split as `comp_split` says; or `disk_face`, `disk_identity`
+(eps_1, the only degeneracy; there are no connections) and `disk_rev`
+(direction 1 only), split as `disk_split` says.  Each map is compiled
+once per (operation, dimension, direction, sign) into an
 `operator.itemgetter` over the payload, with the zero chains the map
 kills appended, so an operation is one C-level gather.  An operation and
 a plan node share one payload kernel over that table: the cell-level
-methods wrap it, and `NcModel.lower` turns each node of a `core` plan
-into a step calling it on raw payloads, with the same range checks,
+methods wrap it, and `lower` turns each node of a `core` plan into a
+step calling it on raw payloads, with the same range checks,
 composability compare and cone check, raising the same errors.
-Composing the gathers of a checked plan gives its fused check
-(`NcModel._fuse`, described in `cubeforge.core`).
-The globular nerve (`NgModel`) validates and enumerates the same way over
-the disk complexes, and speaks the cubical vocabulary of folded cells:
-source, target, identity and the composite over a k-boundary are its
-d_1^-, d_1^+, eps_1 and *_(n-k), so `core.check_globular` checks it and
-`invert.r_inverse` verifies its inverses.
+Composing the gathers of a checked plan gives its fused check (`_fuse`,
+described in `cubeforge.core`).  The globular nerve speaks the cubical
+vocabulary of folded cells (source, target, identity and the composite
+over a k-boundary are d_1^-, d_1^+, eps_1 and *_(n-k)), so
+`core.check_globular` checks it and `invert.r_inverse` verifies its
+inverses.
 
 Cells are immutable; payloads are tuples of coefficient tuples aligned
-with a fixed ordering of the domain basis (by degree, then lexicographic
-in the sequence), so equality and hashing are cheap.  Enumeration is the
-only place where infinity appears: every consumer passes an explicit
+with a fixed ordering of the domain basis (by degree, then as the domain
+lists it), so equality and hashing are cheap.  Enumeration is the only
+place where infinity appears: every consumer passes an explicit
 coefficient bound, and reports restate it.
 """
 
@@ -54,8 +57,9 @@ from dataclasses import dataclass
 from operator import add, attrgetter, eq, itemgetter
 from typing import Callable, Mapping, NamedTuple, Sequence
 
-from .adc import (Adc, Chain, ChainMap, comp_split, cube, cube_conn, cube_deg,
-                  cube_face, cube_rev, cube_swap, disk, to_json_dict, vec_neg)
+from .adc import (Adc, Chain, ChainMap, comp_split, cube, cube_conn, cube_deg, cube_face,
+                  cube_rev, cube_swap, disk, disk_face, disk_identity, disk_rev, disk_split,
+                  to_json_dict, vec_neg)
 from .core import (BudgetExceeded, Cell, CompositionError, CubModel, Lowered, NotInvertible,
                    OracleUnavailable, globular_cells)
 
@@ -100,10 +104,91 @@ def _boundary(terms: Sequence[tuple[int, int]], values: Sequence[tuple], rank: i
     return tuple(rhs)
 
 
+# ---------------------------------------------------------------------------
+# compiled operations
+
+
+class _Table(NamedTuple):
+    """A compiled operation: ``getter`` gathers ``index`` from the payload plus
+    the appended zero chains (face, deg, conn; kept in ``extra``), negated
+    values (rev, swap; ``extra`` holds their (degree, position, name)) or
+    slab sums (comp; ``extra`` holds the slab positions)."""
+
+    getter: Callable[[tuple], tuple]
+    extra: tuple
+    index: tuple[int, ...]
+
+
+def _kernel(index: Sequence[int]) -> Callable[[tuple], tuple]:
+    # itemgetter of a single index returns the bare item, not a 1-tuple
+    return itemgetter(*index) if len(index) > 1 else lambda payload, p=index[0]: (payload[p],)
+
+
+# -- payload kernels: (payload, payload of the second operand, data) -> payload
+
+_SHIFT = {"face": -1, "deg": 1, "conn": 1}  # the dimension change of a plan node
+
+
+def _gather(a: tuple, _b: tuple, tab: _Table) -> tuple:
+    getter, zeros, _ = tab
+    return getter(a + zeros)
+
+
+def _compose(a: tuple, b: tuple, data: tuple) -> tuple:
+    (getter, slab, _), plus, minus, i = data
+    fa, fb = _gather(a, b, plus), _gather(b, a, minus)
+    if fa != fb:
+        raise CompositionError(f"faces differ along direction {i}: {fa!r} vs {fb!r}")
+    return getter(a + b + tuple(tuple(map(add, a[p], b[p])) for p in slab))
+
+
+def _negated(payload: tuple, negs: tuple, in_cone) -> tuple:
+    """The values `negs` names, negated, and None; or None and the name of
+    the first value whose negation leaves the cone."""
+    flipped = []
+    for k, p, name in negs:
+        neg = vec_neg(payload[p])
+        if not in_cone(k, neg):
+            return None, name
+        flipped.append(neg)
+    return tuple(flipped), None
+
+
+def _invert(a: tuple, _b: tuple, data: tuple) -> tuple:
+    (getter, negs, _), in_cone = data
+    flipped, bad = _negated(a, negs, in_cone)
+    if flipped is None:
+        raise NotInvertible(f"value at {bad} is not invertible in the cone")
+    return getter(a + flipped)
+
+
+def _refuse(_a: tuple, _b: tuple, error: tuple) -> tuple:
+    kind, text = error
+    raise kind(text)
+
+
+class _Fused(NamedTuple):
+    """The fused check of a lowered plan (see `core.Lowered`).  `pairs` holds
+    the forest as two aligned tuples of the input positions it compares,
+    `width` the length of the input: every leaf payload, then the zero
+    chains."""
+
+    holds: Callable[[list], bool]
+    counts: tuple
+    rest: tuple
+    pairs: tuple[tuple[int, ...], tuple[int, ...]]
+    width: int
+
+
 class _NerveBase(CubModel):
-    """Shared machinery: assignment payloads over a graded domain basis."""
+    """A nerve over a domain family: assignment payloads over the basis of
+    `family(n)`.  Its operations compile from `_co_map(kind, n, i, alpha)`,
+    the co-map whose precomposition is operation `kind` on n-cells (or the
+    error the family raises for one it lacks), and from `split`."""
 
     max_dim = 6
+    family: Callable[[int, str], Adc]
+    split: Callable[[int, int, str], list[tuple[int, str]]]
 
     def __init__(self, K: Adc):
         self.K = K
@@ -115,9 +200,16 @@ class _NerveBase(CubModel):
         self._zeros: dict[int, tuple] = {}
         self._terms: dict[int, tuple] = {}
         self._step_tables: dict[tuple[int, int], tuple[tuple, ...]] = {}
+        self._tables: dict[tuple, _Table] = {}
+        self._lowered: dict[tuple, Lowered] = {}
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.K.name or 'K'})"
 
     def domain(self, n: int) -> Adc:
-        raise NotImplementedError
+        if n not in self._domains:
+            self._domains[n] = self.family(n, self.K.d_convention)
+        return self._domains[n]
 
     def elements(self, n: int) -> list[tuple[int, str]]:
         """The domain basis of dimension-n cells as (degree, name) pairs."""
@@ -297,109 +389,6 @@ class _NerveBase(CubModel):
         descend(0)
         return out
 
-
-# ---------------------------------------------------------------------------
-# the cubical nerve
-
-
-class _Table(NamedTuple):
-    """A compiled operation: ``getter`` gathers ``index`` from the payload plus
-    the appended zero chains (face, deg, conn; kept in ``extra``), negated
-    values (rev, swap; ``extra`` holds their (degree, position, name)) or
-    slab sums (comp; ``extra`` holds the slab positions)."""
-
-    getter: Callable[[tuple], tuple]
-    extra: tuple
-    index: tuple[int, ...]
-
-
-def _kernel(index: Sequence[int]) -> Callable[[tuple], tuple]:
-    # itemgetter of a single index returns the bare item, not a 1-tuple
-    return itemgetter(*index) if len(index) > 1 else lambda payload, p=index[0]: (payload[p],)
-
-
-_CO_MAPS = {
-    # kind -> the co-map whose precomposition acts on an n-cell
-    "face": lambda n, i, alpha, conv: cube_face(n, i, alpha, conv),
-    "deg": lambda n, i, alpha, conv: cube_deg(n + 1, i, conv),
-    "conn": lambda n, i, alpha, conv: cube_conn(n, i, alpha, conv),
-    "rev": lambda n, i, alpha, conv: cube_rev(n, i, conv),
-    "swap": lambda n, i, alpha, conv: cube_swap(n, i, conv),
-}
-
-
-# -- payload kernels: (payload, payload of the second operand, data) -> payload
-
-_SHIFT = {"face": -1, "deg": 1, "conn": 1}  # the dimension change of a plan node
-
-
-def _gather(a: tuple, _b: tuple, tab: _Table) -> tuple:
-    getter, zeros, _ = tab
-    return getter(a + zeros)
-
-
-def _compose(a: tuple, b: tuple, data: tuple) -> tuple:
-    (getter, slab, _), plus, minus, i = data
-    fa, fb = _gather(a, b, plus), _gather(b, a, minus)
-    if fa != fb:
-        raise CompositionError(f"faces differ along direction {i}: {fa!r} vs {fb!r}")
-    return getter(a + b + tuple(tuple(map(add, a[p], b[p])) for p in slab))
-
-
-def _negated(payload: tuple, negs: tuple, in_cone) -> tuple:
-    """The values `negs` names, negated, and None; or None and the name of
-    the first value whose negation leaves the cone."""
-    flipped = []
-    for k, p, name in negs:
-        neg = vec_neg(payload[p])
-        if not in_cone(k, neg):
-            return None, name
-        flipped.append(neg)
-    return tuple(flipped), None
-
-
-def _invert(a: tuple, _b: tuple, data: tuple) -> tuple:
-    (getter, negs, _), in_cone = data
-    flipped, bad = _negated(a, negs, in_cone)
-    if flipped is None:
-        raise NotInvertible(f"value at {bad} is not invertible in the cone")
-    return getter(a + flipped)
-
-
-def _refuse(_a: tuple, _b: tuple, error: tuple) -> tuple:
-    kind, text = error
-    raise kind(text)
-
-
-class _Fused(NamedTuple):
-    """The fused check of a lowered plan (see `core.Lowered`).  `pairs` holds
-    the forest as two aligned tuples of the input positions it compares,
-    `width` the length of the input: every leaf payload, then the zero
-    chains."""
-
-    holds: Callable[[list], bool]
-    counts: tuple
-    rest: tuple
-    pairs: tuple[tuple[int, ...], tuple[int, ...]]
-    width: int
-
-
-class NcModel(_NerveBase):
-    """The cubical nerve of an augmented directed complex."""
-
-    def __init__(self, K: Adc):
-        super().__init__(K)
-        self._tables: dict[tuple, _Table] = {}
-        self._lowered: dict[tuple, Lowered] = {}
-
-    def __repr__(self) -> str:
-        return f"NcModel({self.K.name or 'K'})"
-
-    def domain(self, n: int) -> Adc:
-        if n not in self._domains:
-            self._domains[n] = cube(n, self.K.d_convention)
-        return self._domains[n]
-
     # -- operation tables -----------------------------------------------------
 
     def _table(self, kind: str, n: int, i: int, alpha: str = "") -> _Table:
@@ -410,12 +399,12 @@ class NcModel(_NerveBase):
             if kind == "comp":
                 tab = self._compile_comp(n, i)
             else:
-                tab = self._compile(_CO_MAPS[kind](n, i, alpha, self.K.d_convention), n)
+                tab = self._compile(self._co_map(kind, n, i, alpha), n)
             self._tables[key] = tab
         return tab
 
     def _compile(self, cmap: ChainMap, n: int) -> _Table:
-        """Precomposition with a co-map into cube(n), over an n-cell's payload."""
+        """Precomposition with a co-map into the n-th domain, over an n-cell's payload."""
         width = len(self.elements(n))
         offs = list(itertools.accumulate(map(len, cmap.target.degrees), initial=0))
         images = (terms for row in cmap.terms for terms in row)
@@ -442,7 +431,7 @@ class NcModel(_NerveBase):
         index: list[int] = []
         slab: list[int] = []
         for pos, (_, s) in enumerate(flat):
-            pieces = comp_split(n, i, s)
+            pieces = self.split(n, i, s)
             if len(pieces) == 2:
                 index.append(2 * width + len(slab))
                 slab.append(pos)
@@ -453,9 +442,9 @@ class NcModel(_NerveBase):
     def _step(self, kind: str, n: int, *args) -> tuple:
         """The kernel and its data for operation `kind` on n-cells.
 
-        Raises what the operation raises on a request out of range: args
-        are (i, alpha) for face and conn, (i,) for deg, rev and swap, and
-        (the second operand's dimension, i) for comp.
+        Raises what the operation raises on a request out of range or
+        refused: args are (i, alpha) for face and conn, (i,) for deg, rev
+        and swap, and (the second operand's dimension, i) for comp.
         """
         if kind == "face":
             i, alpha = args
@@ -491,8 +480,8 @@ class NcModel(_NerveBase):
 
     def lower(self, plan, leaf_dims: tuple[int, ...]) -> Lowered:
         """`plan` as payload kernels over the compiled tables, built once per
-        (plan, leaf dimensions).  A node out of range becomes a step raising
-        what the operation would raise, when (and if) it runs."""
+        (plan, leaf dimensions).  A node out of range or refused becomes a
+        step raising what the operation would raise, when (and if) it runs."""
         key = (plan, leaf_dims)
         low = self._lowered.get(key)
         if low is None:
@@ -501,7 +490,7 @@ class NcModel(_NerveBase):
                 y, args = (args[0], (dims[args[0]], args[1])) if kind == "comp" else (x, args)
                 try:
                     fn, data = self._step(kind, dims[x], *args)
-                except (ValueError, NotInvertible) as exc:
+                except (ValueError, OracleUnavailable) as exc:
                     fn, data = _refuse, (type(exc), str(exc))
                 steps.append((fn, x, y, data))
                 dims.append(dims[x] + _SHIFT.get(kind, 0))
@@ -600,6 +589,25 @@ class NcModel(_NerveBase):
         _, ((_, negs, _), in_cone) = self._step("rev", A.dim, i)
         return _negated(A.payload, negs, in_cone)[0] is not None
 
+
+# ---------------------------------------------------------------------------
+# the two nerves
+
+
+class NcModel(_NerveBase):
+    """The cubical nerve of an augmented directed complex."""
+
+    family = staticmethod(cube)
+    split = staticmethod(comp_split)
+
+    def _co_map(self, kind: str, n: int, i: int, alpha: str) -> ChainMap:
+        conv = self.K.d_convention
+        if kind == "deg":
+            return cube_deg(n + 1, i, conv)
+        if kind in ("face", "conn"):
+            return (cube_face if kind == "face" else cube_conn)(n, i, alpha, conv)
+        return (cube_rev if kind == "rev" else cube_swap)(n, i, conv)
+
     def t_inverse(self, A: Cell, i: int) -> Cell:
         """The transposition inverse exchanging directions i and i+1."""
         fn, data = self._step("swap", A.dim, i)
@@ -610,77 +618,29 @@ class NcModel(_NerveBase):
         return Chain(A.dim, self.value(A, "0" * A.dim))
 
 
-# ---------------------------------------------------------------------------
-# the globular nerve
-
-
 class NgModel(_NerveBase):
     """The globular nerve of a complex: cells over the disk complexes.
 
-    An n-cell's payload is s0, t0, s1, t1, ..., s_{n-1}, t_{n-1}, x.  It
-    speaks the cubical vocabulary of folded cells: d_i^alpha is the
-    alpha-boundary at level n-i raised by i-1 identities, eps_1 is the
-    identity (no other degeneracy, no connection), *_i composes over the
-    (n-i)-boundary, and the direction-1 reversal inverse negates x.
+    An n-cell's payload is s0, t0, ..., s_{n-1}, t_{n-1}, x.  d_i^alpha is
+    the alpha-boundary at level n-i raised by i-1 identities, eps_1 the
+    identity, *_i composes over the (n-i)-boundary, and the direction-1
+    reversal inverse swaps s_{n-1} and t_{n-1} and negates x.
     """
 
-    def __repr__(self) -> str:
-        return f"NgModel({self.K.name or 'K'})"
+    family = staticmethod(disk)
+    split = staticmethod(disk_split)
 
-    def domain(self, n: int) -> Adc:
-        if n not in self._domains:
-            self._domains[n] = disk(n, self.K.d_convention)
-        return self._domains[n]
-
-    def _identities(self, head: tuple, top: tuple, r: int) -> tuple:
-        """The payload of eps_1^r X for the cell X with payload head + (top,)."""
-        m = len(head) // 2
-        chains = (top, *map(self.zero_chain, range(m + 1, m + r + 1)))
-        return head + tuple(c for c in chains[:-1] for _ in "st") + chains[-1:]
-
-    def face(self, A: Cell, i: int, alpha: str) -> Cell:
-        n = A.dim
-        if not (1 <= i <= n and alpha in "-+"):
-            raise ValueError(f"no face (i={i}, alpha={alpha}) on a {n}-cell")
-        m = n - i
-        top = A.payload[2 * m + (alpha == "+")]
-        return Cell(self, n - 1, self._identities(A.payload[:2 * m], top, i - 1))
-
-    def deg(self, A: Cell, i: int) -> Cell:
-        n = A.dim
-        if not 1 <= i <= n + 1:
-            raise ValueError(f"no degeneracy slot {i} on a {n}-cell")
-        if n + 1 > self.max_dim:
-            raise ValueError("degeneracy exceeds the model dimension bound")
+    def _co_map(self, kind: str, n: int, i: int, alpha: str) -> ChainMap:
+        conv = self.K.d_convention
+        if kind == "face":
+            return disk_face(n, i, alpha, conv)
+        if kind == "conn":
+            raise ValueError("a globular cell has no connections")
+        if i != 1 and kind == "rev":
+            raise OracleUnavailable("the globular nerve inverts along direction 1 only")
         if i != 1:
             raise ValueError(f"a globular cell has no degeneracy slot {i}, only the identity")
-        return Cell(self, n + 1, self._identities(A.payload[:-1], A.payload[-1], 1))
-
-    def conn(self, A: Cell, i: int, alpha: str) -> Cell:
-        raise ValueError("a globular cell has no connections")
-
-    def comp(self, A: Cell, B: Cell, i: int) -> Cell:
-        n = A.dim
-        if B.dim != n or not 1 <= i <= n:
-            raise ValueError("bad composition request")
-        self.check_composable(A, B, i)
-        k, a, b = n - i, A.payload, B.payload  # s_k from A, t_k from B, sums above
-        sums = tuple(tuple(map(add, x, y)) for x, y in zip(a[2 * k + 2:], b[2 * k + 2:]))
-        return Cell(self, n, a[:2 * k + 1] + b[2 * k + 1:2 * k + 2] + sums)
-
-    def r_inverse(self, A: Cell, i: int) -> Cell:
-        """The direction-1 inverse (swapped s_{n-1}, t_{n-1}, negated x), when
-        -x lies in the cone; `invert.r_inverse` verifies it."""
-        n = A.dim
-        if not 1 <= i <= n:
-            raise NotInvertible(f"no direction {i} on a {n}-cell")
-        if i != 1:
-            raise OracleUnavailable("the globular nerve inverts along direction 1 only")
-        neg = vec_neg(A.payload[-1])
-        if not self.K.in_cone(n, neg):
-            raise NotInvertible("top chain is not invertible in the cone")
-        s, t = A.payload[2 * n - 2:2 * n]
-        return Cell(self, n, A.payload[:2 * n - 2] + (t, s, neg))
+        return disk_identity(n, conv) if kind == "deg" else disk_rev(n, conv)
 
 
 # ---------------------------------------------------------------------------
@@ -750,20 +710,11 @@ class MatchReport:
 
 
 def globular_signature(model: NcModel, A: Cell) -> tuple:
-    """The source/target tower and top chain of a globularized cell."""
-    sig = []
-    X = A
-    tower = []
-    while X.dim > 0:
-        t_chain = model.value(model.face(X, 1, "+"), "0" * (X.dim - 1))
-        X = model.face(X, 1, "-")
-        s_chain = model.value(X, "0" * X.dim)
-        tower.append((s_chain, t_chain))
-    for s_chain, t_chain in reversed(tower):
-        sig.append(s_chain)
-        sig.append(t_chain)
-    sig.append(model.value(A, "0" * A.dim))
-    return tuple(sig)
+    """The source/target tower and top chain of a globularized n-cell, read
+    off its values: s_k at -^(n-k) 0^k, t_k at -^(n-k-1) + 0^k, x at 0^n."""
+    n = A.dim
+    return tuple(model.value(A, "-" * (n - k - 1) + end + "0" * k)
+                 for k in range(n) for end in "-+") + (model.value(A, "0" * n),)
 
 
 def gamma_vs_ng(K: Adc, n: int, bound: int, budget: int = 2_000_000) -> MatchReport:

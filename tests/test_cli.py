@@ -64,6 +64,9 @@ def test_check_negative_value_exit2(capsys, flag):
      "no 1-cells at bound 0, so nothing to check"),
     (["perm", "rho", "--n", "2", "--m", "-3"], "--m must be >= 0, got -3"),
     (["perm", "rho", "--n", "-1", "--m", "2"], "--n must be >= 0, got -1"),
+    (["check", "--adc", "disk:x", "--dim", "1"], "disk:N needs an integer N, got 'disk:x'"),
+    (["check", "--adc", "disk:", "--dim", "1"], "disk:N needs an integer N, got 'disk:'"),
+    (["check", "--adc", "cube:1.5", "--dim", "1"], "cube:N needs an integer N, got 'cube:1.5'"),
 ])
 def test_negative_input_exit2(capsys, argv, message):
     code, out, err = run(capsys, *argv)

@@ -319,6 +319,16 @@ def test_classifier_deterministic(plain_disk2):
     assert r1.summary() == r2.summary()
 
 
+def test_classifier_refuses_extra_cells_it_cannot_draw(plain_disk2):
+    """Extra random cells need an rng and a sampler; without either the
+    classifier raises rather than check the enumerated cells alone."""
+    with pytest.raises(ValueError, match="extra_random"):
+        classify_omega_p(plain_disk2, [1, 2], bound=1, extra_random=10)
+    poset = PosetModel("ab", [("a", "b")])
+    with pytest.raises(ValueError, match="extra_random"):
+        classify_omega_p(poset, [1], extra_random=3, rng=random.Random(5))
+
+
 def test_oracle_unavailable():
     from cubeforge.core import CubModel, Cell
 

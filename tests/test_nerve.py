@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubeforge.adc import Chain, cube, disk, tensor, with_group_cones_above
+from cubeforge.adc import (SOURCE_MINUS_TARGET, TARGET_MINUS_SOURCE, Chain, cube, disk, tensor,
+                           vec_neg, with_group_cones_above)
 from cubeforge.core import (
     BoxModel,
     BudgetExceeded,
@@ -376,6 +377,139 @@ def test_ng_faces_match_folded_faces(K, top):
                 assert globular_signature(nc, nc.face(g, i, a)) == ng.face(G, i, a).payload
                 compared += 1
     assert compared > 0
+
+
+# -- the globular nerve against its hand-written operations -------------------
+#
+# Before `NgModel` compiled its operations from the disk co-maps, it sliced
+# payloads by hand; those operations are kept here as the oracle.  Each
+# returns a payload or raises what the nerve must raise.
+
+
+def _oracle_identities(ng, head, top, r):
+    """The payload of eps_1^r X for the cell X with payload head + (top,)."""
+    m = len(head) // 2
+    chains = (top, *map(ng.zero_chain, range(m + 1, m + r + 1)))
+    return head + tuple(c for c in chains[:-1] for _ in "st") + chains[-1:]
+
+
+def oracle_ng_face(ng, A, i, alpha):
+    n = A.dim
+    if not (1 <= i <= n and alpha in "-+"):
+        raise ValueError(f"no face (i={i}, alpha={alpha}) on a {n}-cell")
+    m = n - i
+    top = A.payload[2 * m + (alpha == "+")]
+    return _oracle_identities(ng, A.payload[:2 * m], top, i - 1)
+
+
+def oracle_ng_deg(ng, A, i):
+    n = A.dim
+    if not 1 <= i <= n + 1:
+        raise ValueError(f"no degeneracy slot {i} on a {n}-cell")
+    if n + 1 > ng.max_dim:
+        raise ValueError("degeneracy exceeds the model dimension bound")
+    if i != 1:
+        raise ValueError(f"a globular cell has no degeneracy slot {i}, only the identity")
+    return _oracle_identities(ng, A.payload[:-1], A.payload[-1], 1)
+
+
+def oracle_ng_conn(ng, A, i, alpha):
+    raise ValueError("a globular cell has no connections")
+
+
+def oracle_ng_comp(ng, A, B, i):
+    n = A.dim
+    if B.dim != n or not 1 <= i <= n:
+        raise ValueError("bad composition request")
+    if oracle_ng_face(ng, A, i, "+") != oracle_ng_face(ng, B, i, "-"):
+        raise CompositionError(f"faces differ along direction {i}")
+    k, a, b = n - i, A.payload, B.payload  # s_k from A, t_k from B, sums above
+    sums = tuple(tuple(x + y for x, y in zip(u, v)) for u, v in zip(a[2 * k + 2:], b[2 * k + 2:]))
+    return a[:2 * k + 1] + b[2 * k + 1:2 * k + 2] + sums
+
+
+def oracle_ng_r_inverse(ng, A, i):
+    n = A.dim
+    if not 1 <= i <= n:
+        raise NotInvertible(f"no direction {i} on a {n}-cell")
+    if i != 1:
+        raise OracleUnavailable("the globular nerve inverts along direction 1 only")
+    neg = vec_neg(A.payload[-1])
+    if not ng.K.in_cone(n, neg):
+        raise NotInvertible("top chain is not invertible in the cone")
+    s, t = A.payload[2 * n - 2:2 * n]
+    return A.payload[:2 * n - 2] + (t, s, neg)
+
+
+def oracle_ng_has_r_inverse(ng, A, i):
+    try:
+        oracle_ng_r_inverse(ng, A, i)
+    except NotInvertible:
+        return False
+    return True
+
+
+def _result(op):
+    """What `op()` gives: a payload (of a cell), a bool, or the type it raised."""
+    try:
+        out = op()
+    except Exception as exc:
+        return type(exc)
+    return out.payload if isinstance(out, Cell) else out
+
+
+NG_COMPLEXES = {
+    "disk(1)": lambda conv: disk(1, conv),
+    "disk(2)": lambda conv: disk(2, conv),
+    "disk(3)": lambda conv: disk(3, conv),
+    "(w,1) disk(3)": lambda conv: with_group_cones_above(disk(3, conv), 1),
+    "(w,0) disk(2)": lambda conv: with_group_cones_above(disk(2, conv), 0),
+    "tensor(disk(1),disk(2))": lambda conv: tensor(disk(1, conv), disk(2, conv)),
+    "cube(2)": lambda conv: cube(2, conv),
+}
+
+
+@pytest.mark.parametrize("conv", [TARGET_MINUS_SOURCE, SOURCE_MINUS_TARGET])
+@pytest.mark.parametrize("name", NG_COMPLEXES)
+def test_ng_operations_match_the_hand_written_ones(name, conv):
+    """Equal outputs and equal exception types on every enumerated cell of
+    dims 0-3 at bound 1, out-of-range and refused requests included, and
+    on every pair for the composites."""
+    ng = NgModel(NG_COMPLEXES[name](conv))
+    cells = {n: ng.cells(n, 1) for n in range(4)}
+    calls, raised = 0, set()
+
+    def agree(op, oracle):
+        nonlocal calls
+        got, want = _result(op), _result(oracle)
+        assert got == want
+        calls += 1
+        if isinstance(want, type):
+            raised.add(want)
+
+    for n, pool in cells.items():
+        for A in pool:
+            for i in range(n + 3):
+                agree(lambda: ng.deg(A, i), lambda: oracle_ng_deg(ng, A, i))
+                agree(lambda: ng.r_inverse(A, i), lambda: oracle_ng_r_inverse(ng, A, i))
+                agree(lambda: ng.has_r_inverse(A, i), lambda: oracle_ng_has_r_inverse(ng, A, i))
+                for a in "-+":
+                    agree(lambda: ng.face(A, i, a), lambda: oracle_ng_face(ng, A, i, a))
+                    agree(lambda: ng.conn(A, i, a), lambda: oracle_ng_conn(ng, A, i, a))
+                for B in pool + cells[max(n - 1, 0)][:1]:
+                    agree(lambda: ng.comp(A, B, i), lambda: oracle_ng_comp(ng, A, B, i))
+    assert raised == {ValueError, CompositionError, NotInvertible, OracleUnavailable}
+    assert calls > 500
+
+
+def test_both_nerves_run_on_the_base_operations():
+    """A nerve names its family, co-maps and split; the operations, their
+    tables and their lowering are `_NerveBase`'s alone."""
+    shared = ("face", "deg", "conn", "comp", "r_inverse", "has_r_inverse", "lower", "_table",
+              "_step", "domain")
+    for nerve in (NcModel, NgModel):
+        assert not set(shared) & set(vars(nerve))
+        assert {"family", "split", "_co_map"} <= set(vars(nerve))
 
 
 def test_budget_exceeded():

@@ -1,9 +1,10 @@
-"""The compiled operation tables of the cubical nerve against their sources.
+"""The compiled operation tables of the nerves against their sources.
 
-Two oracles: the string-surgery tables the nerve used before its tables
-were compiled from the `cubeforge.adc` co-maps (kept here as
+Two oracles: the string-surgery tables the cubical nerve used before its
+tables were compiled from the `cubeforge.adc` co-maps (kept here as
 `oracle_table`, with the operations that read them), and the co-maps
-themselves (`ChainMap.terms`, `comp_split`).  The property test also
+themselves (`ChainMap.terms`, `comp_split`, and for the globular nerve
+the disk co-maps and `disk_split`).  The property test also
 checks every result with `invalid_reasons`.
 """
 
@@ -26,12 +27,16 @@ from cubeforge.adc import (
     cube_rev,
     cube_swap,
     disk,
+    disk_face,
+    disk_identity,
+    disk_rev,
+    disk_split,
     tensor,
     vec_neg,
     with_group_cones_above,
 )
 from cubeforge.core import NotInvertible
-from cubeforge.nerve import NcModel
+from cubeforge.nerve import NcModel, NgModel
 
 # -- the string-surgery oracle -------------------------------------------------
 
@@ -204,22 +209,42 @@ def flat_offsets(K):
 
 
 def assert_table_is_co_map(m, tab, cmap, n):
-    """`tab` gathers an n-cell's payload along the terms of `cmap`."""
+    """`tab` gathers an n-cell's payload along the terms of `cmap`; a term
+    of coefficient -1 reads the negated value that `tab.extra` names."""
     width = len(m.elements(n))
     offs = flat_offsets(cmap.target)
     r = 0
     for k, row in enumerate(cmap.terms):
-        for terms in row:
+        for j, terms in enumerate(row):
             assert len(terms) <= 1
             if terms:
                 ((c, t),) = terms
-                assert c == 1
-                assert tab.index[r] == offs[k] + t
+                if c == 1:
+                    assert tab.index[r] == offs[k] + t
+                else:
+                    name = cmap.source.degrees[k][j]
+                    assert c == -1 and tab.extra[tab.index[r] - width] == (k, offs[k] + t, name)
             else:
                 assert tab.index[r] == width + k
                 assert tab.extra[k] == m.zero_chain(k)
             r += 1
     assert r == len(tab.index)
+
+
+def assert_comp_table_is_split(m, tab, split, n, i):
+    """`tab` takes each position of a *_i-composite from A, from B or from
+    their sum, as `split` says."""
+    width, slab = len(m.elements(n)), []
+    for pos, (_, e) in enumerate(m.elements(n)):
+        pieces = split(n, i, e)
+        assert all(t == e for _, t in pieces)
+        if len(pieces) == 2:
+            assert tab.index[pos] == 2 * width + len(slab)
+            slab.append(pos)
+        else:
+            ((tag, _),) = pieces
+            assert tab.index[pos] == (pos if tag == 1 else width + pos)
+    assert list(tab.extra) == slab
 
 
 def resolved(m, tab, n):
@@ -243,15 +268,7 @@ def test_tables_agree_with_co_maps(n):
         assert_table_is_co_map(m, tab, cube_deg(n, i), n - 1)
         assert resolved(m, tab, n - 1) == oracle_table(m, "deg", n - 1, i)
         tab = m._table("comp", n, i)
-        width = len(m.elements(n))
-        for pos, (_, s) in enumerate(m.elements(n)):
-            pieces = comp_split(n, i, s)
-            assert all(t == s for _, t in pieces)
-            if len(pieces) == 2:
-                assert tab.index[pos] == 2 * width + tab.extra.index(pos)
-            else:
-                ((tag, _),) = pieces
-                assert tab.index[pos] == (pos if tag == 1 else width + pos)
+        assert_comp_table_is_split(m, tab, comp_split, n, i)
         assert list(tab.extra) == [
             pos for pos, (_, s) in enumerate(m.elements(n)) if s[i - 1] == "0"
         ]
@@ -264,6 +281,30 @@ def test_inverse_co_maps_are_chain_maps(n, conv):
         assert cube_rev(n, i, conv).is_chain_map()
     for i in range(1, n):
         assert cube_swap(n, i, conv).is_chain_map()
+
+
+@pytest.mark.parametrize("conv", [TARGET_MINUS_SOURCE, SOURCE_MINUS_TARGET])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_disk_co_maps_are_chain_maps(n, conv):
+    for i in range(1, n + 1):
+        for alpha in "-+":
+            assert disk_face(n, i, alpha, conv).is_chain_map()
+    assert disk_identity(n - 1, conv).is_chain_map()
+    assert disk_rev(n, conv).is_chain_map()
+
+
+@pytest.mark.parametrize("conv", [TARGET_MINUS_SOURCE, SOURCE_MINUS_TARGET])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_ng_tables_are_the_disk_co_maps(n, conv):
+    """Every compiled table of the globular nerve reads its co-map's terms."""
+    m = NgModel(disk(2, conv))
+    for i in range(1, n + 1):
+        for alpha in "-+":
+            assert_table_is_co_map(m, m._table("face", n, i, alpha),
+                                   disk_face(n, i, alpha, conv), n)
+        assert_comp_table_is_split(m, m._table("comp", n, i), disk_split, n, i)
+    assert_table_is_co_map(m, m._table("deg", n - 1, 1), disk_identity(n - 1, conv), n - 1)
+    assert_table_is_co_map(m, m._table("rev", n, 1), disk_rev(n, conv), n)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
