@@ -428,6 +428,7 @@ def _insert(s: str, i: int, sym: str) -> str:
     return s[: i - 1] + sym + s[i - 1:]
 
 
+@lru_cache(maxsize=None)
 def cube_face(n: int, i: int, alpha: str,
               d_convention: str = TARGET_MINUS_SOURCE) -> ChainMap:
     """The face co-map cube(n-1) -> cube(n): insert alpha at slot i."""
@@ -438,6 +439,7 @@ def cube_face(n: int, i: int, alpha: str,
     return _basis_map(src, tgt, image)
 
 
+@lru_cache(maxsize=None)
 def cube_deg(n: int, i: int, d_convention: str = TARGET_MINUS_SOURCE) -> ChainMap:
     """The degeneracy co-map cube(n) -> cube(n-1): delete slot i, kill 0 there."""
     if not 1 <= i <= n:
@@ -470,6 +472,7 @@ def conn_collapse(pair: str, alpha: str) -> str | None:
     return table[pair]
 
 
+@lru_cache(maxsize=None)
 def cube_conn(n: int, i: int, alpha: str,
               d_convention: str = TARGET_MINUS_SOURCE) -> ChainMap:
     """The connection co-map cube(n+1) -> cube(n): collapse slots i, i+1."""
@@ -488,6 +491,7 @@ def cube_conn(n: int, i: int, alpha: str,
     return _basis_map(src, tgt, image)
 
 
+@lru_cache(maxsize=None)
 def cube_rev(n: int, i: int, d_convention: str = TARGET_MINUS_SOURCE) -> ChainMap:
     """The reversal co-map cube(n) -> cube(n): swap - and + at slot i, negate a 0 there."""
     if not 1 <= i <= n:
@@ -502,6 +506,7 @@ def cube_rev(n: int, i: int, d_convention: str = TARGET_MINUS_SOURCE) -> ChainMa
     return _basis_map(K, K, image)
 
 
+@lru_cache(maxsize=None)
 def cube_swap(n: int, i: int, d_convention: str = TARGET_MINUS_SOURCE) -> ChainMap:
     """The transposition co-map cube(n) -> cube(n): swap slots i, i+1 (Koszul sign on 00)."""
     if not 1 <= i <= n - 1:
@@ -531,6 +536,7 @@ def comp_split(n: int, i: int, s: str) -> list[tuple[int, str]]:
 # the globular co-structure: disk(n) has s_k, t_k at levels k < n and x at level n
 
 
+@lru_cache(maxsize=None)
 def disk_face(n: int, i: int, alpha: str,
               d_convention: str = TARGET_MINUS_SOURCE) -> ChainMap:
     """The face co-map disk(n-1) -> disk(n) of d_i^alpha: levels below m = n-i
@@ -543,6 +549,7 @@ def disk_face(n: int, i: int, alpha: str,
     return _basis_map(src, disk(n, d_convention), image)
 
 
+@lru_cache(maxsize=None)
 def disk_identity(n: int, d_convention: str = TARGET_MINUS_SOURCE) -> ChainMap:
     """The identity co-map disk(n+1) -> disk(n): s_n and t_n onto x, the top killed."""
     src = disk(n + 1, d_convention)
@@ -550,6 +557,7 @@ def disk_identity(n: int, d_convention: str = TARGET_MINUS_SOURCE) -> ChainMap:
     return _basis_map(src, disk(n, d_convention), image)
 
 
+@lru_cache(maxsize=None)
 def disk_rev(n: int, d_convention: str = TARGET_MINUS_SOURCE) -> ChainMap:
     """The reversal co-map disk(n) -> disk(n): swap s_{n-1} and t_{n-1}, negate x."""
     if n < 1:

@@ -12,7 +12,7 @@ specs ``disk:N`` and ``cube:N`` also work and honour ``--orientation``
 ``--seed``; output is byte-identical for fixed inputs, seed and flags.
 Exit codes: 0 success, 1 violations or a non-invertible input, 2 parse
 or usage errors (an empty sample, an `--i` naming no direction of the
-cell), and exhausted search budgets.
+cell, two flags of which only one is read), and exhausted search budgets.
 """
 
 from __future__ import annotations
@@ -454,14 +454,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("invert", help="invert a serialized nerve cell")
     p.add_argument("--cell", required=True)
     p.add_argument("--kind", choices=["R", "T", "sigma"], required=True)
-    p.add_argument("--i", type=int)
-    p.add_argument("--sigma", help='a word like "T1 T2"')
+    word = p.add_mutually_exclusive_group()  # R and T read --i, sigma --sigma
+    word.add_argument("--i", type=int)
+    word.add_argument("--sigma", help='a word like "T1 T2"')
     common(p)
 
     p = sub.add_parser("fold", help="fold a serialized nerve cell")
     p.add_argument("--cell", required=True)
-    p.add_argument("--phi", type=int, help="fold depth (default: full)")
-    p.add_argument("--psi", type=int, help="single elementary fold index")
+    fold = p.add_mutually_exclusive_group()
+    fold.add_argument("--phi", type=int, help="fold depth (default: full)")
+    fold.add_argument("--psi", type=int, help="single elementary fold index")
     common(p)
 
     p = sub.add_parser("perm", help="word and permutation computations")

@@ -33,7 +33,8 @@ default each step calls one of the five cell-level operations (face,
 deg, conn, comp, r_inverse), and the nerves lower them to payload
 kernels.  `_run` checks equations with the counts and violation
 text described above; `_eval` runs a construction in the order it was
-built and stops at its first failing equation.
+built and stops at its first failing equation; a nerve compiles a plan
+run twice into a program (`Lowered.program`), and the steps run if it declines.
 
 On the nerves a lowered plan also offers a fused check, which only
 `_run` asks for (and the nerve builds on that first request).  Every
@@ -115,6 +116,8 @@ class Lowered(NamedTuple):
     `fused()` gives None or a fused check of some equations: ``holds(leaf
     values)`` is true only if they all hold, ``counts`` gives every family's
     number of them in first-appearance order, and ``rest`` the other equations.
+    `program()` gives None or a compiled construction: a function of the leaf
+    values giving slot `out`'s value, or NotImplemented for `_eval`'s steps.
     """
 
     steps: tuple
@@ -122,6 +125,7 @@ class Lowered(NamedTuple):
     cell: Callable[[int, Any], Cell]
     equal: Callable[[Any, Any], bool]
     fused: Callable[[], Any] = lambda: None
+    program: Callable[[], Any] = lambda: None
 
 
 def _unary(a, _b, data):
@@ -768,23 +772,27 @@ def _eval(plan: _Plan, model: CubModel, cells: list) -> Cell | None:
     equation is tested once the nodes built before it are computed, so
     work, exceptions and short-circuiting follow the code the plan
     replaces.  Returns None at the first failing equation, else the
-    cell in slot `plan.out`.
+    cell in slot `plan.out`.  A lowered plan's program, if any, runs
+    first; the steps run only when it declines, returning NotImplemented.
     """
     low = model.lower(plan, tuple(A.dim for A in cells))
-    steps, equal = low.steps, low.equal
     vals = list(map(low.load, cells))
+    program, out = low.program(), plan.out
+    value = NotImplemented if program is None else program(vals)
+    if value is NotImplemented:
+        steps, equal = low.steps, low.equal
 
-    def build(upto: int) -> None:
-        for fn, x, y, data in steps[len(vals):upto]:
-            vals.append(fn(vals[x], vals[y], data))
+        def build(upto: int) -> None:
+            for fn, x, y, data in steps[len(vals):upto]:
+                vals.append(fn(vals[x], vals[y], data))
 
-    for _, lhs, rhs, _, _, built in plan.equations:
-        build(built)
-        if not equal(vals[lhs], vals[rhs]):
-            return None
-    build(len(steps))
-    out = plan.out
-    return cells[out] if out < plan.leaves else low.cell(out, vals[out])
+        for _, lhs, rhs, _, _, built in plan.equations:
+            build(built)
+            if not equal(vals[lhs], vals[rhs]):
+                return None
+        build(len(steps))
+        value = vals[out]
+    return cells[out] if out < plan.leaves else low.cell(out, value)
 
 
 @functools.cache

@@ -25,20 +25,20 @@ operations act by precomposition with the co-structure maps of
 `cubeforge.adc`: `cube_face`, `cube_deg`, `cube_conn`, `cube_rev` and
 `cube_swap`, split as `comp_split` says; or `disk_face`, `disk_identity`
 (eps_1, the only degeneracy; there are no connections) and `disk_rev`
-(direction 1 only), split as `disk_split` says.  Each map is compiled
-once per (operation, dimension, direction, sign) into an
-`operator.itemgetter` over the payload, with the zero chains the map
-kills appended, so an operation is one C-level gather.  An operation and
-a plan node share one payload kernel over that table: the cell-level
-methods wrap it, and `lower` turns each node of a `core` plan into a
-step calling it on raw payloads, with the same range checks,
-composability compare and cone check, raising the same errors.
-Composing the gathers of a checked plan gives its fused check (`_fuse`,
-described in `cubeforge.core`).  The globular nerve speaks the cubical
-vocabulary of folded cells (source, target, identity and the composite
-over a k-boundary are d_1^-, d_1^+, eps_1 and *_(n-k)), so
-`core.check_globular` checks it and `invert.r_inverse` verifies its
-inverses.
+(direction 1 only), split as `disk_split` says.  Each map is built once
+(`adc` caches it) and compiled once per (operation, dimension,
+direction, sign) into an `operator.itemgetter` over the payload, with
+the zero chains it kills appended, so an operation is one C-level
+gather.  The cell-level methods wrap one payload kernel per table, and
+`lower` turns each node of a `core` plan into a step calling it, with
+the same range checks, composability compare and cone check.  Composing
+a plan's gathers (`_walk`) gives a checked plan's fused check (`_fuse`)
+and a construction's program (`_program`): its chain sums and negations
+in batches over one register file, then every check at once.  The
+globular nerve speaks the cubical vocabulary of folded cells (source,
+target, identity and the composite over a k-boundary are d_1^-, d_1^+,
+eps_1 and *_(n-k)), so `core.check_globular` checks it and
+`invert.r_inverse` verifies its inverses.
 
 Cells are immutable; payloads are tuples of coefficient tuples aligned
 with a fixed ordering of the domain basis (by degree, then as the domain
@@ -54,7 +54,7 @@ import heapq
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from operator import add, attrgetter, eq, itemgetter
+from operator import add, attrgetter, eq, itemgetter, sub
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .adc import (Adc, Chain, ChainMap, comp_split, cube, cube_conn, cube_deg, cube_face,
@@ -494,32 +494,59 @@ class _NerveBase(CubModel):
                     fn, data = _refuse, (type(exc), str(exc))
                 steps.append((fn, x, y, data))
                 dims.append(dims[x] + _SHIFT.get(kind, 0))
-            steps = tuple(steps)
+            steps, runs = tuple(steps), itertools.count()  # a plan run once keeps its steps
+            program = functools.cache(lambda: self._program(plan, steps, dims))
             low = Lowered(steps, attrgetter("payload"),
                           lambda k, payload: Cell(self, dims[k], payload), eq,
-                          functools.cache(lambda: self._fuse(plan, steps, dims)))
+                          functools.cache(lambda: self._fuse(plan, steps, dims)),
+                          lambda: program() if next(runs) else None)
             self._lowered[key] = low
         return low
+
+    def _walk(self, plan, steps: tuple, dims: list) -> tuple:
+        """Map a lowered plan onto one register file (the leaf payloads, a zero
+        chain per degree, then `_program`'s fills): the zero chains, leaf sizes,
+        slots' index maps (None past a refused step), batched fills, compares."""
+        zeros = tuple(map(self.zero_chain, range(max(dims) + 1)))
+        sizes = [len(self.elements(d)) for d in dims[:plan.leaves]]
+        offs = list(itertools.accumulate(sizes + [len(zeros)], initial=0))
+        *maps, zero_at = (tuple(range(a, b)) for a, b in zip(offs, offs[1:]))
+        ids, batches, compares = {}, [], []
+
+        def fill(*op) -> int:  # a new register, hash-consed on `op`
+            if op not in ids:
+                ids[op] = offs[-1] + len(ids)
+                if not batches or max(op[1:]) >= batches[-1][0][1]:
+                    batches.append([])  # a batch reads none of its own registers
+                batches[-1].append((op[0], ids[op], *op[1:]))
+            return ids[op]
+
+        for fn, x, y, data in steps[plan.leaves:]:
+            a, b = maps[x], maps[y]
+            if fn is _refuse or a is None or b is None:
+                maps.append(None)
+            elif fn is _gather:
+                maps.append(data.getter(a + zero_at))
+            elif fn is _invert:
+                getter, negs, _ = data[0]
+                maps.append(getter(a + tuple(fill("neg", zero_at[k], a[p]) for k, p, _ in negs)))
+            else:
+                (getter, slab, _), plus, minus, i = data
+                compares.append(("faces", plus.getter(a + zero_at), minus.getter(b + zero_at), i))
+                maps.append(getter(a + b + tuple(fill("add", a[p], b[p]) for p in slab)))
+        return zeros, sizes, maps, batches, compares
 
     def _fuse(self, plan, steps: tuple, dims: list) -> _Fused | None:
         """One gather and compare for the equations of `plan` whose sides are
         gathers from the leaves, or None when there are none.
 
-        Such a slot is an index map into one input: the leaf payloads
-        concatenated, then the zero chains.  Equality is an equivalence, so
-        a spanning forest of the position pairs (lhs[p], rhs[p]) of those
-        equations holds exactly when all the pairs do.
+        Such a slot is an index map into the register file of `_walk`.
+        Equality is an equivalence, so a spanning forest of the position
+        pairs (lhs[p], rhs[p]) of those equations holds exactly when all the
+        pairs do.
         """
-        leaves = plan.leaves
-        zeros = tuple(map(self.zero_chain, range(max(dims) + 1)))
-        sizes = [len(self.elements(d)) for d in dims[:leaves]] + [len(zeros)]
-        offs = list(itertools.accumulate(sizes, initial=0))
-        *maps, zero_at = (tuple(range(a, b)) for a, b in zip(offs, offs[1:]))
-        for fn, x, _, tab in steps[leaves:]:
-            src = maps[x]
-            maps.append(None if fn is not _gather or src is None else tuple(
-                src[j] if j < len(src) else zero_at[j - len(src)] for j in tab.index))
-        parent = list(range(offs[-1]))
+        zeros, sizes, maps, *_ = self._walk(plan, steps, dims)
+        parent = list(range(sum(sizes) + len(zeros)))
 
         def find(p: int) -> int:
             while parent[p] != p:
@@ -530,7 +557,8 @@ class _NerveBase(CubModel):
         for equation in plan.equations:
             family, lhs, rhs = equation[:3]
             lhs, rhs = maps[lhs], maps[rhs]
-            fused = lhs is not None and rhs is not None and len(lhs) == len(rhs)
+            fused = (None not in (lhs, rhs) and len(lhs) == len(rhs)
+                     and max(lhs + rhs) < len(parent))
             counts[family] = counts.get(family, 0) + fused
             if not fused:
                 rest.append(equation)
@@ -547,15 +575,49 @@ class _NerveBase(CubModel):
         left, right = (itemgetter(*side or (0,)) for side in pairs)
 
         def holds(vals: list) -> bool:
-            inputs = [*vals, zeros]
-            if list(map(len, inputs)) != sizes:
+            if list(map(len, vals)) != sizes:
                 return False
+            inputs = [*vals, zeros]
             # a list: a tuple grown from an iterator is reallocated as it
             # grows, which left the peak RSS higher pass after pass
             flat = list(itertools.chain.from_iterable(inputs))
             return left(flat) == right(flat)
 
-        return _Fused(holds, tuple(counts.items()), tuple(rest), pairs, offs[-1])
+        return _Fused(holds, tuple(counts.items()), tuple(rest), pairs, len(parent))
+
+    def _program(self, plan, steps: tuple, dims: list) -> Callable[[list], object] | None:
+        """`plan` over the registers of `_walk` as a function of the leaf
+        values (NotImplemented when a check fails), or None if it must fail.
+        Its ``ops``: chain sums ("add", dst, a, b) and negations ("neg", dst,
+        zero, src) a batch at a time; with the cone checks, the compares
+        ("faces", lhs, rhs, i) and ("eq", lhs, rhs) of distinct registers; ("out", regs)."""
+        zeros, sizes, maps, batches, compares = self._walk(plan, steps, dims)
+        compares += [("eq", maps[lhs], maps[rhs]) for _, lhs, rhs, *_ in plan.equations]
+        if None in maps or any(len(op[1]) != len(op[2]) for op in compares):
+            return None  # a refused step, or an equation that cannot hold
+        compares = [op for op in compares if op[1] != op[2]]
+        negs = [op for batch in batches for op in batch if op[0] == "neg"]
+        stages = [([add if op[0] == "add" else sub for op in batch],
+                   *(_kernel([op[k] for op in batch]) for k in (2, 3))) for batch in batches]
+        left, right, flipped = (_kernel(regs or [0]) for regs in (
+            [r for op in compares for r in op[1]], [r for op in compares for r in op[2]],
+            [op[1] for op in negs]))
+        degrees = [zero - sum(sizes) for _, _, zero, _ in negs]  # zero chain k: sum(sizes) + k
+        ranks = [len(zeros[k]) for d in dims[:plan.leaves] for k, _ in self.elements(d)]
+        ranks += map(len, zeros)
+        in_cone, out = self.K.in_cone, _kernel(maps[plan.out])
+
+        def run(vals: list):
+            regs = list(itertools.chain(*vals, zeros))
+            if list(map(len, vals)) != sizes or list(map(len, regs)) != ranks:
+                return NotImplemented
+            for fns, a, b in stages:
+                regs.extend(map(tuple, map(map, fns, a(regs), b(regs))))
+            holds = left(regs) == right(regs) and all(map(in_cone, degrees, flipped(regs)))
+            return out(regs) if holds else NotImplemented
+
+        run.ops = (*itertools.chain(*batches), *compares, ("out", maps[plan.out]))
+        return run
 
     # -- the cubical operations ------------------------------------------------
 

@@ -18,8 +18,13 @@ from cubeforge.adc import (
     cube_conn,
     cube_deg,
     cube_face,
+    cube_rev,
+    cube_swap,
     det,
     disk,
+    disk_face,
+    disk_identity,
+    disk_rev,
     from_json_dict,
     is_omega_p_adc,
     load_adc,
@@ -267,6 +272,27 @@ def test_costructure_maps_are_chain_maps(n, conv):
         for i in range(1, n + 1):
             for alpha in "-+":
                 assert cube_conn(n, i, alpha, conv).is_chain_map()
+
+
+COMAPS = [(cube_face, (2, 1, "+")), (cube_deg, (3, 2)), (cube_conn, (2, 2, "-")),
+          (cube_rev, (2, 1)), (cube_swap, (3, 2)), (disk_face, (3, 2, "-")),
+          (disk_identity, (2,)), (disk_rev, (2,))]
+BAD_ARGS = {cube_face: (2, 3, "+"), cube_deg: (3, 0), cube_conn: (2, 1, "0"), cube_rev: (2, 3),
+            cube_swap: (3, 3), disk_face: (3, 0, "-"), disk_rev: (0,)}
+
+
+@pytest.mark.parametrize("conv", [TARGET_MINUS_SOURCE, SOURCE_MINUS_TARGET])
+@pytest.mark.parametrize("comap, args", COMAPS, ids=lambda x: getattr(x, "__name__", ""))
+def test_costructure_maps_are_built_once_per_arguments(comap, args, conv):
+    """A co-map is a pure function of its arguments and immutable, so a
+    repeated call returns the same object; a bad request raises every time."""
+    first = comap(*args, conv)
+    assert comap(*args, conv) is first and first.is_chain_map()
+    assert first.source.d_convention == conv
+    if comap in BAD_ARGS:
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                comap(*BAD_ARGS[comap], conv)
 
 
 def cube_comp(n: int, i: int,

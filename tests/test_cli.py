@@ -205,6 +205,22 @@ def test_invert_sigma(tmp_path, capsys):
     assert json.loads(out)["dim"] == 2
 
 
+@pytest.mark.parametrize("argv, flags", [
+    (["fold", "--psi", "1", "--phi", "9"], ("--psi", "--phi")),
+    (["invert", "--kind", "R", "--i", "1", "--sigma", "T9"], ("--i", "--sigma")),
+    (["invert", "--kind", "sigma", "--i", "7", "--sigma", "T1"], ("--i", "--sigma")),
+])
+def test_ignored_flag_exit2(tmp_path, capsys, argv, flags):
+    """A flag the command would not read is a usage error naming both flags."""
+    model = NcModel(with_group_cones_above(disk(2), 0))
+    cellfile = tmp_path / "a.cell"
+    cellfile.write_text(json.dumps(cell_to_json(model, model.cells(2, 1)[5])))
+    code, out, err = run(capsys, argv[0], "--cell", str(cellfile), *argv[1:])
+    assert code == 2 and out == ""
+    (line,) = [line for line in err.splitlines() if "error:" in line]
+    assert all(flag in line for flag in flags)
+
+
 def test_fold_phi2_degenerate_sides(tmp_path, capsys):
     model = NcModel(disk(2))
     A = next(c for c in model.cells(2, 1) if any(model.value(c, "00")))

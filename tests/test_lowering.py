@@ -27,7 +27,7 @@ import cubeforge.invert as invert
 from cubeforge.adc import cube, disk, tensor, with_group_cones_above
 from cubeforge.core import (Cell, CompositionError, CubModel, DomainError, NotInvertible,
                             PosetModel, Violation, check_axioms, check_globular)
-from cubeforge.nerve import NcModel, _kernel, _Table
+from cubeforge.nerve import NcModel, NgModel, _kernel, _Table
 
 # -- the cell-level oracles -------------------------------------------------------
 
@@ -212,10 +212,13 @@ MODELS = {
     "omega1": lambda: NcModel(with_group_cones_above(disk(2), 1)),
     "swapped-deg": lambda: Swapped(disk(2), ("deg", 1, 1, "")),
     "swapped-face": lambda: Swapped(disk(2), ("face", 2, 1, "+")),
+    "swapped-comp": lambda: Swapped(disk(2), ("comp", 2, 1, "")),
+    "swapped-rev": lambda: Swapped(with_group_cones_above(disk(2), 0), ("rev", 2, 1, "")),
+    "swapped-swap": lambda: Swapped(with_group_cones_above(disk(2), 1), ("swap", 3, 1, "")),
+    "globular": lambda: NgModel(disk(2)),
     "square": lambda: PosetModel(*SQUARE),
 }
-TOP = {"disk(3)": 3, "cube(2)": 3, "tensor": 3, "omega0": 3, "omega1": 3, "swapped-deg": 3,
-       "swapped-face": 3, "square": 3}
+TOP = {name: 3 for name in MODELS}
 
 
 @functools.lru_cache(maxsize=None)
@@ -228,7 +231,7 @@ def pool(name, n):
     m = model(name)
     if isinstance(m, PosetModel):
         return m.cells(n)
-    if (name, n) == ("omega0", 3):
+    if n == 3 and name in ("omega0", "swapped-rev"):
         # the bound-1 enumeration exceeds the search budget: a seeded distinct sample
         return list(dict.fromkeys(m.sample_cells(n, 60, 1, random.Random(n))))
     return m.cells(n, 1)
@@ -344,6 +347,55 @@ def test_t_inverse_agrees_on_whole_pools(name, dim):
             assert_same_work(invert.t_inverse, cell_t_inverse, m, A, i)
             built += not isinstance(outcome(invert.t_inverse, m, A, i), tuple)
     assert built > 0
+
+
+def program(m, plan, leaf_dims):
+    """The compiled program of `plan` on `m`, which the nerve builds when the
+    plan runs a second time."""
+    low = m.lower(plan, leaf_dims)
+    return low.program() or low.program()
+
+
+def test_an_unread_negation_still_refuses():
+    """A rev node that nothing reads still runs its cone check: the program
+    hands a cell that fails it to the steps, which raise."""
+    p = core._Plan(1)
+    p.rev(0, 1)  # `out` stays the leaf
+    m = model("disk(3)")
+    A = next(A for A in pool("disk(3)", 2) if not m.has_r_inverse(A, 1))
+    B = next(B for B in pool("disk(3)", 2) if m.has_r_inverse(B, 1))
+    run = program(m, p, (2,))
+    assert [op[0] for op in run.ops] == ["neg"] * 3 + ["out"]
+    assert run([A.payload]) is NotImplemented and run([B.payload]) == B.payload
+    assert outcome(core._eval, p, m, [A]) == outcome(m.r_inverse, A, 1)
+    assert core._eval(p, m, [B]) is B
+
+
+def test_the_program_declines_leaf_values_of_another_shape():
+    """Payloads of another length, or with a chain of another rank, go to the
+    steps, whose gathers and cone checks read them as they are."""
+    m = model("omega0")
+    A = pool("omega0", 2)[5]
+    run = program(m, invert._t_plan(1), (2,))
+    assert run([A.payload]) == invert.t_inverse(m, A, 1).payload
+    wider = (A.payload[0] + (0,),) + A.payload[1:]
+    for bad in (A.payload[:-1], A.payload + A.payload[:1], wider):
+        assert run([bad]) is NotImplemented
+
+
+@pytest.mark.parametrize("name, n", [("omega0", 2), ("omega1", 3)])
+def test_the_verifications_stay_run_time_compares(name, n):
+    """No defining equation of a transposition or reversal inverse is settled
+    while the program is compiled: each runs as a compare on every call."""
+    m = model(name)
+    plans = [(invert._t_plan(1), (n,)), (invert._verify_t_plan(1), (n, n))]
+    plans += [(invert._r_plan(k), (n, n)) for k in range(1, n + 1)]
+    for plan, leaf_dims in plans:
+        ops = program(m, plan, leaf_dims).ops
+        assert len(plan.equations) == sum(op[0] == "eq" for op in ops) > 0
+    assert len(invert._t_plan(1).equations) == 6
+    if n == 3:  # and 4 of the 14 composability compares
+        assert sum(op[0] == "faces" for op in program(m, invert._t_plan(1), (3,)).ops) == 4
 
 
 @pytest.mark.parametrize("name", ["omega0", "omega1"])
