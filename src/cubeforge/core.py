@@ -33,18 +33,15 @@ default each step calls one of the five cell-level operations (face,
 deg, conn, comp, r_inverse), and the nerves lower them to payload
 kernels.  `_run` checks equations with the counts and violation
 text described above; `_eval` runs a construction in the order it was
-built and stops at its first failing equation; a nerve compiles a plan
-run twice into a program (`Lowered.program`), and the steps run if it declines.
+built and stops at its first failing equation.
 
-On the nerves a lowered plan also offers a fused check, which only
-`_run` asks for (and the nerve builds on that first request).  Every
-equation whose two sides are face/deg/conn gathers from the leaves becomes
-pairs of positions in the concatenated leaf payloads; since equality is an
-equivalence, a spanning forest of those pairs, at most one per position,
-decides them all with two gathers and one tuple compare.  When it holds,
-`_run` counts those equations and runs only the rest (compositions,
-inverses, refused operations) one by one.  When it fails, `_run` runs
-every equation one by one, so violations keep their order and text.
+On the nerves a plan run a second time on a model is compiled into one
+program (`Lowered.program`), which serves both runners: it computes every
+node at once and then makes every check (composability compares, cone
+checks, the equations) at once.  When they all hold, `_eval` returns its
+value and `_run` adds the plan's per-family counts; when any fails, the
+program declines and the call goes to the steps, which stay the
+reference for every failure, so violations keep their order and text.
 """
 
 from __future__ import annotations
@@ -84,7 +81,7 @@ def opposite(alpha: str) -> str:
     return "+" if alpha == "-" else "-"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cell:
     """An opaque cell: a model handle, a dimension, and a hashable payload."""
 
@@ -113,18 +110,16 @@ class Lowered(NamedTuple):
     k the value ``fn(vals[x], vals[y], data)`` (y is read by comp only).
     `load` maps a leaf cell to its value, `cell(k, value)` a value in slot
     k back to a cell, and `equal` compares values as the model compares cells.
-    `fused()` gives None or a fused check of some equations: ``holds(leaf
-    values)`` is true only if they all hold, ``counts`` gives every family's
-    number of them in first-appearance order, and ``rest`` the other equations.
-    `program()` gives None or a compiled construction: a function of the leaf
-    values giving slot `out`'s value, or NotImplemented for `_eval`'s steps.
+    `program()` gives None or the compiled plan, which `_run` and `_eval`
+    both try first: a function of the leaf values giving slot `out`'s value
+    when every composability compare, cone check and equation holds, else
+    NotImplemented, which hands the call to the steps.
     """
 
     steps: tuple
     load: Callable[[Cell], Any]
     cell: Callable[[int, Any], Cell]
     equal: Callable[[Any, Any], bool]
-    fused: Callable[[], Any] = lambda: None
     program: Callable[[], Any] = lambda: None
 
 
@@ -659,10 +654,23 @@ def composable_pairs(model: CubModel, cells: Sequence[Cell], i: int,
     return [(cells[x], cells[y]) for x, y in _match(plus, minus, max_pairs)]
 
 
+@functools.cache
+def _faces_plan(n: int) -> _Plan:
+    """The 2n faces d_i^alpha of one n-cell, (i, alpha) in `_face_keys` order."""
+    p = _Plan(1)
+    for i, a in product(range(1, n + 1), ALPHAS):
+        p.face(0, i, a)
+    return p
+
+
 def _face_keys(model: CubModel, cells: Sequence[Cell], n: int) -> dict[tuple[int, str], list]:
-    """The keys of d_i^alpha A for each of the n-cells A of `cells`, by (i, alpha)."""
-    return {(i, a): [model.face(A, i, a).key() for A in cells]
-            for i in range(1, n + 1) for a in ALPHAS}
+    """Keys of d_i^alpha A for each of the n-cells A of `cells`, by (i, alpha):
+    the lowered values of `_faces_plan(n)`, to compare within one model and
+    dimension (the payloads on the nerves, the cells elsewhere)."""
+    low = model.lower(_faces_plan(n), (n,))
+    vals = list(map(low.load, cells))
+    return {(i, a): [fn(v, v, data) for v in vals]
+            for (i, a), (fn, _, _, data) in zip(product(range(1, n + 1), ALPHAS), low.steps[1:])}
 
 
 class _Plan:
@@ -674,8 +682,9 @@ class _Plan:
     (the reversal inverse), and (slot y, i) for comp.  Nodes are
     deduplicated by structure.  Each equation keeps the nodes its lhs,
     then its rhs, need, in order, and the number of slots built before
-    it; `out` is the slot a construction returns.  A plan names
-    operations only: `CubModel.lower` supplies the code.
+    it; `counts` holds the number of equations per family, in
+    first-appearance order; `out` is the slot a construction returns.  A
+    plan names operations only: `CubModel.lower` supplies the code.
     """
 
     def __init__(self, leaves: int, on_cell: bool = False):
@@ -684,6 +693,7 @@ class _Plan:
         self.nodes: list[tuple] = []
         self.slots: dict[tuple, int] = {}
         self.equations: list[tuple] = []  # (family, lhs, rhs, detail, steps, built)
+        self.counts: dict[str, int] = {}
         self.out = 0
 
     def op(self, kind: str, x: int, *args) -> int:
@@ -729,26 +739,27 @@ class _Plan:
         need(rhs)
         built = self.leaves + len(self.nodes)
         self.equations.append((family, lhs, rhs, detail, tuple(steps), built))
+        self.counts[family] = self.counts.get(family, 0) + 1
 
 
 def _run(plan: _Plan, model: CubModel, report: Report, cells: list, n: int) -> None:
     """Check the equations of `plan` on the leaf `cells`, adding to `report`.
 
-    A node is computed when an equation first needs it, then shared.  A
+    A lowered plan's program, if any, runs first; when every check holds it
+    adds the plan's counts and the steps are not run.  Otherwise a node is
+    computed when an equation first needs it, then shared.  A
     `CompositionError` ends its equation as a violation, and a node it
     left uncomputed is computed afresh by the next equation needing it.
-    The equations a fused check covers skip this loop when it holds.
     """
     low = model.lower(plan, tuple(A.dim for A in cells))
-    steps, equal, checked = low.steps, low.equal, report.checked
-    vals = list(map(low.load, cells))
-    equations, fused = plan.equations, low.fused()
-    if fused is not None and fused.holds(vals):
-        for family, count in fused.counts:
+    vals, checked, program = list(map(low.load, cells)), report.checked, low.program()
+    if program is not None and program(vals) is not NotImplemented:
+        for family, count in plan.counts.items():
             checked[family] = checked.get(family, 0) + count
-        equations = fused.rest
+        return
+    steps, equal = low.steps, low.equal
     vals += [None] * len(plan.nodes)
-    for family, lhs, rhs, detail, need, _ in equations:
+    for family, lhs, rhs, detail, need, _ in plan.equations:
         checked[family] = checked.get(family, 0) + 1
         try:
             for k in need:

@@ -15,9 +15,11 @@ eagerly at construction:
 Validation and the bounded search read the signed sums from one table
 per dimension (`_boundary_terms`); with the augmentation read as the
 boundary of a vertex (rhs = (1,)), one solver query draws every value.
-The search's step table (`_steps`, one per dimension and bound, kept for
-the model's life) memoizes each step's candidates by the values its rhs
-reads, so the sum and the query run once per distinct such values.
+The search's step table (`_steps`, one per dimension and bound) memoizes
+each step's candidates by the values its rhs reads, so the sum and the
+query run once per distinct such values.  It is kept for sampling until
+`cells` has enumerated every cell at its dimension and bound; `cells`
+then keeps their payloads alone, and hands out fresh cells.
 
 One mechanism (`_NerveBase`) runs both nerves; each names only its
 domain family, its co-maps (`_co_map`) and its composition split.  The
@@ -32,10 +34,11 @@ the zero chains it kills appended, so an operation is one C-level
 gather.  The cell-level methods wrap one payload kernel per table, and
 `lower` turns each node of a `core` plan into a step calling it, with
 the same range checks, composability compare and cone check.  Composing
-a plan's gathers (`_walk`) gives a checked plan's fused check (`_fuse`)
-and a construction's program (`_program`): its chain sums and negations
-in batches over one register file, then every check at once.  The
-globular nerve speaks the cubical vocabulary of folded cells (source,
+a plan's gathers (`_walk`) gives its one program (`_program`), which
+`core._run` (the checkers) and `core._eval` (the constructions) both
+run: its chain sums and negations in batches over one register file,
+then every check at once; a failing check hands the call to the steps.
+The globular nerve speaks the cubical vocabulary of folded cells (source,
 target, identity and the composite over a k-boundary are d_1^-, d_1^+,
 eps_1 and *_(n-k)), so `core.check_globular` checks it and
 `invert.r_inverse` verifies its inverses.
@@ -167,19 +170,6 @@ def _refuse(_a: tuple, _b: tuple, error: tuple) -> tuple:
     raise kind(text)
 
 
-class _Fused(NamedTuple):
-    """The fused check of a lowered plan (see `core.Lowered`).  `pairs` holds
-    the forest as two aligned tuples of the input positions it compares,
-    `width` the length of the input: every leaf payload, then the zero
-    chains."""
-
-    holds: Callable[[list], bool]
-    counts: tuple
-    rest: tuple
-    pairs: tuple[tuple[int, ...], tuple[int, ...]]
-    width: int
-
-
 class _NerveBase(CubModel):
     """A nerve over a domain family: assignment payloads over the basis of
     `family(n)`.  Its operations compile from `_co_map(kind, n, i, alpha)`,
@@ -196,7 +186,7 @@ class _NerveBase(CubModel):
         self._domains: dict[int, Adc] = {}
         self._elements: dict[int, list[tuple[int, str]]] = {}
         self._index: dict[int, dict[str, int]] = {}
-        self._cell_cache: dict[tuple[int, int], list[Cell]] = {}
+        self._cell_cache: dict[tuple[int, int], list[tuple]] = {}
         self._zeros: dict[int, tuple] = {}
         self._terms: dict[int, tuple] = {}
         self._step_tables: dict[tuple[int, int], tuple[tuple, ...]] = {}
@@ -281,12 +271,13 @@ class _NerveBase(CubModel):
     # -- enumeration --------------------------------------------------------
 
     def cells(self, n: int, bound: int, budget: int = 2_000_000) -> list[Cell]:
+        """Every n-cell at `bound`, in search order; the payloads are kept,
+        so a second call searches nothing."""
         key = (n, bound)
         if key not in self._cell_cache:
-            self._cell_cache[key] = list(
-                self._search(n, bound, budget=budget, rng=None, limit=None)
-            )
-        return self._cell_cache[key]
+            self._cell_cache[key] = self._search(n, bound, budget=budget, rng=None, limit=None)
+            del self._step_tables[key]  # its memo only serves more searches at n, bound
+        return [Cell(self, n, payload) for payload in self._cell_cache[key]]
 
     def sample_cells(self, n: int, count: int, bound: int, rng,
                      budget: int = 2_000_000) -> list[Cell]:
@@ -296,7 +287,7 @@ class _NerveBase(CubModel):
             found = self._search(n, bound, budget=budget, rng=rng, limit=1)
             if not found:
                 break
-            out.append(found[0])
+            out.append(Cell(self, n, found[0]))
         return out
 
     def _order(self, n: int) -> list[int]:
@@ -328,7 +319,8 @@ class _NerveBase(CubModel):
 
     def _steps(self, n: int, bound: int) -> tuple[tuple, ...]:
         """The steps of the dimension-n search at `bound`, in `_order`, built
-        once per (n, bound) and kept with their memos for the model's life.
+        once per (n, bound) and kept with their memos until `cells` has
+        enumerated every cell at n and `bound`.
 
         A step is (position, gather, memo, degree, terms, rank): the gather
         takes the values its rhs reads (None for a vertex), the memo maps
@@ -343,9 +335,9 @@ class _NerveBase(CubModel):
                 for p in self._order(n) for k in (flat[p][0],))
         return self._step_tables[key]
 
-    def _search(self, n: int, bound: int, budget: int, rng, limit) -> list[Cell]:
-        """Depth-first placement of values in `_order`, each step drawing
-        from `chains_with_boundary(k, rhs, bound)`.
+    def _search(self, n: int, bound: int, budget: int, rng, limit) -> list[tuple]:
+        """The payloads of n-cells found by depth-first placement of values
+        in `_order`, each step drawing from `chains_with_boundary(k, rhs, bound)`.
 
         A step's rhs is a function of the values at its boundary positions,
         so its memo maps those values, taken with one gather, to its
@@ -357,7 +349,7 @@ class _NerveBase(CubModel):
         query = self.solver.chains_with_boundary
         vertices = query(0, (1,), bound)  # they depend on no placed value
         nodes, last = 0, len(steps)
-        out: list[Cell] = []
+        out: list[tuple] = []
         values: list[tuple | None] = [None] * last
 
         def descend(step: int) -> bool:
@@ -366,7 +358,7 @@ class _NerveBase(CubModel):
             if nodes > budget:
                 raise BudgetExceeded(n, bound, nodes, budget)
             if step == last:
-                out.append(Cell(self, n, tuple(values)))
+                out.append(tuple(values))
                 return limit is not None and len(out) >= limit
             pos, gather, memo, k, terms, rank = steps[step]
             if gather is None:
@@ -498,15 +490,18 @@ class _NerveBase(CubModel):
             program = functools.cache(lambda: self._program(plan, steps, dims))
             low = Lowered(steps, attrgetter("payload"),
                           lambda k, payload: Cell(self, dims[k], payload), eq,
-                          functools.cache(lambda: self._fuse(plan, steps, dims)),
                           lambda: program() if next(runs) else None)
             self._lowered[key] = low
         return low
 
-    def _walk(self, plan, steps: tuple, dims: list) -> tuple:
+    def _walk(self, plan, steps: tuple, dims: list) -> tuple | None:
         """Map a lowered plan onto one register file (the leaf payloads, a zero
-        chain per degree, then `_program`'s fills): the zero chains, leaf sizes,
-        slots' index maps (None past a refused step), batched fills, compares."""
+        chain per degree, then the fills): the zero chains, the leaf sizes, the
+        index map of slot `out`, the fills (chain sums ("add", dst, a, b) and
+        negations ("neg", dst, zero, src) in batches, none reading its own
+        registers) and the compares of distinct registers (("faces", lhs,
+        rhs, i) per composite, ("eq", lhs, rhs) per equation).  None when a
+        step is refused or an equation's sides differ in length."""
         zeros = tuple(map(self.zero_chain, range(max(dims) + 1)))
         sizes = [len(self.elements(d)) for d in dims[:plan.leaves]]
         offs = list(itertools.accumulate(sizes + [len(zeros)], initial=0))
@@ -534,68 +529,20 @@ class _NerveBase(CubModel):
                 (getter, slab, _), plus, minus, i = data
                 compares.append(("faces", plus.getter(a + zero_at), minus.getter(b + zero_at), i))
                 maps.append(getter(a + b + tuple(fill("add", a[p], b[p]) for p in slab)))
-        return zeros, sizes, maps, batches, compares
-
-    def _fuse(self, plan, steps: tuple, dims: list) -> _Fused | None:
-        """One gather and compare for the equations of `plan` whose sides are
-        gathers from the leaves, or None when there are none.
-
-        Such a slot is an index map into the register file of `_walk`.
-        Equality is an equivalence, so a spanning forest of the position
-        pairs (lhs[p], rhs[p]) of those equations holds exactly when all the
-        pairs do.
-        """
-        zeros, sizes, maps, *_ = self._walk(plan, steps, dims)
-        parent = list(range(sum(sizes) + len(zeros)))
-
-        def find(p: int) -> int:
-            while parent[p] != p:
-                parent[p] = p = parent[parent[p]]
-            return p
-
-        counts, rest, forest = {}, [], []
-        for equation in plan.equations:
-            family, lhs, rhs = equation[:3]
-            lhs, rhs = maps[lhs], maps[rhs]
-            fused = (None not in (lhs, rhs) and len(lhs) == len(rhs)
-                     and max(lhs + rhs) < len(parent))
-            counts[family] = counts.get(family, 0) + fused
-            if not fused:
-                rest.append(equation)
-                continue
-            for p, q in zip(lhs, rhs):
-                root_p, root_q = find(p), find(q)
-                if root_p != root_q:
-                    parent[root_p] = root_q
-                    forest.append((p, q))
-        if len(rest) == len(plan.equations):
+        compares += [("eq", maps[lhs], maps[rhs]) for _, lhs, rhs, *_ in plan.equations]
+        if None in maps or any(len(op[1]) != len(op[2]) for op in compares):
             return None
-        pairs = tuple(zip(*forest)) or ((), ())
-        # an empty forest compares position 0 with itself
-        left, right = (itemgetter(*side or (0,)) for side in pairs)
-
-        def holds(vals: list) -> bool:
-            if list(map(len, vals)) != sizes:
-                return False
-            inputs = [*vals, zeros]
-            # a list: a tuple grown from an iterator is reallocated as it
-            # grows, which left the peak RSS higher pass after pass
-            flat = list(itertools.chain.from_iterable(inputs))
-            return left(flat) == right(flat)
-
-        return _Fused(holds, tuple(counts.items()), tuple(rest), pairs, len(parent))
+        return zeros, sizes, maps[plan.out], batches, [op for op in compares if op[1] != op[2]]
 
     def _program(self, plan, steps: tuple, dims: list) -> Callable[[list], object] | None:
         """`plan` over the registers of `_walk` as a function of the leaf
-        values (NotImplemented when a check fails), or None if it must fail.
-        Its ``ops``: chain sums ("add", dst, a, b) and negations ("neg", dst,
-        zero, src) a batch at a time; with the cone checks, the compares
-        ("faces", lhs, rhs, i) and ("eq", lhs, rhs) of distinct registers; ("out", regs)."""
-        zeros, sizes, maps, batches, compares = self._walk(plan, steps, dims)
-        compares += [("eq", maps[lhs], maps[rhs]) for _, lhs, rhs, *_ in plan.equations]
-        if None in maps or any(len(op[1]) != len(op[2]) for op in compares):
-            return None  # a refused step, or an equation that cannot hold
-        compares = [op for op in compares if op[1] != op[2]]
+        values giving slot `out`'s value: the fills a batch at a time, then
+        the cone checks and the compares at once (NotImplemented when one
+        fails).  None when `_walk` gives None, since such a plan cannot hold."""
+        walked = self._walk(plan, steps, dims)
+        if walked is None:
+            return None
+        zeros, sizes, out_map, batches, compares = walked
         negs = [op for batch in batches for op in batch if op[0] == "neg"]
         stages = [([add if op[0] == "add" else sub for op in batch],
                    *(_kernel([op[k] for op in batch]) for k in (2, 3))) for batch in batches]
@@ -605,7 +552,7 @@ class _NerveBase(CubModel):
         degrees = [zero - sum(sizes) for _, _, zero, _ in negs]  # zero chain k: sum(sizes) + k
         ranks = [len(zeros[k]) for d in dims[:plan.leaves] for k, _ in self.elements(d)]
         ranks += map(len, zeros)
-        in_cone, out = self.K.in_cone, _kernel(maps[plan.out])
+        in_cone, out = self.K.in_cone, _kernel(out_map)
 
         def run(vals: list):
             regs = list(itertools.chain(*vals, zeros))
@@ -616,7 +563,6 @@ class _NerveBase(CubModel):
             holds = left(regs) == right(regs) and all(map(in_cone, degrees, flipped(regs)))
             return out(regs) if holds else NotImplemented
 
-        run.ops = (*itertools.chain(*batches), *compares, ("out", maps[plan.out]))
         return run
 
     # -- the cubical operations ------------------------------------------------

@@ -9,9 +9,12 @@ appending).  Both checkers must return the same counts, in the same
 family order, and the same violation strings in the same order, or
 raise the same exception, on sampled and on faulty models.
 
-On the cubical nerve, `core._run` first tries one fused check of the
-equations that are gathers only, and runs them one by one only when it
-fails.  One faulty nerve, with a corrupted compiled table, makes it fail.
+On the nerves, `core._run` runs a plan's compiled program from the
+plan's second run on a model, and runs the equations one by one only
+when the program declines.  The same nerves with their programs switched
+off (`Uncompiled`) are the oracle of that path: the reports must be equal
+on the first run of each plan and on later runs, on lawful nerves and on
+nerves with a corrupted compiled table, which make the program decline.
 The structural guards at the end need no timing.
 """
 
@@ -19,6 +22,7 @@ import collections
 import functools
 import random
 import types
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -41,9 +45,9 @@ from cubeforge.core import (
     grid2,
 )
 from cubeforge.indices import lower, raise_
-from cubeforge.nerve import NcModel, NgModel
+from cubeforge.nerve import NcModel, NgModel, _NerveBase
 
-from test_lowering import Swapped
+from test_lowering import Swapped, program, walk
 
 # -- the closure-based oracle ---------------------------------------------------
 
@@ -404,12 +408,26 @@ MODELS = {
     "square": lambda: PosetModel(*SQUARE),
     "box": lambda: BoxModel(PosetModel(*CHAIN), 1),
 }
+class WrongSlab(Swapped):
+    """A nerve whose compiled comp table at `key` has its slab positions
+    rotated, so that each slab sum adds the chains of the wrong positions."""
+
+    def _table(self, kind, n, i, alpha=""):
+        key = (kind, n, i, alpha)
+        if key == self.key and key not in self._tables:
+            tab = NcModel._table(self, kind, n, i, alpha)
+            self._tables[key] = tab._replace(extra=tab.extra[1:] + tab.extra[:1])
+        return NcModel._table(self, kind, n, i, alpha)
+
+
 FAULTY = {
     "corrupted": lambda: Corrupted(*CHAIN),
     "refusing": lambda: RefusingComp(*SQUARE),
     "wrong-conn": lambda: WrongConn(*SQUARE),
-    # the compiled Gamma_1^+ table on 2-cells corrupted, for the fused check
+    # compiled tables corrupted, so that the nerve's programs decline: the
+    # Gamma_1^+ table on 2-cells, and the *_1 table on 2-cells
     "swapped-conn": lambda: Swapped(disk(2), ("conn", 2, 1, "+")),
+    "wrong-slab": lambda: WrongSlab(disk(2), ("comp", 2, 1, "")),
 }
 # globular nerves, lawful and with d_2^- and d_2^+ exchanged, for the globular checker
 GLOBULAR = {
@@ -419,7 +437,7 @@ GLOBULAR = {
     "ng flipped-d2": lambda: FlippedFace(with_group_cones_above(disk(2), 0)),
 }
 TOP = {"disk(3)": 3, "cube(2)": 3, "omega0": 3, "chain3": 3, "square": 3, "box": 2,
-       "corrupted": 2, "refusing": 3, "wrong-conn": 3, "swapped-conn": 3,
+       "corrupted": 2, "refusing": 3, "wrong-conn": 3, "swapped-conn": 3, "wrong-slab": 3,
        "ng disk(3)": 3, "ng (w,1) disk(3)": 3, "ng tensor": 2, "ng flipped-d2": 3}
 
 
@@ -579,8 +597,8 @@ def test_plans_are_smaller_than_the_calls_they_replace(name, dims):
                     assert len(core._interchange_plan(i, j).nodes) < 6
 
 
-class CountingNerve(NcModel):
-    """The nerve, counting the calls of its cell-level operations by kind."""
+class CountingOps:
+    """Mixed into a nerve class: counts the calls of its cell-level operations by kind."""
 
     def __init__(self, K):
         super().__init__(K)
@@ -589,42 +607,109 @@ class CountingNerve(NcModel):
     def _count(name):
         def op(self, *args):
             self.calls[name] += 1
-            return getattr(NcModel, name)(self, *args)
+            return getattr(super(CountingOps, self), name)(*args)
         return op
 
     face, deg, conn, comp = _count("face"), _count("deg"), _count("conn"), _count("comp")
 
 
+class CountingNerve(CountingOps, NcModel):
+    pass
+
+
+class CountingGlobular(CountingOps, NgModel):
+    pass
+
+
 @pytest.mark.parametrize("name", ["disk(3)", "cube(2)", "omega0"])
 def test_plans_reach_cells_only_through_their_leaves(name):
     """The sample cells (and each pair's composite) are the plans' only
-    leaves: everything above them is a lowered node, so the checker calls
-    no cell-level deg or conn, and face only for the 2n composability keys
-    of each sample n-cell."""
+    leaves: everything above them is a lowered node, and the composability
+    keys are the lowered faces of a plan too, so the checker calls no
+    cell-level face, deg or conn."""
     m = CountingNerve(model(name).K)
     cells = {n: [core.Cell(m, n, A.payload) for A in pool(name, n)[:8]] for n in range(4)}
     report = check_axioms(m, 3, cells, max_pairs=7)
     assert report.ok and report.checked["conn-comp"] and report.checked["interchange"]
-    assert m.calls["deg"] == m.calls["conn"] == 0
-    assert m.calls["face"] == sum(2 * n * len(cells[n]) for n in cells)
+    assert m.calls["face"] == m.calls["deg"] == m.calls["conn"] == 0
     for n in range(4):
         assert core._unary_plan(n, m.max_dim).leaves == 1
         assert all(core._pair_plan(n, m.max_dim, i).leaves == 3 for i in range(1, n + 1))
 
 
-# -- the fused check -------------------------------------------------------------
+@pytest.mark.parametrize("cls, name", [(CountingNerve, "omega0"), (CountingGlobular, "ng disk(3)")])
+def test_globular_checks_call_no_cell_level_operation(cls, name):
+    """`check_globular` takes its composability keys from lowered faces too,
+    on full folds and on globular nerve cells."""
+    m = cls(model(name).K)
+    cells = {n: [core.Cell(m, n, A.payload) for A in pool(name, n)[:12]] for n in range(4)}
+    if cls is CountingNerve:
+        cells = {n: globular_cells(m, sample) for n, sample in cells.items()}
+    m.calls.clear()
+    report = check_globular(m, cells, max_pairs=7)
+    assert report.ok and report.checked["glob-src-comp"] and not m.calls
 
 
-def built(m):
-    """What nerve `m` built when asked for fused checks, by (plan, leaf
-    dimensions): a fused check, or None for a plan with no gather-only
-    equation."""
-    return {key: low.fused() for key, low in m._lowered.items()
-            if low.fused.cache_info().currsize}
+# -- the compiled programs against their steps -------------------------------------
 
 
-def fused_checks(m):
-    return {key: check for key, check in built(m).items() if check is not None}
+class Uncompiled:
+    """Mixed into a nerve class: no compiled programs, so every plan runs on
+    its steps.  The oracle of the programs."""
+
+    def lower(self, plan, leaf_dims):
+        return super().lower(plan, leaf_dims)._replace(program=lambda: None)
+
+
+class Observed:
+    """Mixed into a nerve class: counts the plan runs handed to the steps
+    (`on_steps`), because no program was built or it declined."""
+
+    on_steps = 0
+
+    def lower(self, plan, leaf_dims):
+        low = super().lower(plan, leaf_dims)
+
+        def program():
+            run = low.program()
+
+            def observed(vals):
+                value = NotImplemented if run is None else run(vals)
+                self.on_steps += value is NotImplemented
+                return value
+
+            return observed
+
+        return low._replace(program=program)
+
+
+def fresh(name, *mixins):
+    """A new instance of nerve `name`, its class extended by `mixins`."""
+    m = model(name)
+    cls = type(m)
+    if mixins:
+        cls = type("".join(c.__name__ for c in (*mixins, cls)), (*mixins, cls), {})
+    return cls(m.K, m.key) if isinstance(m, Swapped) else cls(m.K)
+
+
+def on(m, cells):
+    """The cells of `cells` as cells of model `m`."""
+    return {n: [core.Cell(m, n, A.payload) for A in sample] for n, sample in cells.items()}
+
+
+def compiled_programs(m, fn):
+    """The programs nerve `m` compiles while `fn()` runs, by (plan, leaf dimensions)."""
+    built, original = {}, _NerveBase._program
+
+    def record(self, plan, steps, dims):
+        run = original(self, plan, steps, dims)
+        if self is m:
+            built[plan, tuple(dims[:plan.leaves])] = run
+        return run
+
+    with mock.patch.object(_NerveBase, "_program", record):
+        fn()
+    return built
 
 
 def run_plan(plan):
@@ -636,11 +721,28 @@ def run_plan(plan):
     return check
 
 
-class Unfused(NcModel):
-    """The nerve with no fused checks: every equation runs on the loop."""
+LAWFUL = {"disk(3)", "cube(2)", "omega0", "ng disk(3)", "ng (w,1) disk(3)", "ng tensor"}
 
-    def lower(self, plan, leaf_dims):
-        return super().lower(plan, leaf_dims)._replace(fused=lambda: None)
+
+@pytest.mark.parametrize("name, check", [
+    *((name, plans) for name in ("disk(3)", "cube(2)", "omega0", "swapped-conn", "wrong-slab")),
+    *((name, globular) for name in ("ng disk(3)", "ng (w,1) disk(3)", "ng tensor",
+                                    "ng flipped-d2", "swapped-conn", "wrong-slab"))])
+def test_programs_report_as_their_steps(name, check):
+    """A checker on a fresh nerve and on its `Uncompiled` twin: equal reports
+    (counts, and violations in order and text) while each plan runs for the
+    first time, and again when every plan runs its program.  On a lawful
+    nerve the programs then decide every equation; on a faulty one some
+    decline, and the steps report."""
+    compiled, oracle = fresh(name, Observed), fresh(name, Uncompiled)
+    cells = {n: pool(name, n)[:10] for n in range(TOP[name] + 1)}
+    expected = outcome(check, oracle, TOP[name], on(oracle, cells), 7)
+    assert expected[0] != "raised" and dict(expected[0])
+    for later in (False, True):
+        compiled.on_steps = 0
+        assert outcome(check, compiled, TOP[name], on(compiled, cells), 7) == expected
+        assert (compiled.on_steps == 0) == (later and name in LAWFUL)
+    assert (expected[1] == []) == (name in LAWFUL)
 
 
 def test_corrupted_table_falls_back_to_the_oracle_report():
@@ -649,64 +751,92 @@ def test_corrupted_table_falls_back_to_the_oracle_report():
     for check, oracle in ((plans, oracle_check_axioms), (globular, globular_oracle)):
         got = outcome(check, m, 3, cells, 7)
         assert got == outcome(oracle, m, 3, cells, 7)
-    # the fault breaks gather-only equations, which only the loop can report
+    # the fault breaks gather-only equations, which only the steps can report
     assert any(v.startswith("[face-conn]") for v in outcome(plans, m, 3, cells, 7)[1])
-    unary = core._unary_plan(2, m.max_dim)
-    assert any(plan is unary for plan, _ in fused_checks(m))
+    run = program(m, core._unary_plan(2, m.max_dim), (2,))
+    assert any(run([A.payload]) is NotImplemented for A in cells[2])
 
 
-@pytest.mark.parametrize("name", ["disk(3)", "cube(2)", "omega0", "swapped-conn"])
-def test_fused_forests_are_no_wider_than_their_input(name):
-    m = model(name)
+@pytest.mark.parametrize("name", ["disk(3)", "cube(2)", "omega0", "swapped-conn", "wrong-slab"])
+def test_programs_compare_only_registers_they_have(name):
+    """Every checker plan a nerve runs twice compiles (the unary plans
+    included), and its program compares sides of equal length, never a
+    register with itself, at most one compare per composite and equation,
+    and only registers of its file: the leaf payloads, the zero chains and
+    its fills.  The checkers' reports equal the oracle's."""
+    m, oracle = fresh(name), fresh(name, Uncompiled)
     cells = {n: pool(name, n)[:4] for n in range(4)}
-    check_axioms(m, 3, cells, max_pairs=4)
-    check_globular(m, cells, max_pairs=4)
-    checks = fused_checks(m)
-    assert {plan for plan, _ in checks} >= {core._unary_plan(n, m.max_dim) for n in range(4)}
-    for (plan, _), check in checks.items():
-        lhs, rhs = check.pairs
-        assert len(lhs) == len(rhs) < check.width
-        assert all(p != q and max(p, q) < check.width for p, q in zip(lhs, rhs))
-        assert sum(count for _, count in check.counts) + len(check.rest) == len(plan.equations)
-        assert [family for family, _ in check.counts] == list(
-            dict.fromkeys(family for family, *_ in plan.equations))
+
+    def checks(model):
+        return [outcome(check, model, 3, on(model, cells), 4)
+                for _ in range(2) for check in (plans, globular)]
+
+    built = compiled_programs(m, lambda: checks(m))
+    assert checks(m) == checks(oracle)
+    assert {key for key, run in built.items() if run} >= {
+        (core._unary_plan(n, m.max_dim), (n,)) for n in range(4)}
+    for (plan, leaf_dims), run in built.items():
+        if run is None:
+            continue
+        zeros, sizes, _, batches, compares = walk(m, plan, leaf_dims)
+        width = sum(sizes) + len(zeros) + sum(map(len, batches))
+        composites = sum(kind == "comp" for kind, *_ in plan.nodes)
+        assert sum(op[0] == "faces" for op in compares) <= composites
+        assert sum(op[0] == "eq" for op in compares) <= len(plan.equations)
+        for _, lhs, rhs, *_ in compares:
+            assert len(lhs) == len(rhs) and lhs != rhs and max(lhs + rhs) < width
 
 
 def test_sides_of_unequal_length_stay_on_the_loop():
-    """Leaves A and its face d_1^- A: the fused check covers the second
-    equation only, and the loop reports the first."""
-    m = NcModel(disk(2))
+    """Leaves A and its face d_1^- A: an equation between sides of unequal
+    length cannot hold, so the plan compiles to no program, and the steps
+    report it on every run, as on the oracle."""
     p, (A, B) = core._Plan(2, on_cell=True), range(2)
     p.eq("short", B, A, "d_1^- A != A")
     p.eq("even", p.face(B, 1, "-"), p.face(p.face(A, 1, "-"), 1, "-"), "d_1^- d_1^-")
-    check = m.lower(p, (2, 1)).fused()
-    assert [family for family, *_ in check.rest] == ["short"]
-    assert check.counts == (("short", 0), ("even", 1)) and check.pairs[0]
+    m = NcModel(disk(2))
     cell = m.cells(2, 1)[-1]
-    assert outcome(run_plan(p), m, 2, [cell, m.face(cell, 1, "-")], 0) == (
-        [("short", 1), ("even", 1)], [f"[short] dim 2: d_1^- A != A on {cell.payload!r}"])
+    leaves = [cell, m.face(cell, 1, "-")]
+    expected = ([("short", 1), ("even", 1)], [f"[short] dim 2: d_1^- A != A on {cell.payload!r}"])
+    oracle = fresh("disk(3)", Uncompiled)
+    assert [outcome(run_plan(p), model, 2, leaves, 0) for model in (m, m, oracle)] == [expected] * 3
+    assert program(m, p, (2, 1)) is None
 
 
 def test_leaves_of_the_wrong_width_fall_back():
     """Leaf payloads whose concatenation is right but whose widths are not:
-    the fused check must not read them as aligned."""
+    the program must not read them as aligned, and declines."""
     p, (A, B) = core._Plan(2), range(2)
     p.eq("even", p.face(B, 1, "-"), p.face(p.face(A, 1, "-"), 1, "-"), "d_1^- d_1^-")
-    got = {}
-    for m in (NcModel(disk(2)), Unfused(disk(2))):
+    compiled = NcModel(disk(2))
+    got = []
+    for m in (compiled, type("UncompiledNcModel", (Uncompiled, NcModel), {})(disk(2))):
         cell = m.cells(2, 1)[-1]
         face = m.face(cell, 1, "-").payload
-        leaves = [core.Cell(m, 2, cell.payload + face[:1]), core.Cell(m, 1, face[1:])]
-        got[type(m)] = outcome(run_plan(p), m, 2, leaves, 0)
-    assert got[NcModel] == got[Unfused] != ([("even", 1)], [])
+        leaves = [cell.payload + face[:1], face[1:]]
+        cells = [core.Cell(m, 2, leaves[0]), core.Cell(m, 1, leaves[1])]
+        got.append([outcome(run_plan(p), m, 2, cells, 0) for _ in range(2)])
+    assert got[0] == got[1] and got[0][0] != ([("even", 1)], [])
+    run = program(compiled, p, (2, 1))
+    assert run is not None and run(leaves) is NotImplemented
 
 
-def test_constructions_build_no_fused_check():
+def test_a_plan_run_once_keeps_its_steps():
+    """A plan compiles on its second run on a model, in the checkers as in
+    the constructions, so a one-shot call pays no compile."""
     m = NcModel(with_group_cones_above(disk(2), 0))
-    for A in m.cells(2, 1)[:5]:
+    oracle = type("UncompiledNcModel", (Uncompiled, NcModel), {})(m.K)
+    cells = {n: m.cells(n, 1)[:1] for n in range(3)}
+    A = cells[2][0]
+
+    def constructions():
         core.phi(m, A, 2)
         invert.t_inverse(m, A, 1)
-        invert.verify_t_inverse(m, A, m.t_inverse(A, 1), 1)
-    assert m._lowered and not built(m)
-    check_axioms(m, 1, max_pairs=2)
-    assert fused_checks(m)
+
+    def check():
+        assert check_axioms(m, 2, cells, max_pairs=0) == check_axioms(oracle, 2, cells, max_pairs=0)
+
+    assert not compiled_programs(m, check) and not compiled_programs(m, constructions)
+    assert set(compiled_programs(m, check)) == {
+        (core._unary_plan(n, m.max_dim), (n,)) for n in range(3)}
+    assert compiled_programs(m, constructions)

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cubeforge
 from cubeforge.adc import disk, save_adc, to_json_dict, with_group_cones_above
 from cubeforge.cli import main
 from cubeforge.core import is_thin
@@ -14,6 +19,17 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def test_python_dash_m_runs_the_command(capsys):
+    """`python -m cubeforge` with the sources on the path, no install: the
+    same stdout and exit code as the in-process call."""
+    argv = ["perm", "boundary", "--word", "T1 T2", "--i", "2"]
+    code, out, _ = run(capsys, *argv)
+    env = {**os.environ, "PYTHONPATH": str(Path(cubeforge.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-m", "cubeforge", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stdout) == (code, out) and out
 
 
 def test_check_ok(tmp_path, capsys):

@@ -27,7 +27,7 @@ import cubeforge.invert as invert
 from cubeforge.adc import cube, disk, tensor, with_group_cones_above
 from cubeforge.core import (Cell, CompositionError, CubModel, DomainError, NotInvertible,
                             PosetModel, Violation, check_axioms, check_globular)
-from cubeforge.nerve import NcModel, NgModel, _kernel, _Table
+from cubeforge.nerve import _SHIFT, NcModel, NgModel, _kernel, _Table
 
 # -- the cell-level oracles -------------------------------------------------------
 
@@ -356,6 +356,15 @@ def program(m, plan, leaf_dims):
     return low.program() or low.program()
 
 
+def walk(m, plan, leaf_dims):
+    """What `m` compiles `plan` from: the zero chains, leaf sizes, output
+    map, batched fills and compares of `_walk`, or None."""
+    dims = list(leaf_dims)
+    for kind, x, _ in plan.nodes:
+        dims.append(dims[x] + _SHIFT.get(kind, 0))
+    return m._walk(plan, m.lower(plan, leaf_dims).steps, dims)
+
+
 def test_an_unread_negation_still_refuses():
     """A rev node that nothing reads still runs its cone check: the program
     hands a cell that fails it to the steps, which raise."""
@@ -365,7 +374,8 @@ def test_an_unread_negation_still_refuses():
     A = next(A for A in pool("disk(3)", 2) if not m.has_r_inverse(A, 1))
     B = next(B for B in pool("disk(3)", 2) if m.has_r_inverse(B, 1))
     run = program(m, p, (2,))
-    assert [op[0] for op in run.ops] == ["neg"] * 3 + ["out"]
+    *_, batches, compares = walk(m, p, (2,))
+    assert [op[0] for batch in batches for op in batch] == ["neg"] * 3 and not compares
     assert run([A.payload]) is NotImplemented and run([B.payload]) == B.payload
     assert outcome(core._eval, p, m, [A]) == outcome(m.r_inverse, A, 1)
     assert core._eval(p, m, [B]) is B
@@ -391,11 +401,11 @@ def test_the_verifications_stay_run_time_compares(name, n):
     plans = [(invert._t_plan(1), (n,)), (invert._verify_t_plan(1), (n, n))]
     plans += [(invert._r_plan(k), (n, n)) for k in range(1, n + 1)]
     for plan, leaf_dims in plans:
-        ops = program(m, plan, leaf_dims).ops
-        assert len(plan.equations) == sum(op[0] == "eq" for op in ops) > 0
+        compares = walk(m, plan, leaf_dims)[-1]
+        assert len(plan.equations) == sum(op[0] == "eq" for op in compares) > 0
     assert len(invert._t_plan(1).equations) == 6
     if n == 3:  # and 4 of the 14 composability compares
-        assert sum(op[0] == "faces" for op in program(m, invert._t_plan(1), (3,)).ops) == 4
+        assert sum(op[0] == "faces" for op in walk(m, invert._t_plan(1), (3,))[-1]) == 4
 
 
 @pytest.mark.parametrize("name", ["omega0", "omega1"])

@@ -546,7 +546,7 @@ def test_heap_order_is_the_rescan_order(model):
 
 def _direct_search(model, n, bound, budget, rng, limit):
     """The search without the candidate memo: every step sums its rhs and
-    asks the solver.  Returns the cells and the nodes visited."""
+    asks the solver.  Returns the payloads found and the nodes visited."""
     flat, terms = model.elements(n), model._boundary_terms(n)
     query = model.solver.chains_with_boundary
     nodes, out, values = 0, [], [None] * len(flat)
@@ -557,7 +557,7 @@ def _direct_search(model, n, bound, budget, rng, limit):
         if nodes > budget:
             raise BudgetExceeded(n, bound, nodes, budget)
         if step == len(order):
-            out.append(Cell(model, n, tuple(values)))
+            out.append(tuple(values))
             return limit is not None and len(out) >= limit
         pos = order[step]
         k = flat[pos][0]
@@ -635,11 +635,33 @@ def test_memo_sampling_is_the_direct_sampling(name, n, bound, seed):
             found, _ = _direct_search(model, n, bound, SEARCH_BUDGET, oracle_rng, 1)
             if not found:
                 break
-            want.append(found[0])
+            want.append(Cell(model, n, found[0]))
     except BudgetExceeded as exc:
         want = ("raised", str(exc))
     assert drawn == want
     assert rng.random() == oracle_rng.random()
+
+
+def test_an_enumeration_keeps_payloads_and_drops_its_search_memo():
+    """`cells` keeps the payloads of a finished enumeration: a second call
+    searches nothing and hands out equal, fresh cells, the step table of
+    that dimension and bound is gone, and a later draw there is the direct
+    draw."""
+    model = NcModel(disk(2))
+    cells = model.cells(2, 1)
+    assert (2, 1) not in model._step_tables
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched again")
+
+    model._search = no_search
+    again = model.cells(2, 1)
+    assert again == cells and again is not cells and again[0] is not cells[0]
+    del model._search
+    rng, oracle_rng = random.Random(5), random.Random(5)
+    want = [Cell(model, 2, _direct_search(model, 2, 1, SEARCH_BUDGET, oracle_rng, 1)[0][0])
+            for _ in range(3)]
+    assert model.sample_cells(2, 3, 1, rng) == want
 
 
 # -- the recorded enumerations of the benchmark -------------------------------
