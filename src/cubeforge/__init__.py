@@ -2,12 +2,12 @@
 
 The package is organised around a small abstract interface for
 dimension-bounded cubical omega-categories (`cubeforge.core.CubModel`)
-and two executable families of instances: nerves of augmented directed
-complexes (`cubeforge.nerve`) and the shell/Box construction
-(`cubeforge.core.BoxModel`).  On top of that sit the folding operations,
-thin cells, the three invertibility notions (`cubeforge.invert`), the
-symmetric-group machinery on words and permutations (`cubeforge.perms`),
-and lax/oplax/pseudo transfors (`cubeforge.transfor`).
+and its executable instances, the cubical and globular nerves of
+augmented directed complexes (`cubeforge.nerve`).  On top of that sit
+the folding operations, thin cells, the three invertibility notions
+(`cubeforge.invert`), the symmetric-group machinery on words and
+permutations (`cubeforge.perms`), and lax/oplax/pseudo transfors
+(`cubeforge.transfor`).
 
 Everything is exact integer combinatorics; there is no floating point
 anywhere.  All infinite objects are confronted only through explicit,

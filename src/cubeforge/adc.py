@@ -613,15 +613,22 @@ def smith_normal_form(rows: Sequence[Sequence[int]]) -> tuple[Matrix, Matrix, Ma
     """Decompose R = U * D * V with U, V unimodular and D in Smith form.
 
     Returns (U, D, V), re-checked before returning: ArithmeticError if
-    U * D * V != R or det U, det V are not +-1.  Works over exact Python
+    U * D * V != R, det U, det V are not +-1, or V times the inverse of
+    V built alongside it is not the identity.  Works over exact Python
     integers; intermediate entries may grow, which is fine.
     """
+    return _smith(rows)[:3]
+
+
+def _smith(rows: Sequence[Sequence[int]]) -> tuple[Matrix, Matrix, Matrix, Matrix]:
+    """`smith_normal_form`'s (U, D, V), and V's inverse as a fourth matrix."""
     R = _as_matrix(rows)
     r = [list(row) for row in R]
     nrows = len(r)
     ncols = len(r[0]) if nrows else 0
     u = _identity(nrows)  # accumulates inverses of the row operations
     v = _identity(ncols)  # accumulates inverses of the column operations
+    vinv = _identity(ncols)  # accumulates the column operations themselves
 
     def row_swap(a, b):
         r[a], r[b] = r[b], r[a]
@@ -644,12 +651,15 @@ def smith_normal_form(rows: Sequence[Sequence[int]]) -> tuple[Matrix, Matrix, Ma
         for k in range(nrows):
             r[k][a], r[k][b] = r[k][b], r[k][a]
         v[a], v[b] = v[b], v[a]
+        for k in range(ncols):
+            vinv[k][a], vinv[k][b] = vinv[k][b], vinv[k][a]
 
     def col_add(dst, src, c):  # col[dst] += c * col[src]
         for k in range(nrows):
             r[k][dst] += c * r[k][src]
         for j in range(ncols):
             v[src][j] -= c * v[dst][j]
+            vinv[j][dst] += c * vinv[j][src]
 
     def find_pivot(t: int) -> tuple[int, int] | None:
         pivot = None
@@ -702,10 +712,12 @@ def smith_normal_form(rows: Sequence[Sequence[int]]) -> tuple[Matrix, Matrix, Ma
         if bad is None:
             break
         col_add(bad, bad + 1, 1)
-    U, D, V = _as_matrix(u), _as_matrix(r), _as_matrix(v)
-    if mat_mul(mat_mul(U, D), V) != R or abs(det(U)) != 1 or abs(det(V)) != 1:
-        raise ArithmeticError("Smith normal form fails U * D * V == R with U, V unimodular")
-    return U, D, V
+    U, D, V, Vinv = _as_matrix(u), _as_matrix(r), _as_matrix(v), _as_matrix(vinv)
+    if (mat_mul(mat_mul(U, D), V) != R or abs(det(U)) != 1 or abs(det(V)) != 1
+            or mat_mul(V, Vinv) != _as_matrix(_identity(ncols))):
+        raise ArithmeticError("Smith normal form fails U * D * V == R with U, V unimodular"
+                              " and V * V^-1 == I")
+    return U, D, V, Vinv
 
 
 def det(m: Sequence[Sequence[int]]) -> int:
@@ -740,6 +752,7 @@ class AbelianPresentation:
     u: Matrix
     d: Matrix
     v: Matrix
+    vinv: Matrix  # the inverse of v, built by `smith_normal_form` alongside it
 
     @property
     def invariant_factors(self) -> tuple[int, ...]:
@@ -754,9 +767,6 @@ class AbelianPresentation:
     def torsion(self) -> tuple[int, ...]:
         return tuple(f for f in self.invariant_factors if f > 1)
 
-    def is_trivial(self) -> bool:
-        return self.free_rank == 0 and not self.torsion
-
     def class_of(self, combo: dict[str, int]) -> Vector:
         """Canonical coordinates of a generator combination in the quotient.
 
@@ -766,7 +776,7 @@ class AbelianPresentation:
         x = [0] * len(self.generators)
         for name, c in combo.items():
             x[self.generators.index(name)] += c
-        vinv = _inverse_unimodular(self.v)
+        vinv = self.vinv
         y = [sum(x[a] * vinv[a][j] for a in range(len(x))) for j in range(len(x))]
         k = min(len(self.d), len(self.d[0]) if self.d else 0)
         for i in range(k):
@@ -778,27 +788,6 @@ class AbelianPresentation:
     def cone_image(self) -> dict[str, Vector]:
         """Classes of the declared generators; the cone is their N-span."""
         return {g: self.class_of({g: 1}) for g in self.generators}
-
-
-def _inverse_unimodular(m: Matrix) -> Matrix:
-    """Inverse of a unimodular integer matrix (exact, via adjugate)."""
-    n = len(m)
-    d = det(m)
-    if d not in (1, -1):
-        raise ValueError("matrix is not unimodular")
-    cof = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            minor = [
-                [m[a][b] for b in range(n) if b != j] for a in range(n) if a != i
-            ]
-            row.append((-1) ** (i + j) * det(minor))
-        cof.append(row)
-    # inverse = adjugate / det; adjugate = transpose of cofactor matrix
-    return _as_matrix(
-        [[cof[j][i] * d for j in range(n)] for i in range(n)]
-    )
 
 
 def abelianize(
@@ -819,10 +808,8 @@ def abelianize(
         rows.append(row)
     if not rows:
         rows_m: Matrix = ((0,) * len(generators),) if generators else ((),)
-        u, d, v = smith_normal_form(rows_m)
-        return AbelianPresentation(generators, rows_m, u, d, v)
-    u, d, v = smith_normal_form(rows)
-    return AbelianPresentation(generators, _as_matrix(rows), u, d, v)
+        return AbelianPresentation(generators, rows_m, *_smith(rows_m))
+    return AbelianPresentation(generators, _as_matrix(rows), *_smith(rows))
 
 
 def cubical_boundary_classes(

@@ -2,14 +2,14 @@
 
 A model (`CubModel`) exposes faces, degeneracies, connections and the
 partial compositions on opaque cells.  Nothing here assumes a particular
-representation: the shipped instances are the cubical nerve of an
-augmented directed complex (`cubeforge.nerve`), the shell construction
-(`BoxModel` below), and a small poset model (`PosetModel`) that keeps
-this module testable on its own.  Globular cells speak the same
-vocabulary: source, target, identity and the composite over a
-k-dimensional boundary are d_1^-, d_1^+, eps_1 and *_(n-k), so one
-checker (`check_globular`) covers the full folds of cubical cells
-(`globular_cells`) and the globular nerve (`cubeforge.nerve.NgModel`).
+representation: the shipped instances are the cubical and globular
+nerves of an augmented directed complex (`cubeforge.nerve`), and
+`shell_key` reads the shell of a cell, the family of its faces.
+Globular cells speak the same vocabulary: source, target, identity and
+the composite over a k-dimensional boundary are d_1^-, d_1^+, eps_1 and
+*_(n-k), so one checker (`check_globular`) covers the full folds of
+cubical cells (`globular_cells`) and the globular nerve
+(`cubeforge.nerve.NgModel`).
 
 Conventions.  Dimensions and directions are 1-based.  For an n-cell A,
 ``face(A, i, alpha)`` is defined for 1 <= i <= n, ``deg(A, i)`` for
@@ -75,10 +75,6 @@ class BudgetExceeded(RuntimeError):
     def __init__(self, n: int, bound: int, nodes: int, budget: int):
         super().__init__(f"enumeration of {n}-cells at bound {bound} exceeded {budget} nodes")
         self.n, self.bound, self.nodes, self.budget = n, bound, nodes, budget
-
-
-def opposite(alpha: str) -> str:
-    return "+" if alpha == "-" else "-"
 
 
 @dataclass(frozen=True, slots=True)
@@ -193,33 +189,6 @@ class CubModel:
                 steps.append((_unary, x, x, (op, args)))
         return Lowered(tuple(steps), lambda A: A, lambda k, A: A, self.equal)
 
-    # -- generic helpers ------------------------------------------------------
-
-    def check_composable(self, A: Cell, B: Cell, i: int) -> None:
-        fa, fb = self.face(A, i, "+"), self.face(B, i, "-")
-        if not self.equal(fa, fb):
-            raise CompositionError(
-                f"faces differ along direction {i}: {fa.payload!r} vs {fb.payload!r}"
-            )
-
-
-# ---------------------------------------------------------------------------
-# 2D composites
-
-
-def grid2(model: CubModel, rows: Sequence[Sequence[Cell]], row_dir: int, col_dir: int) -> Cell:
-    """Compose a rectangular array: rows along `row_dir`, then down `col_dir`."""
-    composed_rows = []
-    for row in rows:
-        acc = row[0]
-        for cell in row[1:]:
-            acc = model.comp(acc, cell, row_dir)
-        composed_rows.append(acc)
-    result = composed_rows[0]
-    for band in composed_rows[1:]:
-        result = model.comp(result, band, col_dir)
-    return result
-
 
 # ---------------------------------------------------------------------------
 # folding operations and thin cells
@@ -273,54 +242,7 @@ def is_thin(model: CubModel, A: Cell) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# shells and the Box construction
-
-
-@dataclass(frozen=True)
-class Shell:
-    """A compatible family of n-cells bounding a would-be (n+1)-cell."""
-
-    base_dim: int
-    faces: tuple[tuple[tuple[int, str], Cell], ...]  # sorted ((i, alpha), cell)
-
-    @classmethod
-    def from_faces(cls, base_dim: int, faces: Mapping[tuple[int, str], Cell]) -> "Shell":
-        items = tuple(sorted(faces.items(), key=lambda kv: (kv[0][0], kv[0][1])))
-        expected = {(i, a) for i in range(1, base_dim + 2) for a in ALPHAS}
-        if {k for k, _ in items} != expected:
-            raise ValueError("shell must provide every face (i, alpha)")
-        return cls(base_dim, items)
-
-    def face(self, i: int, alpha: str) -> Cell:
-        return dict(self.faces)[(i, alpha)]
-
-    def is_compatible(self, model: CubModel) -> bool:
-        n = self.base_dim + 1
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                if i == j:
-                    continue
-                for a in ALPHAS:
-                    for b in ALPHAS:
-                        lhs = model.face(self.face(j, b), lower(i, j), a)
-                        rhs = model.face(self.face(i, a), lower(j, i), b)
-                        if not model.equal(lhs, rhs):
-                            return False
-        return True
-
-
-def shell_of(model: CubModel, A: Cell) -> Shell:
-    """The family of all faces of A."""
-    if A.dim < 1:
-        raise DomainError("cells of dimension 0 have no shell")
-    return Shell.from_faces(
-        A.dim - 1,
-        {
-            (i, a): model.face(A, i, a)
-            for i in range(1, A.dim + 1)
-            for a in ALPHAS
-        },
-    )
+# shells
 
 
 def shell_key(model: CubModel, A: Cell) -> tuple:
@@ -330,275 +252,6 @@ def shell_key(model: CubModel, A: Cell) -> tuple:
         for i in range(1, A.dim + 1)
         for a in ALPHAS
     )
-
-
-class BoxModel(CubModel):
-    """The shell construction over a model truncated at level n.
-
-    Cells of dimension <= n are the base model's own cells; cells of
-    dimension n+1 are compatible families of n-cells with the face,
-    degeneracy, connection and composition formulas acting
-    componentwise.
-    """
-
-    def __init__(self, base: CubModel, n: int):
-        self.base = base
-        self.n = n
-        self.max_dim = n + 1
-
-    # shells are stored as payload ("shell", ((i, alpha, face_payload), ...))
-
-    def shell_cell(self, faces: Mapping[tuple[int, str], Cell]) -> Cell:
-        items = tuple(
-            (i, a, faces[(i, a)].payload)
-            for i in range(1, self.n + 2)
-            for a in ALPHAS
-        )
-        return Cell(self, self.n + 1, ("shell", items))
-
-    def shell_faces(self, A: Cell) -> dict[tuple[int, str], Cell]:
-        _, items = A.payload
-        return {(i, a): Cell(self.base, self.n, p) for i, a, p in items}
-
-    def embed(self, A: Cell) -> Cell:
-        """View an (n+1)-cell of an ambient model as its shell here."""
-        faces = {
-            (i, a): A.model.face(A, i, a)
-            for i in range(1, self.n + 2)
-            for a in ALPHAS
-        }
-        return self.shell_cell(faces)
-
-    def face(self, A: Cell, i: int, alpha: str) -> Cell:
-        if A.dim == self.n + 1:
-            return self.shell_faces(A)[(i, alpha)]
-        return self.base.face(A, i, alpha)
-
-    def deg(self, A: Cell, i: int) -> Cell:
-        if A.dim == self.n:
-            faces = {}
-            for j in range(1, self.n + 2):
-                for b in ALPHAS:
-                    if j == i:
-                        faces[(j, b)] = A
-                    else:
-                        faces[(j, b)] = self.base.deg(
-                            self.base.face(A, lower(j, i), b), lower(i, j)
-                        )
-            return self.shell_cell(faces)
-        return self.base.deg(A, i)
-
-    def conn(self, A: Cell, i: int, alpha: str) -> Cell:
-        if A.dim == self.n:
-            faces = {}
-            for j in range(1, self.n + 2):
-                for b in ALPHAS:
-                    if j in (i, i + 1):
-                        if b == alpha:
-                            faces[(j, b)] = A
-                        else:
-                            faces[(j, b)] = self.base.deg(self.base.face(A, i, b), i)
-                    else:
-                        faces[(j, b)] = self.base.conn(
-                            self.base.face(A, lower(j, i), b), lower(i, j), alpha
-                        )
-            return self.shell_cell(faces)
-        return self.base.conn(A, i, alpha)
-
-    def comp(self, A: Cell, B: Cell, i: int) -> Cell:
-        if A.dim == self.n + 1:
-            fa, fb = self.shell_faces(A), self.shell_faces(B)
-            if fa[(i, "+")] != fb[(i, "-")]:
-                raise CompositionError(f"shells not composable along {i}")
-            faces = {}
-            for j in range(1, self.n + 2):
-                for b in ALPHAS:
-                    if j == i:
-                        faces[(j, b)] = fa[(i, "-")] if b == "-" else fb[(i, "+")]
-                    else:
-                        faces[(j, b)] = self.base.comp(fa[(j, b)], fb[(j, b)], lower(i, j))
-            return self.shell_cell(faces)
-        return self.base.comp(A, B, i)
-
-    def cells(self, n: int, bound: int) -> list[Cell]:
-        if n <= self.n:
-            return self.base.cells(n, bound)
-        if n > self.n + 1:
-            return []
-        base_cells = self.base.cells(self.n, bound)
-        slots = [(i, a) for i in range(1, self.n + 2) for a in ALPHAS]
-        found: list[Cell] = []
-
-        def compatible(placed: dict, slot: tuple[int, str], cand: Cell) -> bool:
-            i, a = slot
-            for (j, b), other in placed.items():
-                if j == i:
-                    continue
-                lhs = self.base.face(other, lower(i, j), a)
-                rhs = self.base.face(cand, lower(j, i), b)
-                if not self.base.equal(lhs, rhs):
-                    return False
-            return True
-
-        def search(pos: int, placed: dict) -> None:
-            if pos == len(slots):
-                found.append(self.shell_cell(placed))
-                return
-            slot = slots[pos]
-            for cand in base_cells:
-                if compatible(placed, slot, cand):
-                    placed[slot] = cand
-                    search(pos + 1, placed)
-                    del placed[slot]
-
-        search(0, {})
-        return found
-
-    def r_inverse(self, A: Cell, i: int) -> Cell:
-        if A.dim != self.n + 1:
-            return self.base.r_inverse(A, i)
-        fa = self.shell_faces(A)
-        faces = {}
-        for j in range(1, self.n + 2):
-            for b in ALPHAS:
-                if j == i:
-                    faces[(j, b)] = fa[(i, opposite(b))]
-                else:
-                    faces[(j, b)] = self.base.r_inverse(fa[(j, b)], lower(i, j))
-        return self.shell_cell(faces)
-
-
-# ---------------------------------------------------------------------------
-# a small independent instance: monotone cube labelings in a poset
-
-
-class PosetModel(CubModel):
-    """The cubical nerve of a finite poset (e.g. reachability in a DAG).
-
-    An n-cell is a monotone map {0,1}^n -> P, stored as the tuple of its
-    values with coordinate 1 most significant.  Compositions glue along a
-    direction; connections precompose with min/max.  R_i-inverses exist
-    exactly for cells constant in direction i, which makes this a handy
-    non-groupoid test instance with a full oracle.
-    """
-
-    max_dim = 4
-
-    def __init__(self, vertices: Sequence[str], edges: Iterable[tuple[str, str]]):
-        self.vertices = tuple(vertices)
-        reach = {v: {v} for v in vertices}
-        adj: dict[str, set[str]] = {v: set() for v in vertices}
-        for a, b in edges:
-            adj[a].add(b)
-        changed = True
-        while changed:
-            changed = False
-            for v in vertices:
-                for w in list(reach[v]):
-                    extra = adj[w] - reach[v]
-                    if extra:
-                        reach[v] |= extra
-                        changed = True
-        self._reach = reach
-        for v in vertices:
-            for w in reach[v]:
-                if v != w and v in reach[w]:
-                    raise ValueError("relation has a cycle; need a poset")
-
-    def leq(self, a: str, b: str) -> bool:
-        return b in self._reach[a]
-
-    def cell(self, labels: Sequence[str], dim: int) -> Cell:
-        labels = tuple(labels)
-        if len(labels) != 1 << dim:
-            raise ValueError("wrong number of labels")
-        for x in range(1 << dim):
-            for bit in range(dim):
-                y = x | (1 << bit)
-                if y != x and not self.leq(labels[x], labels[y]):
-                    raise ValueError("labeling is not monotone")
-        return Cell(self, dim, labels)
-
-    @staticmethod
-    def _coord_bit(dim: int, i: int) -> int:
-        # coordinate i in 1..dim; coordinate 1 is the most significant bit
-        return dim - i
-
-    def face(self, A: Cell, i: int, alpha: str) -> Cell:
-        n = A.dim
-        bit = self._coord_bit(n, i)
-        val = 0 if alpha == "-" else 1
-        labels = []
-        for x in range(1 << (n - 1)):
-            high = x >> bit
-            low = x & ((1 << bit) - 1)
-            labels.append(A.payload[(high << (bit + 1)) | (val << bit) | low])
-        return Cell(self, n - 1, tuple(labels))
-
-    def deg(self, A: Cell, i: int) -> Cell:
-        n = A.dim
-        bit = self._coord_bit(n + 1, i)
-        labels = []
-        for x in range(1 << (n + 1)):
-            high = x >> (bit + 1)
-            low = x & ((1 << bit) - 1)
-            labels.append(A.payload[(high << bit) | low])
-        return Cell(self, n + 1, tuple(labels))
-
-    def conn(self, A: Cell, i: int, alpha: str) -> Cell:
-        n = A.dim
-        labels = []
-        for x in range(1 << (n + 1)):
-            bits = [(x >> self._coord_bit(n + 1, j)) & 1 for j in range(1, n + 2)]
-            xi, xi1 = bits[i - 1], bits[i]
-            merged = min(xi, xi1) if alpha == "+" else max(xi, xi1)
-            newbits = bits[: i - 1] + [merged] + bits[i + 1:]
-            y = 0
-            for j, bval in enumerate(newbits, start=1):
-                y |= bval << self._coord_bit(n, j)
-            labels.append(A.payload[y])
-        return Cell(self, n + 1, tuple(labels))
-
-    def comp(self, A: Cell, B: Cell, i: int) -> Cell:
-        self.check_composable(A, B, i)
-        n = A.dim
-        bit = self._coord_bit(n, i)
-        labels = []
-        for x in range(1 << n):
-            src = A if not (x >> bit) & 1 else B
-            labels.append(src.payload[x])
-        return Cell(self, n, tuple(labels))
-
-    def cells(self, n: int, bound: int = 0) -> list[Cell]:
-        del bound  # the poset is finite; no coefficient bound applies
-        out: list[Cell] = []
-
-        def extend(labels: list[str]) -> None:
-            x = len(labels)
-            if x == 1 << n:
-                out.append(Cell(self, n, tuple(labels)))
-                return
-            for v in self.vertices:
-                ok = True
-                for bit in range(n):
-                    y = x & ~(1 << bit)
-                    if y < x and not self.leq(labels[y], v):
-                        ok = False
-                        break
-                if ok:
-                    extend(labels + [v])
-
-        extend([])
-        return out
-
-    def r_inverse(self, A: Cell, i: int) -> Cell:
-        bit = self._coord_bit(A.dim, i)
-        for x in range(1 << A.dim):
-            if A.payload[x] != A.payload[x ^ (1 << bit)]:
-                raise NotInvertible(
-                    f"cell varies along direction {i}; posets have no inverses"
-                )
-        return A
 
 
 # ---------------------------------------------------------------------------
@@ -897,8 +550,8 @@ def _pair_plan(n: int, max_dim: int, i: int) -> _Plan:
             p.eq("conn-comp", p.conn(AB, k, a),
                  p.comp(p.conn(A, k, a), p.conn(B, k, a), raise_(i, k)),
                  f"Gamma_{k}^{a} of *_{i}-composite")
-    # the two 2D transport tables at k == i, composed as `grid2` composes
-    # them: each row along i, then the two rows along i+1
+    # the two 2D transport tables at k == i: each row composed along i,
+    # then the two rows along i+1
     grids = {"-": ((p.conn(A, i, "-"), p.deg(B, i + 1)), (p.deg(B, i), p.conn(B, i, "-"))),
              "+": ((p.conn(A, i, "+"), p.deg(A, i)), (p.deg(A, i + 1), p.conn(B, i, "+")))}
     for a, (top, bottom) in grids.items():

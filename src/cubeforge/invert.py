@@ -219,7 +219,7 @@ def _t_equations(p: _Plan, A: int, B: int, i: int) -> None:
         p.eq("T-face", p.face(B, j, a), p.face(A, other, a), f"d_{j}^{a} B != d_{other}^{a} A")
     for X, Y in ((A, B), (B, A)):
         # [[corner+, Y], [X, corner-]] composed (rows *_i, columns *_{i+1}),
-        # every cell before any composite, as `grid2` receives them
+        # every cell built before any composite
         corner_plus = p.conn(p.face(Y, i, "-"), i, "+")
         corner_minus = p.conn(p.face(X, i, "+"), i, "-")
         lhs = p.comp(p.comp(corner_plus, Y, i), p.comp(X, corner_minus, i), i + 1)

@@ -226,16 +226,14 @@ class _NerveBase(CubModel):
     def value(self, A: Cell, name: str) -> tuple:
         return A.payload[self.pos(A.dim, name)]
 
-    def make(self, n: int, values: Mapping[str, Sequence[int]],
-             validate: bool = True) -> Cell:
+    def make(self, n: int, values: Mapping[str, Sequence[int]]) -> Cell:
         payload = tuple(
             tuple(values[name]) for _, name in self.elements(n)
         )
         cell = Cell(self, n, payload)
-        if validate:
-            problems = self.invalid_reasons(cell)
-            if problems:
-                raise ValueError("; ".join(problems))
+        problems = self.invalid_reasons(cell)
+        if problems:
+            raise ValueError("; ".join(problems))
         return cell
 
     def invalid_reasons(self, A: Cell) -> list[str]:

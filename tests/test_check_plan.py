@@ -33,20 +33,18 @@ import cubeforge.invert as invert
 from cubeforge.adc import cube, disk, tensor, with_group_cones_above
 from cubeforge.core import (
     ALPHAS,
-    BoxModel,
     CompositionError,
     CubModel,
-    PosetModel,
     Report,
     Violation,
     check_axioms,
     check_globular,
     globular_cells,
-    grid2,
 )
 from cubeforge.indices import lower, raise_
 from cubeforge.nerve import NcModel, NgModel, _NerveBase
 
+from cubical_models import BoxModel, PosetModel, grid2, opposite
 from test_lowering import Swapped, program, walk
 
 # -- the closure-based oracle ---------------------------------------------------
@@ -393,7 +391,7 @@ class FlippedFace(NgModel):
     same fault."""
 
     def _table(self, kind, n, i, alpha=""):
-        return super()._table(kind, n, i, core.opposite(alpha) if kind == "face" and i == 2
+        return super()._table(kind, n, i, opposite(alpha) if kind == "face" and i == 2
                               else alpha)
 
 

@@ -1,24 +1,21 @@
 import pytest
 
 from cubeforge.core import (
-    BoxModel,
-    Cell,
+    ALPHAS,
     CompositionError,
     NotInvertible,
-    PosetModel,
-    Shell,
     check_axioms,
     fold_tail,
-    grid2,
     in_deg_image,
     is_thin,
     phi,
     psi,
     psi_block,
     shell_key,
-    shell_of,
 )
 from cubeforge.indices import DomainError
+
+from cubical_models import BoxModel, PosetModel, grid2, is_shell
 
 
 @pytest.fixture(scope="module")
@@ -116,24 +113,45 @@ def test_fold_operations(chain3):
 
 def test_shells(chain3):
     A = chain3.cell(["a", "b", "b", "c"], 2)
-    sh = shell_of(chain3, A)
-    assert sh.is_compatible(chain3)
-    assert sh.face(1, "-") == chain3.face(A, 1, "-")
+    box = BoxModel(chain3, 1)
+    sh = box.embed(A)
+    assert is_shell(chain3, 1, box.shell_faces(sh))
+    assert box.face(sh, 1, "-") == chain3.face(A, 1, "-")
     e = chain3.cell(["a", "c"], 1)
-    sh2 = shell_of(chain3, chain3.deg(e, 1))
-    assert sh2.face(1, "-") == e and sh2.face(1, "+") == e
+    sh2 = box.embed(chain3.deg(e, 1))
+    assert box.face(sh2, 1, "-") == e and box.face(sh2, 1, "+") == e
     # shell keys group equal shells
     assert shell_key(chain3, A) == shell_key(chain3, A)
 
 
 def test_shell_from_connection(chain3):
     f = chain3.cell(["a", "c"], 1)
-    g = chain3.conn(f, 1, "-")
-    sh = shell_of(chain3, g)
-    assert sh.face(1, "-") == f
-    assert sh.face(2, "-") == f
-    assert in_deg_image(chain3, sh.face(1, "+"), 1)
-    assert in_deg_image(chain3, sh.face(2, "+"), 1)
+    box = BoxModel(chain3, 1)
+    sh = box.shell_faces(box.embed(chain3.conn(f, 1, "-")))
+    assert sh[(1, "-")] == f
+    assert sh[(2, "-")] == f
+    assert in_deg_image(chain3, sh[(1, "+")], 1)
+    assert in_deg_image(chain3, sh[(2, "+")], 1)
+
+
+def test_is_shell_refuses_a_replaced_face(chain3):
+    # a 1-cell of a poset is fixed by its two vertices, and each vertex of
+    # a square lies on two of its faces, so any replaced face breaks a
+    # face-face identity
+    squares = chain3.cells(2, 0)
+    box = BoxModel(chain3, 1)
+    slots = [(i, a) for i in (1, 2) for a in ALPHAS]
+    refused = 0
+    for A in squares:
+        faces = box.shell_faces(box.embed(A))
+        assert is_shell(chain3, 1, faces)
+        for B in squares:
+            for slot in slots:
+                other = chain3.face(B, *slot)
+                if other != faces[slot]:
+                    assert not is_shell(chain3, 1, {**faces, slot: other})
+                    refused += 1
+    assert refused
 
 
 def test_box_model_axioms(chain3):
@@ -141,6 +159,11 @@ def test_box_model_axioms(chain3):
     cells = {0: chain3.cells(0, 0), 1: chain3.cells(1, 0), 2: box.cells(2, 0)}
     report = check_axioms(box, 2, cells, max_pairs=60)
     assert report.ok, report.summary()
+    # a real 2-cell embeds as its shell key, which is among the box cells
+    shells = {c.payload for c in cells[2]}
+    for A in chain3.cells(2, 0):
+        assert box.embed(A).payload == shell_key(chain3, A)
+        assert box.embed(A).payload in shells
 
 
 def test_box_eps_face_roundtrip(chain3):
@@ -189,4 +212,4 @@ def test_grid2_interchange(chain3):
 def test_shell_requires_all_faces(chain3):
     e = chain3.cell(["a", "c"], 1)
     with pytest.raises(ValueError):
-        Shell.from_faces(0, {(1, "-"): e})
+        is_shell(chain3, 0, {(1, "-"): e})

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from cubeforge.adc import disk, with_group_cones_above
-from cubeforge.core import NotInvertible, OracleUnavailable, PosetModel, fold_tail, is_thin
+from cubeforge.core import NotInvertible, OracleUnavailable, fold_tail, is_thin
 from cubeforge.indices import DomainError
 from cubeforge.invert import (
     Comp,
@@ -27,6 +27,8 @@ from cubeforge.invert import (
 )
 from cubeforge.nerve import NcModel
 from cubeforge.perms import Perm, TWord
+
+from cubical_models import PosetModel
 
 
 @pytest.fixture(scope="module")

@@ -26,8 +26,10 @@ import cubeforge.core as core
 import cubeforge.invert as invert
 from cubeforge.adc import cube, disk, tensor, with_group_cones_above
 from cubeforge.core import (Cell, CompositionError, CubModel, DomainError, NotInvertible,
-                            PosetModel, Violation, check_axioms, check_globular)
+                            Violation, check_axioms, check_globular)
 from cubeforge.nerve import _SHIFT, NcModel, NgModel, _kernel, _Table
+
+from cubical_models import PosetModel, check_composable
 
 # -- the cell-level oracles -------------------------------------------------------
 
@@ -36,7 +38,7 @@ def comp(model, A, B, i):
     """A composite as the cell-level nerve formed it: range, then the face
     compare through `face`, then the composite."""
     if isinstance(model, NcModel) and A.dim == B.dim and 1 <= i <= A.dim:
-        model.check_composable(A, B, i)
+        check_composable(model, A, B, i)
     return model.comp(A, B, i)
 
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from cubeforge.adc import (SOURCE_MINUS_TARGET, TARGET_MINUS_SOURCE, Chain, cube, disk, tensor,
                            vec_neg, with_group_cones_above)
 from cubeforge.core import (
-    BoxModel,
+    ALPHAS,
     BudgetExceeded,
     Cell,
     CompositionError,
@@ -24,10 +24,12 @@ from cubeforge.core import (
     in_deg_image,
     is_thin,
     phi,
-    shell_of,
+    shell_key,
 )
 from cubeforge.invert import r_inverse
 from cubeforge.nerve import NcModel, NgModel, _boundary, gamma_vs_ng, globular_signature
+
+from cubical_models import BoxModel, is_shell
 
 
 @pytest.fixture(scope="module")
@@ -265,7 +267,9 @@ def test_box_of_nerve_passes_axioms(nc_disk1):
     cells = {0: nc_disk1.cells(0, 1), 1: nc_disk1.cells(1, 1), 2: box.cells(2, 1)}
     report = check_axioms(box, 2, cells, max_pairs=50)
     assert report.ok, report.summary()
-    # every shell of an actual 2-cell appears among the box cells
+    # every actual 2-cell embeds as its shell key, which is among the box cells
+    for A in nc_disk1.cells(2, 1):
+        assert box.embed(A).payload == shell_key(nc_disk1, A)
     embedded = {box.embed(A).payload for A in nc_disk1.cells(2, 1)}
     assert embedded <= {c.payload for c in cells[2]}
 
@@ -273,7 +277,8 @@ def test_box_of_nerve_passes_axioms(nc_disk1):
 def test_shell_compatibility_random(nc_disk2):
     rng = random.Random(13)
     for A in nc_disk2.sample_cells(2, 50, 1, rng) + nc_disk2.sample_cells(3, 25, 1, rng):
-        assert shell_of(nc_disk2, A).is_compatible(nc_disk2)
+        faces = {(i, a): nc_disk2.face(A, i, a) for i in range(1, A.dim + 1) for a in ALPHAS}
+        assert is_shell(nc_disk2, A.dim - 1, faces)
 
 
 def test_ng_model_operations():
