@@ -24,6 +24,7 @@ coherent; ``disk`` and ``cube`` accept either and default to
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from functools import lru_cache
@@ -109,12 +110,6 @@ class Adc:
         if k > self.top:
             return all(c == 0 for c in coeffs)
         return all(c >= 0 for c, f in zip(coeffs, self.cone[k], strict=True) if f)
-
-    def chain(self, k: int, combo: dict[str, int]) -> Chain:
-        v = [0] * self.rank(k)
-        for name, c in combo.items():
-            v[self.basis_index(k, name)] += c
-        return Chain(k, tuple(v))
 
     def show(self, k: int, coeffs: Sequence[int]) -> str:
         terms = [
@@ -254,20 +249,7 @@ def disk(n: int, d_convention: str = TARGET_MINUS_SOURCE) -> Adc:
 
 def cube_basis(n: int, k: int) -> list[str]:
     """Degree-k basis of the n-cube: sign sequences with exactly k zeros."""
-    out: list[str] = []
-
-    def build(prefix: str, zeros: int) -> None:
-        if len(prefix) == n:
-            if zeros == k:
-                out.append(prefix)
-            return
-        if zeros < k:
-            build(prefix + "0", zeros + 1)
-        build(prefix + "-", zeros)
-        build(prefix + "+", zeros)
-
-    build("", 0)
-    return sorted(out)
+    return sorted(s for s in map("".join, itertools.product("-+0", repeat=n)) if s.count("0") == k)
 
 
 def cube_d_terms(s: str, d_convention: str = TARGET_MINUS_SOURCE) -> list[tuple[int, str]]:
@@ -424,35 +406,21 @@ def _basis_map(source: Adc, target: Adc, image: dict[str, list[tuple[int, str]]]
     return ChainMap(source, target, tuple(terms))
 
 
-def _insert(s: str, i: int, sym: str) -> str:
-    return s[: i - 1] + sym + s[i - 1:]
+def _slot_map(source: Adc, target: Adc, i: int,
+              table: dict[str, tuple[int, str] | None]) -> ChainMap:
+    """Rewrite the window of symbols from slot i of every basis name by `table`.
 
-
-@lru_cache(maxsize=None)
-def cube_face(n: int, i: int, alpha: str,
-              d_convention: str = TARGET_MINUS_SOURCE) -> ChainMap:
-    """The face co-map cube(n-1) -> cube(n): insert alpha at slot i."""
-    if not (1 <= i <= n and alpha in "-+"):
-        raise ValueError(f"no face (i={i}, alpha={alpha}) on the {n}-cube")
-    src, tgt = cube(n - 1, d_convention), cube(n, d_convention)
-    image = {s: [(1, _insert(s, i, alpha))] for basis in src.degrees for s in basis}
-    return _basis_map(src, tgt, image)
-
-
-@lru_cache(maxsize=None)
-def cube_deg(n: int, i: int, d_convention: str = TARGET_MINUS_SOURCE) -> ChainMap:
-    """The degeneracy co-map cube(n) -> cube(n-1): delete slot i, kill 0 there."""
-    if not 1 <= i <= n:
-        raise ValueError(f"no degeneracy slot {i} on the {n}-cube")
-    src, tgt = cube(n, d_convention), cube(n - 1, d_convention)
-    image = {}
-    for basis in src.degrees:
+    A table sends each window (all of one width) to (coefficient,
+    replacement), or to None for zero.  Only the cube prefix of a name is
+    read, so between tensor(cube(m), K) complexes a table gives its co-map
+    (x) id_K.
+    """
+    width, image = len(next(iter(table))), {}
+    for basis in source.degrees:
         for s in basis:
-            if s[i - 1] == "0":
-                image[s] = []
-            else:
-                image[s] = [(1, s[: i - 1] + s[i:])]
-    return _basis_map(src, tgt, image)
+            hit = table[s[i - 1: i - 1 + width]]
+            image[s] = [(hit[0], s[: i - 1] + hit[1] + s[i - 1 + width:])] if hit else []
+    return _basis_map(source, target, image)
 
 
 def conn_collapse(pair: str, alpha: str) -> str | None:
@@ -472,23 +440,43 @@ def conn_collapse(pair: str, alpha: str) -> str | None:
     return table[pair]
 
 
+# The cube co-structure as slot tables (Brown and Higgins' cubical site): a
+# face inserts alpha, a degeneracy deletes a slot, a connection collapses
+# two, a reversal flips one and a transposition swaps two.
+_PAIRS = [a + b for a in "-+0" for b in "-+0"]
+_FACE = {alpha: {"": (1, alpha)} for alpha in "-+"}
+_DEG = {"-": (1, ""), "+": (1, ""), "0": None}
+_CONN = {alpha: {ab: (1, sym) if sym else None for ab in _PAIRS
+                 for sym in [conn_collapse(ab, alpha)]} for alpha in "-+"}
+_REV = {"-": (1, "+"), "+": (1, "-"), "0": (-1, "0")}
+_SWAP = {ab: (-1 if ab == "00" else 1, ab[::-1]) for ab in _PAIRS}
+_COPIES = {"-": (1,), "+": (2,), "0": (1, 2)}  # comp_split's copies of a slot
+
+
+@lru_cache(maxsize=None)
+def cube_face(n: int, i: int, alpha: str,
+              d_convention: str = TARGET_MINUS_SOURCE) -> ChainMap:
+    """The face co-map cube(n-1) -> cube(n): insert alpha at slot i."""
+    if not (1 <= i <= n and alpha in "-+"):
+        raise ValueError(f"no face (i={i}, alpha={alpha}) on the {n}-cube")
+    return _slot_map(cube(n - 1, d_convention), cube(n, d_convention), i, _FACE[alpha])
+
+
+@lru_cache(maxsize=None)
+def cube_deg(n: int, i: int, d_convention: str = TARGET_MINUS_SOURCE) -> ChainMap:
+    """The degeneracy co-map cube(n) -> cube(n-1): delete slot i, kill 0 there."""
+    if not 1 <= i <= n:
+        raise ValueError(f"no degeneracy slot {i} on the {n}-cube")
+    return _slot_map(cube(n, d_convention), cube(n - 1, d_convention), i, _DEG)
+
+
 @lru_cache(maxsize=None)
 def cube_conn(n: int, i: int, alpha: str,
               d_convention: str = TARGET_MINUS_SOURCE) -> ChainMap:
     """The connection co-map cube(n+1) -> cube(n): collapse slots i, i+1."""
     if not (1 <= i <= n and alpha in "-+"):
         raise ValueError(f"no connection (i={i}, alpha={alpha}) on the {n}-cube")
-    src, tgt = cube(n + 1, d_convention), cube(n, d_convention)
-    collapse = {a + b: conn_collapse(a + b, alpha) for a in "-+0" for b in "-+0"}
-    image = {}
-    for basis in src.degrees:
-        for s in basis:
-            sym = collapse[s[i - 1: i + 1]]
-            if sym is None:
-                image[s] = []
-            else:
-                image[s] = [(1, s[: i - 1] + sym + s[i + 1:])]
-    return _basis_map(src, tgt, image)
+    return _slot_map(cube(n + 1, d_convention), cube(n, d_convention), i, _CONN[alpha])
 
 
 @lru_cache(maxsize=None)
@@ -496,14 +484,7 @@ def cube_rev(n: int, i: int, d_convention: str = TARGET_MINUS_SOURCE) -> ChainMa
     """The reversal co-map cube(n) -> cube(n): swap - and + at slot i, negate a 0 there."""
     if not 1 <= i <= n:
         raise ValueError(f"no reversal slot {i} on the {n}-cube")
-    K = cube(n, d_convention)
-    flip = {"-": (1, "+"), "+": (1, "-"), "0": (-1, "0")}
-    image = {}
-    for basis in K.degrees:
-        for s in basis:
-            c, sym = flip[s[i - 1]]
-            image[s] = [(c, s[: i - 1] + sym + s[i:])]
-    return _basis_map(K, K, image)
+    return _slot_map(cube(n, d_convention), cube(n, d_convention), i, _REV)
 
 
 @lru_cache(maxsize=None)
@@ -511,13 +492,7 @@ def cube_swap(n: int, i: int, d_convention: str = TARGET_MINUS_SOURCE) -> ChainM
     """The transposition co-map cube(n) -> cube(n): swap slots i, i+1 (Koszul sign on 00)."""
     if not 1 <= i <= n - 1:
         raise ValueError(f"no transposition slot {i} on the {n}-cube")
-    K = cube(n, d_convention)
-    image = {}
-    for basis in K.degrees:
-        for s in basis:
-            c = -1 if s[i - 1: i + 1] == "00" else 1
-            image[s] = [(c, s[: i - 1] + s[i] + s[i - 1] + s[i + 1:])]
-    return _basis_map(K, K, image)
+    return _slot_map(cube(n, d_convention), cube(n, d_convention), i, _SWAP)
 
 
 def comp_split(n: int, i: int, s: str) -> list[tuple[int, str]]:
@@ -526,11 +501,7 @@ def comp_split(n: int, i: int, s: str) -> list[tuple[int, str]]:
     A sequence with a 0 in slot i splits across both copies of the glued
     rectangle; otherwise it lands in the copy named by its sign.
     """
-    if s[i - 1] == "0":
-        return [(1, s), (2, s)]
-    if s[i - 1] == "-":
-        return [(1, s)]
-    return [(2, s)]
+    return [(copy, s) for copy in _COPIES[s[i - 1]]]
 
 
 # the globular co-structure: disk(n) has s_k, t_k at levels k < n and x at level n

@@ -12,7 +12,8 @@ specs ``disk:N`` and ``cube:N`` also work and honour ``--orientation``
 ``--seed``; output is byte-identical for fixed inputs, seed and flags.
 Exit codes: 0 success, 1 violations or a non-invertible input, 2 parse
 or usage errors (an empty sample, an `--i` naming no direction of the
-cell, two flags of which only one is read), and exhausted search budgets.
+cell, two flags of which only one is read, a `perm` ambient above
+`MAX_AMBIENT`), and exhausted search budgets.
 """
 
 from __future__ import annotations
@@ -311,43 +312,47 @@ def _format_word(w: TWord | BCWord) -> str:
     return str(w) if (w.letters if isinstance(w, TWord) else w.letters) else "1"
 
 
+# the largest ambient S_n `perm` computes in (`length` is quadratic in n)
+MAX_AMBIENT = 1000
+# the message refusing an R generator, per action that reads T words only
+T_ONLY = {"eval": "use bc-eval for words containing R generators",
+          "boundary": "boundaries act on T words", "length": "length acts on T words",
+          "minrep": "minrep acts on T words"}
+
+
 def cmd_perm(args) -> int:
     out: dict = {"version": __version__}
-    if args.action == "eval":
+    if args.action == "rho":
+        require_nonneg(args, "n", "m")
+        ambient = args.n + args.m
+    else:
+        if args.action == "boundary" and args.i is None:
+            raise CliError("--i is required for boundary")
         w = parse_word(args.word)
-        if isinstance(w, BCWord):
-            raise CliError("use bc-eval for words containing R generators")
+        if isinstance(w, BCWord) and args.action in T_ONLY:
+            raise CliError(T_ONLY[args.action])
+        ambient = w.ambient
+    if ambient > MAX_AMBIENT:
+        raise CliError(f"ambient {ambient} is above {MAX_AMBIENT}, the largest perm computes in")
+    if args.action == "eval":
         out["images"] = list(eval_word(w).images)
         text = "(" + " ".join(map(str, out["images"])) + ")"
     elif args.action == "boundary":
-        if args.i is None:
-            raise CliError("--i is required for boundary")
-        w = parse_word(args.word)
-        if isinstance(w, BCWord):
-            raise CliError("boundaries act on T words")
         res = boundary_word(w, args.i)
         out["word"] = str(res)
         text = _format_word(res)
     elif args.action == "length":
-        w = parse_word(args.word)
-        if isinstance(w, BCWord):
-            raise CliError("length acts on T words")
         out["length"] = length(eval_word(w))
         text = str(out["length"])
     elif args.action == "minrep":
-        w = parse_word(args.word)
-        if isinstance(w, BCWord):
-            raise CliError("minrep acts on T words")
         res = min_rep(eval_word(w))
         out["word"] = str(res)
         text = _format_word(res)
     elif args.action == "rho":
-        require_nonneg(args, "n", "m")
         p = rho(args.n, args.m)
         out["images"] = list(p.images)
         text = "(" + " ".join(map(str, p.images)) + ")"
     elif args.action == "bc-eval":
-        w = parse_word(args.word)
         if isinstance(w, TWord):
             w = BCWord(w.ambient, tuple(("T", i) for i in w.letters))
         s = eval_bc_word(w)

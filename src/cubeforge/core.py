@@ -70,10 +70,10 @@ class OracleUnavailable(RuntimeError):
 
 class BudgetExceeded(RuntimeError):
     """Bounded enumeration of n-cells at a coefficient bound visited `nodes`
-    nodes, more than its `budget`."""
+    nodes (or would scan a box of `nodes` points), more than its `budget`."""
 
-    def __init__(self, n: int, bound: int, nodes: int, budget: int):
-        super().__init__(f"enumeration of {n}-cells at bound {bound} exceeded {budget} nodes")
+    def __init__(self, n: int, bound: int, nodes: int, budget: int, what: str = "nodes"):
+        super().__init__(f"enumeration of {n}-cells at bound {bound} exceeded {budget} {what}")
         self.n, self.bound, self.nodes, self.budget = n, bound, nodes, budget
 
 

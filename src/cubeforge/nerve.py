@@ -47,7 +47,9 @@ Cells are immutable; payloads are tuples of coefficient tuples aligned
 with a fixed ordering of the domain basis (by degree, then as the domain
 lists it), so equality and hashing are cheap.  Enumeration is the only
 place where infinity appears: every consumer passes an explicit
-coefficient bound, and reports restate it.
+coefficient bound, and reports restate it.  A search whose coefficient
+box in a degree it queries holds more than `SEARCH_BUDGET` points is
+refused before it starts.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass
 from operator import add, attrgetter, eq, itemgetter, sub
@@ -65,6 +68,8 @@ from .adc import (Adc, Chain, ChainMap, comp_split, cube, cube_conn, cube_deg, c
                   to_json_dict, vec_neg)
 from .core import (BudgetExceeded, Cell, CompositionError, CubModel, Lowered, NotInvertible,
                    OracleUnavailable, globular_cells)
+
+SEARCH_BUDGET = 2_000_000  # a search's default node budget, and its most box points
 
 
 def _box_ranges(flags: Sequence[bool], bound: int) -> list[range]:
@@ -268,7 +273,7 @@ class _NerveBase(CubModel):
 
     # -- enumeration --------------------------------------------------------
 
-    def cells(self, n: int, bound: int, budget: int = 2_000_000) -> list[Cell]:
+    def cells(self, n: int, bound: int, budget: int = SEARCH_BUDGET) -> list[Cell]:
         """Every n-cell at `bound`, in search order; the payloads are kept,
         so a second call searches nothing."""
         key = (n, bound)
@@ -278,7 +283,7 @@ class _NerveBase(CubModel):
         return [Cell(self, n, payload) for payload in self._cell_cache[key]]
 
     def sample_cells(self, n: int, count: int, bound: int, rng,
-                     budget: int = 2_000_000) -> list[Cell]:
+                     budget: int = SEARCH_BUDGET) -> list[Cell]:
         """Seeded random cells: repeated randomized descent with backtracking."""
         out = []
         for _ in range(count):
@@ -343,6 +348,12 @@ class _NerveBase(CubModel):
         memo lives with the step table, so sampling draws share it.  A
         random draw shuffles a copy of the candidates.
         """
+        K = self.K
+        for k in range(min(n, K.top) + 1):
+            points = math.prod(len(r) for r in _box_ranges(K.cone[k], bound))
+            if points > SEARCH_BUDGET:
+                raise BudgetExceeded(n, bound, points, SEARCH_BUDGET,
+                                     f"box points (degree {k} has {points})")
         steps = self._steps(n, bound)
         query = self.solver.chains_with_boundary
         vertices = query(0, (1,), bound)  # they depend on no placed value
@@ -723,7 +734,7 @@ def globular_signature(model: NcModel, A: Cell) -> tuple:
                  for k in range(n) for end in "-+") + (model.value(A, "0" * n),)
 
 
-def gamma_vs_ng(K: Adc, n: int, bound: int, budget: int = 2_000_000) -> MatchReport:
+def gamma_vs_ng(K: Adc, n: int, bound: int, budget: int = SEARCH_BUDGET) -> MatchReport:
     """Match globularized cubical nerve cells against globular nerve cells.
 
     Both sides are enumerated independently under the same coefficient

@@ -125,10 +125,6 @@ class SignedPerm:
     def n(self) -> int:
         return len(self.images)
 
-    @classmethod
-    def identity(cls, n: int) -> "SignedPerm":
-        return cls(tuple(range(1, n + 1)))
-
     def perm(self) -> Perm:
         """Forget the signs."""
         return Perm(tuple(abs(m) for m in self.images))

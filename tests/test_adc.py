@@ -38,7 +38,7 @@ from cubeforge.adc import (
     validate,
     with_group_cones_above,
 )
-from cubeforge.adc import _basis_map
+from cubeforge.adc import _CONN, _DEG, _FACE, _REV, _SWAP, _basis_map, _slot_map
 
 
 def unit(n, j):
@@ -293,6 +293,35 @@ def test_costructure_maps_are_built_once_per_arguments(comap, args, conv):
         for _ in range(2):
             with pytest.raises(ValueError):
                 comap(*BAD_ARGS[comap], conv)
+
+
+def _images(m: ChainMap, rename) -> dict:
+    """A co-map as {(degree, source name): sorted (coefficient, target name)}."""
+    return {(k, rename(name)): sorted((c, rename(m.target.degrees[k][t])) for c, t in terms)
+            for k, row in enumerate(m.terms) for name, terms in zip(m.source.degrees[k], row)}
+
+
+@pytest.mark.parametrize("K", [disk(1), cube(1)], ids=lambda K: K.name)
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_slot_tables_tensored_with_id_are_chain_maps(n, K):
+    """A slot table reads only the cube prefix of a name, so between
+    cube(m) (x) K complexes it gives its co-map (x) id_K, a chain map.  Over
+    K = cube(1) that is the cube(m+1) co-map under s(x)t -> st."""
+    lo, hi = tensor(cube(n - 1), K), tensor(cube(n), K)
+    slots = range(1, n + 1)
+    maps = ([(cube_face, (i, a), _slot_map(lo, hi, i, _FACE[a])) for i in slots for a in "-+"]
+            + [(cube_deg, (i,), _slot_map(hi, lo, i, _DEG)) for i in slots]
+            + [(cube_conn, (i, a), _slot_map(hi, lo, i, _CONN[a])) for i in slots[:-1]
+               for a in "-+"]
+            + [(cube_rev, (i,), _slot_map(hi, hi, i, _REV)) for i in slots]
+            + [(cube_swap, (i,), _slot_map(hi, hi, i, _SWAP)) for i in slots[:-1]])
+    assert len(maps) == 7 * n - 3
+    for comap, args, m in maps:
+        assert m.is_chain_map(), (comap.__name__, args)
+        if K.name == "cube(1)":
+            ambient = n if comap is cube_conn else n + 1
+            want = comap(ambient, *args)
+            assert _images(m, lambda s: s.replace("⊗", "")) == _images(want, str)
 
 
 def cube_comp(n: int, i: int,

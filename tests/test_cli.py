@@ -161,6 +161,46 @@ def test_perm_commands(capsys):
     assert json.loads(out)["word"] == "T1"
 
 
+@pytest.mark.parametrize("argv, ambient", [
+    (["perm", "eval", "--word", "T1000"], 1001),
+    (["perm", "length", "--word", "T1 T1000"], 1001),
+    (["perm", "minrep", "--word", "T99999999999999999999"], 10**20),
+    (["perm", "bc-eval", "--word", "R1001"], 1001),
+    (["perm", "boundary", "--word", "T1000", "--i", "1"], 1001),
+    (["perm", "rho", "--n", "500", "--m", "501"], 1001),
+    (["perm", "rho", "--n", "99999999999999999999", "--m", "1"], 10**20),
+])
+def test_perm_refuses_an_ambient_above_the_cap(capsys, argv, ambient):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: ambient {ambient} is above 1000, the largest perm computes in\n"
+
+
+def test_perm_computes_at_the_cap(capsys):
+    top = " ".join(map(str, range(1, 999)))
+    assert run(capsys, "perm", "eval", "--word", "T999") == (0, f"({top} 1000 999)\n", "")
+    assert run(capsys, "perm", "length", "--word", "T999 T1") == (0, "2\n", "")
+    code, out, _ = run(capsys, "perm", "rho", "--n", "500", "--m", "500")
+    assert code == 0 and len(out.split()) == 1000
+
+
+@pytest.mark.parametrize("argv", [
+    ["perm", "eval", "--word", "T99999999999999999999"],
+    ["perm", "rho", "--n", "99999999999999999999", "--m", "1"],
+    ["check", "--adc", "disk:1", "--dim", "0", "--bound", "100000"],
+    ["check", "--adc", "cube:4", "--dim", "1", "--bound", "1"],
+    ["classify", "--adc", "disk:1", "--dims", "1..1", "--bound", "5000"],
+], ids=" ".join)
+def test_oversized_requests_exit2_without_running(argv):
+    """Each ran until killed (or ended in a traceback) before the perm cap
+    and the box refusal; a subprocess keeps a regression from hanging."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cubeforge.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-m", "cubeforge", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+
+
 def test_invert_thin_cell_stays_thin(tmp_path, capsys):
     model = NcModel(with_group_cones_above(disk(2), 0))
     x = next(c for c in model.cells(1, 1) if any(model.value(c, "0")))

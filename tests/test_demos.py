@@ -1,4 +1,7 @@
-"""Each demo runs to completion as a script."""
+"""Each demo runs to completion as a script and prints its stored output.
+
+The expected stdout of `demos/NAME.py` is `tests/golden/demos/NAME.txt`.
+"""
 
 import os
 import subprocess
@@ -9,11 +12,17 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+GOLDEN = ROOT / "tests" / "golden" / "demos"
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONIOENCODING="utf-8")
     proc = subprocess.run([sys.executable, str(demo)], env=env, capture_output=True,
-                          text=True, timeout=120)
+                          encoding="utf-8", timeout=120)
     assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (GOLDEN / f"{demo.stem}.txt").read_text(encoding="utf-8")
+
+
+def test_every_golden_output_has_its_demo():
+    assert sorted(p.stem for p in GOLDEN.glob("*.txt")) == [d.stem for d in DEMOS]

@@ -28,6 +28,7 @@ from cubeforge.core import (
 )
 from cubeforge.invert import r_inverse
 from cubeforge.nerve import NcModel, NgModel, _boundary, gamma_vs_ng, globular_signature
+from cubeforge.nerve import SEARCH_BUDGET as NERVE_BUDGET
 
 from cubical_models import BoxModel, is_shell
 
@@ -523,6 +524,22 @@ def test_budget_exceeded():
         nc._search(3, 1, budget=50, rng=None, limit=None)
     assert str(exc.value) == "enumeration of 3-cells at bound 1 exceeded 50 nodes"
     assert (exc.value.n, exc.value.bound, exc.value.nodes, exc.value.budget) == (3, 1, 51, 50)
+
+
+def test_a_box_over_the_budget_is_refused_before_the_search():
+    """A query would scan every point of its degree's coefficient box, so a
+    degree up to min(n, top) whose box holds more than `nerve.SEARCH_BUDGET`
+    points refuses the search at once, whatever the node budget."""
+    nc = NcModel(cube(4))
+    assert len(nc._search(0, 1, budget=NERVE_BUDGET, rng=None, limit=None)) == 16  # 2**16 points
+    for budget in (NERVE_BUDGET, 10**12):
+        with pytest.raises(BudgetExceeded) as exc:
+            nc._search(1, 1, budget=budget, rng=None, limit=None)
+        assert str(exc.value) == ("enumeration of 1-cells at bound 1 exceeded 2000000 "
+                                  "box points (degree 1 has 4294967296)")
+        assert (exc.value.nodes, exc.value.budget) == (2**32, NERVE_BUDGET)
+    with pytest.raises(BudgetExceeded, match=r"\(degree 0 has 2002225\)"):
+        NcModel(disk(1)).sample_cells(3, 1, 1414, random.Random(0))  # 1415**2 vertex values
 
 
 # -- the search against its direct form ---------------------------------------
