@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 from .core import Report
@@ -47,6 +47,24 @@ def _as_matrix(rows: Iterable[Iterable[int]]) -> Matrix:
     return tuple(tuple(int(x) for x in row) for row in rows)
 
 
+def _columns(m: Matrix, width: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The `width` columns of `m`, each its nonzero entries as (coefficient, row) pairs."""
+    cols: list[list[tuple[int, int]]] = [[] for _ in range(width)]
+    for r, row in enumerate(m):
+        for j in itertools.compress(range(width), row):
+            cols[j].append((row[j], r))
+    return tuple(map(tuple, cols))
+
+
+def _sparse_sum(terms: Iterable[tuple[int, Iterable[tuple[int, int]]]]) -> dict[int, int]:
+    """The sum of c * column over `terms`' (c, column) pairs, as {row: nonzero coefficient}."""
+    out: dict[int, int] = {}
+    for c, col in terms:
+        for x, r in col:
+            out[r] = out.get(r, 0) + c * x
+    return {r: x for r, x in out.items() if x}
+
+
 def mat_vec(m: Matrix, v: Sequence[int]) -> Vector:
     return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in m)
 
@@ -57,10 +75,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
         tuple(sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(cols))
         for i in range(len(a))
     )
-
-
-def zero_vec(n: int) -> Vector:
-    return (0,) * n
 
 
 def vec_neg(u: Sequence[int]) -> Vector:
@@ -96,6 +110,13 @@ class Adc:
 
     def basis_index(self, k: int, name: str) -> int:
         return self.degrees[k].index(name)
+
+    @cached_property
+    def columns(self) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
+        """``columns[k][j]``: d of the j-th degree-k generator as (coefficient, row)
+        pairs, built once per complex; empty on a vertex (its `aug` is its boundary)."""
+        return (((),) * self.rank(0),) + tuple(
+            _columns(m, self.rank(k)) for k, m in enumerate(self.boundary, 1))
 
     def d(self, k: int, coeffs: Sequence[int]) -> Vector:
         """Boundary of a degree-k chain, 1 <= k <= top (a vertex has `aug`)."""
@@ -170,24 +191,20 @@ def make_adc(
 
 
 def validate(K: Adc) -> Report:
-    """Check d o d = 0 and e o d = 0 (`make_adc` checks the shapes)."""
-    report = Report()
+    """Check d o d = 0 and e o d = 0 per generator (`make_adc` checks the shapes)."""
+    report, cols = Report(), K.columns
     report.checked = {"d o d": sum(K.rank(k) for k in range(2, K.top + 1)), "e o d": K.rank(1)}
     for k in range(2, K.top + 1):
-        for j in range(K.rank(k)):
-            col = tuple(1 if i == j else 0 for i in range(K.rank(k)))
-            dd = K.d(k - 1, K.d(k, col))
-            if any(dd):
+        for j, col in enumerate(cols[k]):
+            dd = _sparse_sum((c, cols[k - 1][r]) for c, r in col)
+            if dd:
                 report.violations.append(
-                    f"d o d != 0 on degree-{k} generator {K.degrees[k][j]}: {K.show(k - 2, dd)}"
+                    f"d o d != 0 on degree-{k} generator {K.degrees[k][j]}: "
+                    f"{K.show(k - 2, [dd.get(q, 0) for q in range(K.rank(k - 2))])}"
                 )
-    if K.top >= 1:
-        for j in range(K.rank(1)):
-            col = tuple(1 if i == j else 0 for i in range(K.rank(1)))
-            if K.aug(K.d(1, col)) != 0:
-                report.violations.append(
-                    f"e o d != 0 on degree-1 generator {K.degrees[1][j]}"
-                )
+    for j, col in enumerate(cols[1] if K.top >= 1 else ()):
+        if sum(c * K.augmentation[r] for c, r in col) != 0:
+            report.violations.append(f"e o d != 0 on degree-1 generator {K.degrees[1][j]}")
     return report
 
 
@@ -300,38 +317,19 @@ def tensor(K: Adc, L: Adc, name: str = "") -> Adc:
     if K.d_convention != L.d_convention:
         raise ValueError("tensor factors must share a d_convention")
     top = K.top + L.top
-    degrees: list[list[str]] = []
-    pairs: list[list[tuple[int, int, int, int]]] = []  # (i, a, j, b) per basis elt
-    index: list[dict[tuple[int, int, int, int], int]] = []
-    for nn in range(top + 1):
-        names = []
-        keyed = []
-        for i in range(0, nn + 1):
-            j = nn - i
-            if i > K.top or j > L.top:
-                continue
-            for a in range(K.rank(i)):
-                for b in range(L.rank(j)):
-                    names.append(f"{K.degrees[i][a]}⊗{L.degrees[j][b]}")
-                    keyed.append((i, a, j, b))
-        degrees.append(names)
-        pairs.append(keyed)
-        index.append({key: pos for pos, key in enumerate(keyed)})
+    pairs = [[(i, a, nn - i, b) for i in range(nn + 1)  # (i, a, j, b) per basis element
+              for a in range(K.rank(i)) for b in range(L.rank(nn - i))] for nn in range(top + 1)]
+    index = [{key: pos for pos, key in enumerate(keyed)} for keyed in pairs]
+    degrees = [[f"{K.degrees[i][a]}⊗{L.degrees[j][b]}" for i, a, j, b in keyed]
+               for keyed in pairs]
     boundary = []
     for nn in range(1, top + 1):
         m = [[0] * len(pairs[nn]) for _ in range(len(pairs[nn - 1]))]
         for col, (i, a, j, b) in enumerate(pairs[nn]):
-            if i >= 1:
-                colvec = tuple(1 if r == a else 0 for r in range(K.rank(i)))
-                for r, c in enumerate(K.d(i, colvec)):
-                    if c:
-                        m[index[nn - 1][(i - 1, r, j, b)]][col] += c
-            if j >= 1:
-                colvec = tuple(1 if r == b else 0 for r in range(L.rank(j)))
-                sgn = (-1) ** i
-                for r, c in enumerate(L.d(j, colvec)):
-                    if c:
-                        m[index[nn - 1][(i, a, j - 1, r)]][col] += sgn * c
+            for c, r in K.columns[i][a]:
+                m[index[nn - 1][(i - 1, r, j, b)]][col] += c
+            for c, r in L.columns[j][b]:
+                m[index[nn - 1][(i, a, j - 1, r)]][col] += (-1) ** i * c
         boundary.append(m)
     augmentation = [
         K.augmentation[a] * L.augmentation[b] for (_, a, _, b) in pairs[0]
@@ -376,23 +374,16 @@ class ChainMap:
         return tuple(out)
 
     def is_chain_map(self) -> bool:
-        """Exact check that boundaries and augmentations commute."""
-        src, tgt = self.source, self.target
+        """Exact check that boundaries and augmentations commute, generator by generator."""
+        src, tgt, terms = self.source, self.target, self.terms
         for k in range(1, src.top + 1):
-            for j in range(src.rank(k)):
-                e = tuple(1 if i == j else 0 for i in range(src.rank(k)))
-                if k <= tgt.top:
-                    left = tgt.d(k, self.apply(k, e))
-                else:
-                    left = zero_vec(tgt.rank(k - 1))
-                right = self.apply(k - 1, src.d(k, e))
-                if left != right:
+            for j, col in enumerate(src.columns[k]):
+                left = (_sparse_sum((c, tgt.columns[k][t]) for c, t in terms[k][j])
+                        if k <= tgt.top else {})
+                if left != _sparse_sum((c, terms[k - 1][r]) for c, r in col):
                     return False
-        for j in range(src.rank(0)):
-            e = tuple(1 if i == j else 0 for i in range(src.rank(0)))
-            if src.aug(e) != tgt.aug(self.apply(0, e)):
-                return False
-        return True
+        return all(src.augmentation[j] == sum(c * tgt.augmentation[t] for c, t in terms[0][j])
+                   for j in range(src.rank(0)))
 
 
 def _basis_map(source: Adc, target: Adc, image: dict[str, list[tuple[int, str]]]) -> ChainMap:

@@ -13,7 +13,8 @@ specs ``disk:N`` and ``cube:N`` also work and honour ``--orientation``
 Exit codes: 0 success, 1 violations or a non-invertible input, 2 parse
 or usage errors (an empty sample, an `--i` naming no direction of the
 cell, two flags of which only one is read, a `perm` ambient above
-`MAX_AMBIENT`), and exhausted search budgets.
+`MAX_AMBIENT`, a `disk:N` / `cube:N` above `MAX_SPEC`), and exhausted
+search budgets.
 """
 
 from __future__ import annotations
@@ -76,13 +77,20 @@ ORIENTATIONS = {"printed": TARGET_MINUS_SOURCE, "flipped": SOURCE_MINUS_TARGET}
 MALFORMED = (AttributeError, KeyError, TypeError, ValueError)
 
 
+# the largest N of a `disk:N` / `cube:N` spec: cube(9) alone takes about a
+# gigabyte, and no search on cube(N >= 5) at bound >= 1 fits `nerve.SEARCH_BUDGET`
+MAX_SPEC = {"disk": 1000, "cube": 8}
+
+
 def resolve_adc(ref: str, orientation: str) -> Adc:
     kind, colon, n = ref.partition(":")
-    if colon and kind in ("disk", "cube"):
+    if colon and kind in MAX_SPEC:
         if not (n.isascii() and n.removeprefix("-").isdigit()):
             raise CliError(f"{kind}:N needs an integer N, got {ref!r}")
         if int(n) < 0:
             raise CliError(f"{kind}:N needs N >= 0, got {ref!r}")
+        if int(n) > MAX_SPEC[kind]:
+            raise CliError(f"{kind}:N needs N <= {MAX_SPEC[kind]}, got {ref!r}")
         return (disk if kind == "disk" else cube)(int(n), ORIENTATIONS[orientation])
     try:
         return load_adc(ref)

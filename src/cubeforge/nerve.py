@@ -13,7 +13,8 @@ eagerly at construction:
 * positivity: every value lies in the cone of its degree.
 
 Validation and the bounded search read the signed sums from one table
-per dimension (`_boundary_terms`); with the augmentation read as the
+per dimension (`_boundary_terms`: the domain's sparse boundary columns,
+`Adc.columns`, shifted to payload positions); with the augmentation read as the
 boundary of a vertex (rhs = (1,)), one solver query draws every value.
 The search's step table (`_steps`, one per dimension and bound) memoizes
 each step's candidates by the values its rhs reads, so the sum and the
@@ -117,14 +118,13 @@ def _boundary(terms: Sequence[tuple[int, int]], values: Sequence[tuple], rank: i
 
 
 class _Table(NamedTuple):
-    """A compiled operation: ``getter`` gathers ``index`` from the payload plus
-    the appended zero chains (face, deg, conn; kept in ``extra``), negated
+    """A compiled operation: ``getter`` gathers from the payload plus the
+    appended zero chains (face, deg, conn; kept in ``extra``), negated
     values (rev, swap; ``extra`` holds their (degree, position, name)) or
     slab sums (comp; ``extra`` holds the slab positions)."""
 
     getter: Callable[[tuple], tuple]
     extra: tuple
-    index: tuple[int, ...]
 
 
 def _kernel(index: Sequence[int]) -> Callable[[tuple], tuple]:
@@ -138,12 +138,12 @@ _SHIFT = {"face": -1, "deg": 1, "conn": 1}  # the dimension change of a plan nod
 
 
 def _gather(a: tuple, _b: tuple, tab: _Table) -> tuple:
-    getter, zeros, _ = tab
+    getter, zeros = tab
     return getter(a + zeros)
 
 
 def _compose(a: tuple, b: tuple, data: tuple) -> tuple:
-    (getter, slab, _), plus, minus, i = data
+    (getter, slab), plus, minus, i = data
     fa, fb = _gather(a, b, plus), _gather(b, a, minus)
     if fa != fb:
         raise CompositionError(f"faces differ along direction {i}: {fa!r} vs {fb!r}")
@@ -163,7 +163,7 @@ def _negated(payload: tuple, negs: tuple, in_cone) -> tuple:
 
 
 def _invert(a: tuple, _b: tuple, data: tuple) -> tuple:
-    (getter, negs, _), in_cone = data
+    (getter, negs), in_cone = data
     flipped, bad = _negated(a, negs, in_cone)
     if flipped is None:
         raise NotInvertible(f"value at {bad} is not invertible in the cone")
@@ -265,10 +265,8 @@ class _NerveBase(CubModel):
         if n not in self._terms:
             dom = self.domain(n)
             offs = list(itertools.accumulate(map(len, dom.degrees), initial=0))
-            self._terms[n] = tuple(
-                tuple((row[j], offs[k - 1] + r)
-                      for r, row in enumerate(dom.boundary[k - 1]) if row[j]) if k else ()
-                for k, names in enumerate(dom.degrees) for j in range(len(names)))
+            self._terms[n] = tuple(tuple((c, offs[k - 1] + r) for c, r in col)
+                                   for k, cols in enumerate(dom.columns) for col in cols)
         return self._terms[n]
 
     # -- enumeration --------------------------------------------------------
@@ -423,7 +421,7 @@ class _NerveBase(CubModel):
                 negs.append((k, offs[k] + t, name))
         zeros = tuple(self.zero_chain(k) for k in range(len(cmap.terms)))
         extra = tuple(negs) if negs else zeros if max(index) >= width else ()
-        return _Table(_kernel(index), extra, tuple(index))
+        return _Table(_kernel(index), extra)
 
     def _compile_comp(self, n: int, i: int) -> _Table:
         """A composite indexes A's payload, then B's, then the slab sums."""
@@ -438,7 +436,7 @@ class _NerveBase(CubModel):
                 slab.append(pos)
             else:
                 index.append(pos if pieces[0][0] == 1 else width + pos)
-        return _Table(_kernel(index), tuple(slab), tuple(index))
+        return _Table(_kernel(index), tuple(slab))
 
     def _step(self, kind: str, n: int, *args) -> tuple:
         """The kernel and its data for operation `kind` on n-cells.
@@ -532,10 +530,10 @@ class _NerveBase(CubModel):
             elif fn is _gather:
                 maps.append(data.getter(a + zero_at))
             elif fn is _invert:
-                getter, negs, _ = data[0]
+                getter, negs = data[0]
                 maps.append(getter(a + tuple(fill("neg", zero_at[k], a[p]) for k, p, _ in negs)))
             else:
-                (getter, slab, _), plus, minus, i = data
+                (getter, slab), plus, minus, i = data
                 compares.append(("faces", plus.getter(a + zero_at), minus.getter(b + zero_at), i))
                 maps.append(getter(a + b + tuple(fill("add", a[p], b[p]) for p in slab)))
         compares += [("eq", maps[lhs], maps[rhs]) for _, lhs, rhs, *_ in plan.equations]
@@ -603,7 +601,7 @@ class _NerveBase(CubModel):
         """Whether `r_inverse` succeeds, from its cone check alone."""
         if not 1 <= i <= A.dim:
             return False
-        _, ((_, negs, _), in_cone) = self._step("rev", A.dim, i)
+        _, ((_, negs), in_cone) = self._step("rev", A.dim, i)
         return _negated(A.payload, negs, in_cone)[0] is not None
 
 

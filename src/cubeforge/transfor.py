@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .adc import ChainMap, cube, mat_vec, tensor
+from .adc import ChainMap, _columns, cube, mat_vec, tensor
 from .core import Cell, CompositionError, CubModel, NotInvertible, Report, _face_keys, _match
 from .invert import is_plain_invertible, sigma_act
 from .perms import Perm, rho
@@ -270,11 +270,6 @@ def _push(target, mats: Sequence, k: int, chain: tuple, out_degree: int) -> tupl
     return mat_vec(mats[k], chain)
 
 
-def _column(mats: Sequence, k: int, j: int) -> tuple:
-    """Column j of `mats[k]`, empty where `mats` stops short of degree k."""
-    return tuple(row[j] for row in mats[k]) if k < len(mats) else ()
-
-
 @lru_cache(maxsize=None)
 def _cube_tensor(p: int, K) -> tuple:
     """cube(p) ⊗ K, with each degree-m generator s ⊗ e as (s, k, j): e is
@@ -297,10 +292,9 @@ def tensor_transfor(source, target, Phi: Mapping[str, Sequence], p: int,
     if K.d_convention != L.d_convention:
         raise ValueError("source and target must share a d_convention")
     T, gens = _cube_tensor(p, K)
-    terms = tuple(
-        tuple(tuple((c, r) for r, c in enumerate(_column(Phi[s], k, j)) if c)
-              for s, k, j in row)
-        for row in gens)
+    cols = {s: [_columns(m, K.rank(k)) for k, m in enumerate(mats)] for s, mats in Phi.items()}
+    terms = tuple(tuple(cols[s][k][j] if k < len(cols[s]) else () for s, k, j in row)
+                  for row in gens)
     if not ChainMap(T, L, terms).is_chain_map():
         raise ValueError(f"Phi is not a chain map out of cube({p}) ⊗ K")
     out = []
@@ -353,12 +347,11 @@ def random_tensor_map(source, target, p: int, rng, coeff_bound: int = 1,
         for *_, m, b in order:
             s, k, j = gens[m][b]
             if s in fixed:
-                cols[s, k, j] = _column(fixed[s], k, j)
+                cols[s, k, j] = tuple(row[j] for row in fixed[s][k])
                 continue
             rhs = (1,)  # a vertex's boundary: its augmentation
             if m:
-                d = T.d(m, [int(r == b) for r in range(T.rank(m))])
-                rhs = tuple(sum(c * cols[gens[m - 1][r]][i] for r, c in enumerate(d) if c)
+                rhs = tuple(sum(c * cols[gens[m - 1][r]][i] for c, r in T.columns[m][b])
                             for i in range(L.rank(m - 1)))
             cands = target.solver.chains_with_boundary(m, rhs, coeff_bound)
             if not cands:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 import re
@@ -36,9 +37,11 @@ from cubeforge.adc import (
     tensor,
     to_json_dict,
     validate,
+    walking_composite,
     with_group_cones_above,
 )
 from cubeforge.adc import _CONN, _DEG, _FACE, _REV, _SWAP, _basis_map, _slot_map
+from cubeforge.core import Report
 
 
 def unit(n, j):
@@ -57,6 +60,131 @@ def test_disk_valid():
 def test_cube_valid_and_tensor_built():
     for n in range(5):
         assert validate(cube(n)).ok
+    report = validate(cube(7))
+    assert report.checked == {"d o d": 1611, "e o d": 448} and report.violations == []
+
+
+# the complexes criterion 10 validates
+CRITERION_10 = (
+    [disk(n) for n in range(5)]
+    + [cube(n) for n in range(5)]
+    + [tensor(cube(1), cube(1)), tensor(disk(1), disk(2)), walking_composite()]
+    + [rect_adc(n, i) for n in (1, 2, 3) for i in range(1, n + 1)]
+    + [with_group_cones_above(disk(2), p) for p in (0, 1)]
+    + [disk(3, SOURCE_MINUS_TARGET), cube(3, SOURCE_MINUS_TARGET)]
+)
+
+
+def oracle_validate(K):
+    """`validate` on dense unit columns: d o d and e o d through `Adc.d`."""
+    report = Report()
+    report.checked = {"d o d": sum(K.rank(k) for k in range(2, K.top + 1)), "e o d": K.rank(1)}
+    for k in range(2, K.top + 1):
+        for j in range(K.rank(k)):
+            dd = K.d(k - 1, K.d(k, unit(K.rank(k), j)))
+            if any(dd):
+                report.violations.append(
+                    f"d o d != 0 on degree-{k} generator {K.degrees[k][j]}: {K.show(k - 2, dd)}"
+                )
+    for j in range(K.rank(1) if K.top >= 1 else 0):
+        if K.aug(K.d(1, unit(K.rank(1), j))) != 0:
+            report.violations.append(f"e o d != 0 on degree-1 generator {K.degrees[1][j]}")
+    return report
+
+
+def oracle_is_chain_map(f):
+    """`ChainMap.is_chain_map` on dense unit columns through `apply` and `Adc.d`."""
+    src, tgt = f.source, f.target
+    for k in range(1, src.top + 1):
+        for j in range(src.rank(k)):
+            e = unit(src.rank(k), j)
+            left = tgt.d(k, f.apply(k, e)) if k <= tgt.top else (0,) * tgt.rank(k - 1)
+            if left != f.apply(k - 1, src.d(k, e)):
+                return False
+    units = (unit(src.rank(0), j) for j in range(src.rank(0)))
+    return all(src.aug(e) == tgt.aug(f.apply(0, e)) for e in units)
+
+
+def corrupted(K, rng):
+    """K with one to three boundary entries moved by +-1 (a fresh Adc, so
+    its column view is built anew)."""
+    mats = [list(map(list, m)) for m in K.boundary]
+    for _ in range(rng.randint(1, 3)):
+        m = rng.choice([m for m in mats if m and m[0]])
+        rng.choice(m)[rng.randrange(len(m[0]))] += rng.choice((-1, 1))
+    return dataclasses.replace(K, boundary=tuple(tuple(map(tuple, m)) for m in mats))
+
+
+def test_validate_matches_the_unit_vector_oracle():
+    rng, failing = random.Random(18), 0
+    for K in CRITERION_10:
+        assert validate(K) == oracle_validate(K)
+        for _ in range(8 if K.top >= 1 else 0):
+            bad = corrupted(K, rng)
+            report = validate(bad)
+            assert report == oracle_validate(bad)
+            failing += not report.ok
+    assert failing > 100  # most corruptions break d o d or e o d
+
+
+def co_maps(n, conv):
+    """Every co-map of the n-cube and n-disk, and the composition co-maps."""
+    slots = range(1, n + 1)
+    return ([cube_face(n, i, a, conv) for i in slots for a in "-+"]
+            + [cube_deg(n, i, conv) for i in slots]
+            + [cube_conn(n, i, a, conv) for i in slots for a in "-+"]
+            + [cube_rev(n, i, conv) for i in slots]
+            + [cube_swap(n, i, conv) for i in slots[:-1]]
+            + [disk_face(n, i, a, conv) for i in slots for a in "-+"]
+            + [disk_identity(n - 1, conv), disk_rev(n, conv)]
+            + [f for i in slots for f in cube_comp(n, i, conv)])
+
+
+def corrupted_terms(f, rng):
+    """f with one image term's coefficient moved by +-1, or one term added."""
+    terms = [list(map(list, row)) for row in f.terms]
+    k = rng.choice([k for k, row in enumerate(terms) if row and f.target.rank(k)])
+    image = rng.choice(terms[k])
+    if image and rng.random() < 0.5:
+        p = rng.randrange(len(image))
+        image[p] = (image[p][0] + rng.choice((-1, 1)), image[p][1])
+    else:
+        image.append((rng.choice((-1, 1)), rng.randrange(f.target.rank(k))))
+    return ChainMap(f.source, f.target, tuple(tuple(map(tuple, row)) for row in terms))
+
+
+def homotoped(f, rng):
+    """f + dh + hd for an h sending one degree-k source generator x to one
+    degree-(k+1) target generator y, read off the dense matrices: a chain
+    map again, or None when no degree has such an x and y."""
+    src, tgt = f.source, f.target
+    degrees = [k for k in range(min(src.top, tgt.top - 1) + 1) if src.rank(k) and tgt.rank(k + 1)]
+    if not degrees:
+        return None
+    k = rng.choice(degrees)
+    x, y = rng.randrange(src.rank(k)), rng.randrange(tgt.rank(k + 1))
+    terms = [list(map(list, row)) for row in f.terms]
+    terms[k][x] += [(row[y], r) for r, row in enumerate(tgt.boundary[k]) if row[y]]  # d h x
+    for z, c in enumerate(src.boundary[k][x] if k < src.top else ()):  # h d z
+        if c:
+            terms[k + 1][z].append((c, y))
+    return ChainMap(src, tgt, tuple(tuple(map(tuple, row)) for row in terms))
+
+
+def test_is_chain_map_matches_the_unit_vector_oracle():
+    rng, broken, moved = random.Random(18), 0, 0
+    for conv in (TARGET_MINUS_SOURCE, SOURCE_MINUS_TARGET):
+        for n in range(1, 5):
+            for f in co_maps(n, conv):
+                assert f.is_chain_map() and oracle_is_chain_map(f)
+                bad = corrupted_terms(f, rng)
+                assert bad.is_chain_map() == oracle_is_chain_map(bad)
+                broken += not bad.is_chain_map()
+                g = homotoped(f, rng)
+                if g is not None:
+                    assert g.terms != f.terms and g.is_chain_map() and oracle_is_chain_map(g)
+                    moved += 1
+    assert broken > 100 and moved > 100  # most corruptions break the law; no homotopy does
 
 
 def test_corrupted_boundary_reported():
@@ -261,14 +389,16 @@ def test_cube_deg_kills_zero_slot():
 
 
 @pytest.mark.parametrize("conv", [TARGET_MINUS_SOURCE, SOURCE_MINUS_TARGET])
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_costructure_maps_are_chain_maps(n, conv):
+    """Every face, degeneracy and connection co-map a nerve compiles up to
+    its `max_dim` of 6 (a connection on n-cells reads cube(n + 1))."""
     for i in range(1, n + 1):
         for alpha in "-+":
             assert cube_face(n, i, alpha, conv).is_chain_map()
     for i in range(1, n + 1):
         assert cube_deg(n, i, conv).is_chain_map()
-    if n <= 3:
+    if n <= 5:
         for i in range(1, n + 1):
             for alpha in "-+":
                 assert cube_conn(n, i, alpha, conv).is_chain_map()

@@ -190,6 +190,8 @@ def test_perm_computes_at_the_cap(capsys):
     ["check", "--adc", "disk:1", "--dim", "0", "--bound", "100000"],
     ["check", "--adc", "cube:4", "--dim", "1", "--bound", "1"],
     ["classify", "--adc", "disk:1", "--dims", "1..1", "--bound", "5000"],
+    ["check", "--adc", "cube:8", "--dim", "0", "--bound", "1"],
+    ["check", "--adc", "cube:9", "--dim", "0", "--bound", "1"],
 ], ids=" ".join)
 def test_oversized_requests_exit2_without_running(argv):
     """Each ran until killed (or ended in a traceback) before the perm cap
@@ -368,6 +370,19 @@ def test_shorthand_adc(capsys):
                        "--orientation", "flipped")
     assert code == 0
     assert "source-minus-target" in out
+
+
+@pytest.mark.parametrize("command", [["check", "--dim", "0"], ["classify", "--dims", "0..0"]])
+@pytest.mark.parametrize("kind, cap", [("disk", 1000), ("cube", 8)])
+def test_spec_above_the_cap_exit2(capsys, command, kind, cap):
+    code, out, err = run(capsys, *command, "--adc", f"{kind}:{cap + 1}")
+    assert (code, out) == (2, "")
+    assert err == f"error: {kind}:N needs N <= {cap}, got '{kind}:{cap + 1}'\n"
+
+
+def test_disk_spec_at_the_cap(capsys):
+    code, out, _ = run(capsys, "check", "--adc", "disk:1000", "--dim", "0", "--bound", "1")
+    assert code == 0 and "complex: disk(1000)" in out and out.endswith("result: ok\n")
 
 
 def test_usage_error_exit2(capsys):

@@ -181,9 +181,9 @@ class Swapped(NcModel):
         key = (kind, n, i, alpha)
         if key == self.key and key not in self._tables:
             tab = super()._table(kind, n, i, alpha)
-            index = list(tab.index)
+            index = list(tab.getter(tuple(range(2 * len(self.elements(n)) + len(tab.extra)))))
             index[0], index[1] = index[1], index[0]
-            self._tables[key] = _Table(_kernel(index), tab.extra, tuple(index))
+            self._tables[key] = _Table(_kernel(index), tab.extra)
         return super()._table(kind, n, i, alpha)
 
 
