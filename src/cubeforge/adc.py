@@ -2,7 +2,10 @@
 
 An ``Adc`` is a finitely-based chain complex of free abelian groups with
 an augmentation to Z on degree 0 and a positivity cone per degree.  All
-coefficients are exact Python integers; matrices are tuples of rows.
+coefficients are exact Python integers.  The boundary is stored once, as
+sparse columns: each generator's boundary as (coefficient, row) pairs.
+Dense boundary matrices, as lists of rows, are only input to `make_adc`
+and the JSON form.
 
 Cones.  In principle a positivity cone is an arbitrary submonoid per
 degree, but every construction performed here yields a cone cut out
@@ -27,7 +30,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .core import Report
@@ -37,6 +40,7 @@ SOURCE_MINUS_TARGET = "source-minus-target"
 
 Matrix = tuple[tuple[int, ...], ...]
 Vector = tuple[int, ...]
+Column = tuple[tuple[int, int], ...]  # (coefficient, row) pairs, rows ascending
 
 
 class NotInCone(ValueError):
@@ -47,7 +51,7 @@ def _as_matrix(rows: Iterable[Iterable[int]]) -> Matrix:
     return tuple(tuple(int(x) for x in row) for row in rows)
 
 
-def _columns(m: Matrix, width: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+def _columns(m: Sequence[Sequence[int]], width: int) -> tuple[Column, ...]:
     """The `width` columns of `m`, each its nonzero entries as (coefficient, row) pairs."""
     cols: list[list[tuple[int, int]]] = [[] for _ in range(width)]
     for r, row in enumerate(m):
@@ -65,8 +69,19 @@ def _sparse_sum(terms: Iterable[tuple[int, Iterable[tuple[int, int]]]]) -> dict[
     return {r: x for r, x in out.items() if x}
 
 
-def mat_vec(m: Matrix, v: Sequence[int]) -> Vector:
-    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in m)
+def _column(terms: Iterable[tuple[int, int]]) -> Column:
+    """(coefficient, row) `terms` summed per row: the nonzero entries, rows ascending."""
+    return tuple((x, r) for r, x in sorted(_sparse_sum(((1, terms),)).items()))
+
+
+def _apply(columns: Sequence[Column], coeffs: Sequence[int], rank: int) -> Vector:
+    """The rank-`rank` vector sum(coeffs[j] * columns[j])."""
+    out = [0] * rank
+    for col, c in zip(columns, coeffs, strict=True):
+        if c:
+            for x, r in col:
+                out[r] += c * x
+    return tuple(out)
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -95,7 +110,9 @@ class Chain:
 @dataclass(frozen=True)
 class Adc:
     degrees: tuple[tuple[str, ...], ...]
-    boundary: tuple[Matrix, ...]  # boundary[k] maps degree k+1 -> degree k
+    # columns[k][j]: d of the j-th degree-k generator as (coefficient, row)
+    # pairs, rows ascending; empty on a vertex (its `aug` is its boundary)
+    columns: tuple[tuple[Column, ...], ...]
     augmentation: Vector
     cone: tuple[tuple[bool, ...], ...]  # True = coefficient constrained >= 0
     d_convention: str = TARGET_MINUS_SOURCE
@@ -111,18 +128,11 @@ class Adc:
     def basis_index(self, k: int, name: str) -> int:
         return self.degrees[k].index(name)
 
-    @cached_property
-    def columns(self) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
-        """``columns[k][j]``: d of the j-th degree-k generator as (coefficient, row)
-        pairs, built once per complex; empty on a vertex (its `aug` is its boundary)."""
-        return (((),) * self.rank(0),) + tuple(
-            _columns(m, self.rank(k)) for k, m in enumerate(self.boundary, 1))
-
     def d(self, k: int, coeffs: Sequence[int]) -> Vector:
         """Boundary of a degree-k chain, 1 <= k <= top (a vertex has `aug`)."""
-        if not 0 < k <= len(self.boundary):
+        if not 0 < k <= self.top:
             raise ValueError(f"degree {k} has no boundary matrix in degrees 1..{self.top}")
-        return mat_vec(self.boundary[k - 1], coeffs)
+        return _apply(self.columns[k], coeffs, len(self.degrees[k - 1]))
 
     def aug(self, coeffs: Sequence[int]) -> int:
         return sum(e * c for e, c in zip(self.augmentation, coeffs, strict=True))
@@ -149,13 +159,17 @@ def make_adc(
     d_convention: str = TARGET_MINUS_SOURCE,
     name: str = "",
 ) -> Adc:
-    """Build an Adc, normalising the cone shorthands.
+    """Build an Adc from dense boundary matrices, normalising the cone shorthands.
 
     A degree's cone is "nonneg", "group" or one bool per element.  Raises
     ValueError naming the field when a cone is anything else, when the
     entries of `cone`, `boundary` or `augmentation` do not fit the ranks of
-    `degrees`, or when a degree names a basis element twice.
+    `degrees`, when a boundary or augmentation entry is not an int, or when
+    a degree is not a list of distinct names.
     """
+    for k, names in enumerate(degrees):
+        if not isinstance(names, (list, tuple)) or not all(type(x) is str for x in names):
+            raise ValueError(f"degree {k} is {names!r}, not a list of names")
     degs = tuple(tuple(d) for d in degrees)
     ranks = [len(names) for names in degs]
     for k, names in enumerate(degs):
@@ -177,17 +191,26 @@ def make_adc(
             flags.append(tuple(spec))  # type: ignore[arg-type]
         if len(flags[-1]) != ranks[k]:
             raise ValueError(f"cone length mismatch at degree {k}")
-    mats = tuple(_as_matrix(m) for m in boundary)
-    for k, m in enumerate(mats, 1):
+    for k, m in enumerate(boundary, 1):
         if len(m) != ranks[k - 1] or any(len(row) != ranks[k] for row in m):
             raise ValueError(f"boundary matrix at degree {k} has wrong shape: "
                              f"need {ranks[k - 1]} rows of {ranks[k]}")
-    aug, vertices = tuple(int(x) for x in augmentation), ranks[0] if ranks else 0
+        _refuse_non_ints(f"boundary matrix at degree {k}", itertools.chain.from_iterable(m))
+    aug, vertices = tuple(augmentation), ranks[0] if ranks else 0
     if len(aug) != vertices:
         raise ValueError(f"augmentation vector has {len(aug)} entries, not {vertices}")
+    _refuse_non_ints("augmentation vector", aug)
     if d_convention not in (TARGET_MINUS_SOURCE, SOURCE_MINUS_TARGET):
         raise ValueError(f"unknown d_convention {d_convention!r}")
-    return Adc(degs, mats, aug, tuple(flags), d_convention, name)
+    columns = tuple(_columns(boundary[k - 1], r) if k else ((),) * r for k, r in enumerate(ranks))
+    return Adc(degs, columns, aug, tuple(flags), d_convention, name)
+
+
+def _refuse_non_ints(field: str, entries: Iterable[object]) -> None:
+    """ValueError naming `field` at its first entry that is not an int (bools too)."""
+    for x in entries:
+        if type(x) is not int:
+            raise ValueError(f"{field} has the entry {x!r}, not an int")
 
 
 def validate(K: Adc) -> Report:
@@ -227,7 +250,7 @@ def with_group_cones_above(K: Adc, p: int, name: str = "") -> Adc:
     cone = tuple(
         (False,) * K.rank(k) if k > p else K.cone[k] for k in range(K.top + 1)
     )
-    return Adc(K.degrees, K.boundary, K.augmentation, cone,
+    return Adc(K.degrees, K.columns, K.augmentation, cone,
                K.d_convention, name or (K.name + f"!(omega,{p})"))
 
 
@@ -249,16 +272,8 @@ def disk(n: int, d_convention: str = TARGET_MINUS_SOURCE) -> Adc:
     """
     sign = orientation_sign(d_convention)
     degrees = [[f"s{k}", f"t{k}"] for k in range(n)] + [["x"]]
-    boundary = []
-    for k in range(1, n + 1):
-        rows = len(degrees[k - 1])
-        cols = len(degrees[k])
-        m = [[0] * cols for _ in range(rows)]
-        for j in range(cols):
-            # d[generator] = sign * (t_{k-1} - s_{k-1})
-            m[0][j] = -sign
-            m[1][j] = sign
-        boundary.append(m)
+    # d[generator] = sign * (t_{k-1} - s_{k-1}): rows s_{k-1}, t_{k-1}
+    boundary = [[[-sign] * len(degrees[k]), [sign] * len(degrees[k])] for k in range(1, n + 1)]
     augmentation = [1] * len(degrees[0])
     cone = ["nonneg"] * (n + 1)
     return make_adc(degrees, boundary, augmentation, cone, d_convention, f"disk({n})")
@@ -293,18 +308,13 @@ def cube(n: int, d_convention: str = TARGET_MINUS_SOURCE) -> Adc:
 @lru_cache(maxsize=None)
 def _cube(n: int, d_convention: str) -> Adc:
     # an Adc is immutable, so every caller can share one copy per (n, convention)
-    degrees = [cube_basis(n, k) for k in range(n + 1)]
+    degrees = tuple(tuple(cube_basis(n, k)) for k in range(n + 1))
     index = [{s: j for j, s in enumerate(basis)} for basis in degrees]
-    boundary = []
-    for k in range(1, n + 1):
-        m = [[0] * len(degrees[k]) for _ in range(len(degrees[k - 1]))]
-        for j, s in enumerate(degrees[k]):
-            for c, t in cube_d_terms(s, d_convention):
-                m[index[k - 1][t]][j] += c
-        boundary.append(m)
-    augmentation = [1] * len(degrees[0])
-    cone = ["nonneg"] * (n + 1)
-    return make_adc(degrees, boundary, augmentation, cone, d_convention, f"cube({n})")
+    columns = (((),) * 2 ** n,) + tuple(
+        tuple(_column((c, index[k - 1][t]) for c, t in cube_d_terms(s, d_convention))
+              for s in degrees[k]) for k in range(1, n + 1))
+    return Adc(degrees, columns, (1,) * 2 ** n, tuple((True,) * len(b) for b in degrees),
+               d_convention, f"cube({n})")
 
 
 def tensor(K: Adc, L: Adc, name: str = "") -> Adc:
@@ -322,30 +332,16 @@ def tensor(K: Adc, L: Adc, name: str = "") -> Adc:
     index = [{key: pos for pos, key in enumerate(keyed)} for keyed in pairs]
     degrees = [[f"{K.degrees[i][a]}⊗{L.degrees[j][b]}" for i, a, j, b in keyed]
                for keyed in pairs]
-    boundary = []
-    for nn in range(1, top + 1):
-        m = [[0] * len(pairs[nn]) for _ in range(len(pairs[nn - 1]))]
-        for col, (i, a, j, b) in enumerate(pairs[nn]):
-            for c, r in K.columns[i][a]:
-                m[index[nn - 1][(i - 1, r, j, b)]][col] += c
-            for c, r in L.columns[j][b]:
-                m[index[nn - 1][(i, a, j - 1, r)]][col] += (-1) ** i * c
-        boundary.append(m)
-    augmentation = [
-        K.augmentation[a] * L.augmentation[b] for (_, a, _, b) in pairs[0]
-    ]
-    cone = [
-        tuple(K.cone[i][a] and L.cone[j][b] for (i, a, j, b) in pairs[nn])
-        for nn in range(top + 1)
-    ]
-    return Adc(
-        tuple(tuple(d) for d in degrees),
-        tuple(_as_matrix(m) for m in boundary),
-        tuple(augmentation),
-        tuple(cone),
-        K.d_convention,
-        name or f"({K.name})⊗({L.name})",
-    )
+    columns = [((),) * len(pairs[0])]
+    for lo, keyed in zip(index, pairs[1:]):
+        columns.append(tuple(_column(
+            [(c, lo[i - 1, r, j, b]) for c, r in K.columns[i][a]]
+            + [((-1) ** i * c, lo[i, a, j - 1, r]) for c, r in L.columns[j][b]])
+            for i, a, j, b in keyed))
+    augmentation = tuple(K.augmentation[a] * L.augmentation[b] for _, a, _, b in pairs[0])
+    cone = tuple(tuple(K.cone[i][a] and L.cone[j][b] for i, a, j, b in keyed) for keyed in pairs)
+    return Adc(tuple(map(tuple, degrees)), tuple(columns), augmentation, cone, K.d_convention,
+               name or f"({K.name})⊗({L.name})")
 
 
 # ---------------------------------------------------------------------------
@@ -365,13 +361,9 @@ class ChainMap:
     terms: tuple[tuple[tuple[tuple[int, int], ...], ...], ...]
 
     def apply(self, k: int, coeffs: Sequence[int]) -> Vector:
-        out = [0] * self.target.rank(k)
-        if k <= self.source.top:
-            for j, c in enumerate(coeffs):
-                if c:
-                    for coef, pos in self.terms[k][j]:
-                        out[pos] += c * coef
-        return tuple(out)
+        if k > self.source.top:
+            return (0,) * self.target.rank(k)
+        return _apply(self.terms[k], coeffs, self.target.rank(k))
 
     def is_chain_map(self) -> bool:
         """Exact check that boundaries and augmentations commute, generator by generator."""
@@ -813,15 +805,21 @@ def to_json_dict(K: Adc) -> dict:
             cone.append(["nonneg" if f else "free" for f in flags])
     return {
         "degrees": [list(d) for d in K.degrees],
-        "boundary": {
-            str(k): [list(row) for row in K.boundary[k - 1]]
-            for k in range(1, K.top + 1)
-        },
+        "boundary": {str(k): _rows(K.columns[k], K.rank(k - 1)) for k in range(1, K.top + 1)},
         "augmentation": list(K.augmentation),
         "cone": cone,
         "d_convention": K.d_convention,
         "name": K.name,
     }
+
+
+def _rows(columns: Sequence[Column], height: int) -> list[list[int]]:
+    """The dense `height` x len(columns) matrix of `columns`, as rows."""
+    rows = [[0] * len(columns) for _ in range(height)]
+    for j, col in enumerate(columns):
+        for x, r in col:
+            rows[r][j] = x
+    return rows
 
 
 def from_json_dict(data: dict) -> Adc:

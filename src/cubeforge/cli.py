@@ -77,8 +77,8 @@ ORIENTATIONS = {"printed": TARGET_MINUS_SOURCE, "flipped": SOURCE_MINUS_TARGET}
 MALFORMED = (AttributeError, KeyError, TypeError, ValueError)
 
 
-# the largest N of a `disk:N` / `cube:N` spec: cube(9) alone takes about a
-# gigabyte, and no search on cube(N >= 5) at bound >= 1 fits `nerve.SEARCH_BUDGET`
+# the largest N of a `disk:N` / `cube:N` spec: no search on cube(N >= 5) at
+# bound >= 1 fits `nerve.SEARCH_BUDGET`, so a larger cube only costs its build
 MAX_SPEC = {"disk": 1000, "cube": 8}
 
 

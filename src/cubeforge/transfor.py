@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .adc import ChainMap, _columns, cube, mat_vec, tensor
+from .adc import ChainMap, _apply, _columns, cube, tensor
 from .core import Cell, CompositionError, CubModel, NotInvertible, Report, _face_keys, _match
 from .invert import is_plain_invertible, sigma_act
 from .perms import Perm, rho
@@ -262,12 +262,12 @@ def to_lax(F: TransforTable) -> TransforTable:
 # constructors over nerve models: chain maps out of cube(p) ⊗ K
 
 
-def _push(target, mats: Sequence, k: int, chain: tuple, out_degree: int) -> tuple:
-    """The degree-`out_degree` target chain that `mats[k]` sends a source
-    chain to (zero where either side has no generators)."""
-    if target.K.rank(out_degree) == 0 or k >= len(mats) or not chain:
+def _push(target, cols: Sequence, k: int, chain: tuple, out_degree: int) -> tuple:
+    """The degree-`out_degree` target chain that the columns `cols[k]` send
+    a source chain to (zero where `cols` has no degree k)."""
+    if k >= len(cols):
         return target.zero_chain(out_degree)
-    return mat_vec(mats[k], chain)
+    return _apply(cols[k], chain, target.K.rank(out_degree))
 
 
 @lru_cache(maxsize=None)
@@ -299,11 +299,11 @@ def tensor_transfor(source, target, Phi: Mapping[str, Sequence], p: int,
         raise ValueError(f"Phi is not a chain map out of cube({p}) ⊗ K")
     out = []
     for n in dims:
-        slots = [(u, Phi[u[:p]], k - u[:p].count("0"), u[p:], k)
+        slots = [(u, cols[u[:p]], k - u[:p].count("0"), u[p:], k)
                  for k, u in target.elements(n + p)]
         for A in source.cells(n, bound):
-            values = {u: _push(target, mats, k_src, source.value(A, t), k)
-                      for u, mats, k_src, t, k in slots}
+            values = {u: _push(target, s_cols, k_src, source.value(A, t), k)
+                      for u, s_cols, k_src, t, k in slots}
             out.append((A, target.make(n + p, values)))
     return make_table(LAX, p, source, target, out)
 

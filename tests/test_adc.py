@@ -1,5 +1,5 @@
-import dataclasses
 import itertools
+import json
 import random
 import re
 
@@ -17,6 +17,7 @@ from cubeforge.adc import (
     cube,
     cube_basis,
     cube_conn,
+    cube_d_terms,
     cube_deg,
     cube_face,
     cube_rev,
@@ -40,12 +41,18 @@ from cubeforge.adc import (
     walking_composite,
     with_group_cones_above,
 )
-from cubeforge.adc import _CONN, _DEG, _FACE, _REV, _SWAP, _basis_map, _slot_map
+from cubeforge.adc import _CONN, _DEG, _FACE, _REV, _SWAP, _basis_map, _columns, _slot_map
 from cubeforge.core import Report
 
 
 def unit(n, j):
     return tuple(1 if i == j else 0 for i in range(n))
+
+
+def dense_boundary(K):
+    """K's boundary matrices as lists of rows, read from its JSON form:
+    entry k - 1 maps degree k to degree k - 1."""
+    return [to_json_dict(K)["boundary"][str(k)] for k in range(1, K.top + 1)]
 
 
 # --- validation -----------------------------------------------------------
@@ -106,13 +113,12 @@ def oracle_is_chain_map(f):
 
 
 def corrupted(K, rng):
-    """K with one to three boundary entries moved by +-1 (a fresh Adc, so
-    its column view is built anew)."""
-    mats = [list(map(list, m)) for m in K.boundary]
+    """K with one to three boundary entries moved by +-1, rebuilt through `make_adc`."""
+    mats = dense_boundary(K)
     for _ in range(rng.randint(1, 3)):
         m = rng.choice([m for m in mats if m and m[0]])
         rng.choice(m)[rng.randrange(len(m[0]))] += rng.choice((-1, 1))
-    return dataclasses.replace(K, boundary=tuple(tuple(map(tuple, m)) for m in mats))
+    return make_adc(K.degrees, mats, K.augmentation, K.cone, K.d_convention, K.name)
 
 
 def test_validate_matches_the_unit_vector_oracle():
@@ -164,8 +170,8 @@ def homotoped(f, rng):
     k = rng.choice(degrees)
     x, y = rng.randrange(src.rank(k)), rng.randrange(tgt.rank(k + 1))
     terms = [list(map(list, row)) for row in f.terms]
-    terms[k][x] += [(row[y], r) for r, row in enumerate(tgt.boundary[k]) if row[y]]  # d h x
-    for z, c in enumerate(src.boundary[k][x] if k < src.top else ()):  # h d z
+    terms[k][x] += [(row[y], r) for r, row in enumerate(dense_boundary(tgt)[k]) if row[y]]  # d h x
+    for z, c in enumerate(dense_boundary(src)[k][x] if k < src.top else ()):  # h d z
         if c:
             terms[k + 1][z].append((c, y))
     return ChainMap(src, tgt, tuple(tuple(map(tuple, row)) for row in terms))
@@ -192,7 +198,7 @@ def test_corrupted_boundary_reported():
     bad = make_adc(
         [list(d) for d in K.degrees],
         [
-            [[row for row in col] for col in (list(map(list, m)) for m in [K.boundary[0]])][0],
+            dense_boundary(K)[0],
             [[1, ], [1, ]],  # flipped sign on s1-row: d[x] = s1 + t1
         ],
         list(K.augmentation),
@@ -278,8 +284,7 @@ def test_tensor_unit():
     L = disk(2)
     T = tensor(K, L)
     assert [T.rank(k) for k in range(T.top + 1)] == [L.rank(k) for k in range(L.top + 1)]
-    for k in range(1, T.top + 1):
-        assert T.boundary[k - 1] == L.boundary[k - 1]
+    assert dense_boundary(T) == dense_boundary(L)
 
 
 def test_tensor_matches_direct_cube():
@@ -719,13 +724,14 @@ def test_json_roundtrip(tmp_path):
         data = to_json_dict(K)
         K2 = from_json_dict(data)
         assert K2.degrees == K.degrees
-        assert K2.boundary == K.boundary
+        assert K2.columns == K.columns
         assert K2.augmentation == K.augmentation
         assert K2.cone == K.cone
         assert K2.d_convention == K.d_convention
+        assert K2 == K
         path = tmp_path / "k.adc"
         save_adc(K, str(path))
-        assert load_adc(str(path)).boundary == K.boundary
+        assert load_adc(str(path)) == K
 
 
 def test_documented_format_example_loads():
@@ -811,10 +817,64 @@ def test_tensor_of_cubes_is_the_cube(conv, a, b):
     def boundary(K, rename):
         return [{(rename(K.degrees[k][r]), rename(K.degrees[k + 1][c])): v
                  for r, row in enumerate(m) for c, v in enumerate(row) if v}
-                for k, m in enumerate(K.boundary)]
+                for k, m in enumerate(dense_boundary(K))]
 
     def rename(name):
         return name.replace("⊗", "")
 
     assert [sorted(map(rename, d)) for d in T.degrees] == [sorted(d) for d in C.degrees]
     assert boundary(T, rename) == boundary(C, str)
+
+
+def oracle_cube(n, conv):
+    """`cube` filled as dense matrices, term by term: (the Adc through
+    `make_adc`, its boundary matrices)."""
+    degrees = [cube_basis(n, k) for k in range(n + 1)]
+    index = [{s: j for j, s in enumerate(basis)} for basis in degrees]
+    boundary = []
+    for k in range(1, n + 1):
+        m = [[0] * len(degrees[k]) for _ in range(len(degrees[k - 1]))]
+        for j, s in enumerate(degrees[k]):
+            for c, t in cube_d_terms(s, conv):
+                m[index[k - 1][t]][j] += c
+        boundary.append(m)
+    cone = ["nonneg"] * (n + 1)
+    return make_adc(degrees, boundary, [1] * len(degrees[0]), cone, conv, f"cube({n})"), boundary
+
+
+def oracle_tensor(K, L):
+    """`tensor` filled as dense matrices from the factors' columns: (the Adc
+    through `make_adc`, its boundary matrices)."""
+    top = K.top + L.top
+    pairs = [[(i, a, nn - i, b) for i in range(nn + 1)
+              for a in range(K.rank(i)) for b in range(L.rank(nn - i))] for nn in range(top + 1)]
+    index = [{key: pos for pos, key in enumerate(keyed)} for keyed in pairs]
+    degrees = [[f"{K.degrees[i][a]}⊗{L.degrees[j][b]}" for i, a, j, b in keyed]
+               for keyed in pairs]
+    boundary = []
+    for nn in range(1, top + 1):
+        m = [[0] * len(pairs[nn]) for _ in range(len(pairs[nn - 1]))]
+        for col, (i, a, j, b) in enumerate(pairs[nn]):
+            for c, r in K.columns[i][a]:
+                m[index[nn - 1][(i - 1, r, j, b)]][col] += c
+            for c, r in L.columns[j][b]:
+                m[index[nn - 1][(i, a, j - 1, r)]][col] += (-1) ** i * c
+        boundary.append(m)
+    augmentation = [K.augmentation[a] * L.augmentation[b] for (_, a, _, b) in pairs[0]]
+    cone = [[K.cone[i][a] and L.cone[j][b] for (i, a, j, b) in keyed] for keyed in pairs]
+    return (make_adc(degrees, boundary, augmentation, cone, K.d_convention,
+                     f"({K.name})⊗({L.name})"), boundary)
+
+
+def test_column_builders_match_the_dense_fill_oracles():
+    """`cube` and `tensor` build their columns directly; the dense fill gives
+    the same complex (columns through `_columns`) and the same JSON form."""
+    cases = [(cube(n, conv), oracle_cube(n, conv))
+             for conv in (TARGET_MINUS_SOURCE, SOURCE_MINUS_TARGET) for n in range(7)]
+    cases += [(tensor(K, L), oracle_tensor(K, L)) for K in CRITERION_10 for L in CRITERION_10
+              if K.d_convention == L.d_convention and K.top + L.top <= 5]
+    for K, (want, rows) in cases:
+        assert K.columns[1:] == tuple(_columns(m, K.rank(k)) for k, m in enumerate(rows, 1))
+        assert K == want and dense_boundary(K) == rows
+        assert json.dumps(to_json_dict(K)) == json.dumps(to_json_dict(want))
+    assert len(cases) == 14 + 349

@@ -519,6 +519,26 @@ BAD_FILES = {
     "complex-augmentation-long": (
         "check", lambda: _complex(augmentation=[1, 1, 1]),
         "augmentation vector has 3 entries, not 2"),
+    "complex-float-entries": (
+        "check", lambda: _complex(boundary={"1": [[-1.7], [1.2]]}, augmentation=[1.9, True]),
+        "boundary matrix at degree 1 has the entry -1.7, not an int"),
+    "complex-boundary-str": (
+        "check", lambda: _complex(boundary={"1": [["-1"], ["1"]]}),
+        "boundary matrix at degree 1 has the entry '-1', not an int"),
+    "complex-boundary-bool": (
+        "check", lambda: _complex(boundary={"1": [[-1], [True]]}),
+        "boundary matrix at degree 1 has the entry True, not an int"),
+    "complex-augmentation-float": (
+        "check", lambda: _complex(augmentation=[1.9, 1]),
+        "augmentation vector has the entry 1.9, not an int"),
+    "complex-augmentation-bool": (
+        "check", lambda: _complex(augmentation=[1, True]),
+        "augmentation vector has the entry True, not an int"),
+    "complex-degree-str": (
+        "check", lambda: _complex(degrees=["st", "x"]), "degree 0 is 'st', not a list of names"),
+    "complex-degree-int-name": (
+        "check", lambda: _complex(degrees=[["s0", 0], ["x"]]),
+        "degree 0 is ['s0', 0], not a list of names"),
 }
 
 

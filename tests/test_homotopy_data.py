@@ -14,7 +14,7 @@ import random
 
 import pytest
 
-from cubeforge.adc import (SOURCE_MINUS_TARGET, cube, disk, mat_vec, orientation_sign,
+from cubeforge.adc import (SOURCE_MINUS_TARGET, cube, disk, orientation_sign,
                            with_group_cones_above)
 from cubeforge.nerve import NcModel
 from cubeforge.transfor import (LAX, chain_map_transfor, homotopy_lax_transfor, make_table,
@@ -100,7 +100,7 @@ def oracle_random_homotopy_data(source, target, rng, coeff_bound=1, tries=400, s
 def _push(target, mats, k, chain, out_degree):
     if target.K.rank(out_degree) == 0 or k >= len(mats) or not chain:
         return target.zero_chain(out_degree)
-    return mat_vec(mats[k], chain)
+    return tuple(sum(x * c for x, c in zip(row, chain)) for row in mats[k])  # rows times chain
 
 
 def _unit(K, k, j):

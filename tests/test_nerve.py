@@ -31,6 +31,7 @@ from cubeforge.nerve import NcModel, NgModel, _boundary, gamma_vs_ng, globular_s
 from cubeforge.nerve import SEARCH_BUDGET as NERVE_BUDGET
 
 from cubical_models import BoxModel, is_shell
+from test_adc import dense_boundary
 
 
 @pytest.fixture(scope="module")
@@ -123,7 +124,7 @@ def oracle_invalid_reasons(model, A):
     """The laws with each value's boundary scanned by name from the domain's
     boundary matrix, as `invalid_reasons` read them before the table."""
     K, dom = model.K, model.domain(A.dim)
-    flat = list(zip(model.elements(A.dim), A.payload))
+    rows, flat = dense_boundary(dom), list(zip(model.elements(A.dim), A.payload))
     problems = [f"value at {name} has wrong rank for degree {k}"
                 for (k, name), v in flat if len(v) != K.rank(k)]
     if problems:
@@ -139,7 +140,7 @@ def oracle_invalid_reasons(model, A):
         rhs = list(model.zero_chain(k - 1))
         if k - 1 <= K.top:
             for row, lowname in enumerate(dom.degrees[k - 1]):
-                c = dom.boundary[k - 1][row][col]
+                c = rows[k - 1][row][col]
                 if c:
                     w = model.value(A, lowname)
                     for t in range(len(rhs)):
