@@ -823,18 +823,28 @@ def _rows(columns: Sequence[Column], height: int) -> list[list[int]]:
 
 
 def from_json_dict(data: dict) -> Adc:
-    degrees = data["degrees"]
-    boundary = [data.get("boundary", {}).get(str(k), []) for k in range(1, len(degrees))]
+    """The complex of a `to_json_dict` object.  Raises ValueError naming the
+    field when `"boundary"` is not an object whose keys are degrees in
+    1..top, when `"name"` is not a string, or as `make_adc` does."""
+    degrees, matrices, name = data["degrees"], data.get("boundary", {}), data.get("name", "")
+    if not isinstance(matrices, dict):
+        raise ValueError(f"boundary is {matrices!r}, not an object of matrices by degree")
+    keys = [str(k) for k in range(1, len(degrees))]
+    stray = sorted(set(matrices) - set(keys))
+    if stray:
+        raise ValueError(f"boundary has the key {stray[0]!r}, not a degree in 1..{len(keys)}")
+    if type(name) is not str:
+        raise ValueError(f"name is {name!r}, not a string")
     flag = {"nonneg": True, "free": False}
     cone = [spec if isinstance(spec, str) else
             [flag.get(f, f) if isinstance(f, str) else f for f in spec] for spec in data["cone"]]
     return make_adc(
         degrees,
-        boundary,
+        [matrices.get(key, []) for key in keys],
         data["augmentation"],
         cone,
         data.get("d_convention", TARGET_MINUS_SOURCE),
-        data.get("name", ""),
+        name,
     )
 
 

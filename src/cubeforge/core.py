@@ -338,11 +338,14 @@ class _Plan:
     it; `counts` holds the number of equations per family, in
     first-appearance order; `out` is the slot a construction returns.  A
     plan names operations only: `CubModel.lower` supplies the code.
+    `checker` marks the plans `_run` runs, whose programs read a sum with
+    a zero chain as the other summand (`cubeforge.nerve`).
     """
 
-    def __init__(self, leaves: int, on_cell: bool = False):
+    def __init__(self, leaves: int, on_cell: bool = False, checker: bool = False):
         self.leaves = leaves
         self.on_cell = on_cell  # details end in " on <payload of slot 0>"
+        self.checker = checker
         self.nodes: list[tuple] = []
         self.slots: dict[tuple, int] = {}
         self.equations: list[tuple] = []  # (family, lhs, rhs, detail, steps, built)
@@ -471,7 +474,7 @@ def _fold_plan(dirs: tuple[int, ...]) -> _Plan:
 @functools.cache
 def _unary_plan(n: int, max_dim: int) -> _Plan:
     """All families on one n-cell A, the plan's one leaf."""
-    p, A = _Plan(1, on_cell=True), 0
+    p, A = _Plan(1, on_cell=True, checker=True), 0
     dirs, slots = range(1, n + 1), range(1, n + 2)  # directions of A and of eps A
     can_raise = n + 1 <= max_dim  # room for one eps/Gamma above A
     can_raise2 = n + 2 <= max_dim
@@ -531,7 +534,7 @@ def _unary_plan(n: int, max_dim: int) -> _Plan:
 @functools.cache
 def _pair_plan(n: int, max_dim: int, i: int) -> _Plan:
     """The composite families of A *_i B; leaves: A, B, then A *_i B."""
-    p, (A, B, AB) = _Plan(3), range(3)
+    p, (A, B, AB) = _Plan(3, checker=True), range(3)
     for k, a in product(range(1, n + 1), ALPHAS):
         if k == i:
             p.eq("face-comp", p.face(AB, i, a), p.face(A if a == "-" else B, i, a),
@@ -562,14 +565,14 @@ def _pair_plan(n: int, max_dim: int, i: int) -> _Plan:
 
 @functools.cache
 def _assoc_plan(i: int) -> _Plan:
-    p, (A, B, C, AB) = _Plan(4), range(4)
+    p, (A, B, C, AB) = _Plan(4, checker=True), range(4)
     p.eq("assoc", p.comp(AB, C, i), p.comp(A, p.comp(B, C, i), i), f"associativity along {i}")
     return p
 
 
 @functools.cache
 def _interchange_plan(i: int, j: int) -> _Plan:
-    p, (A, B, C, D, AB, CD) = _Plan(6), range(6)
+    p, (A, B, C, D, AB, CD) = _Plan(6, checker=True), range(6)
     p.eq("interchange", p.comp(AB, CD, j), p.comp(p.comp(A, C, j), p.comp(B, D, j), i),
          f"interchange *_{i} / *_{j}")
     return p
@@ -662,7 +665,7 @@ def check_globular(model: CubModel, cells_by_dim: Mapping[int, Sequence[Cell]],
 def _globular_plan(n: int, k: int = -1, j: int = -1) -> _Plan:
     """The globular laws on an n-cell A (k < 0), on a pair A ._k B (j < 0),
     or the exchange of ._k and ._j on a quadruple A, B, C, D."""
-    p = _Plan(1 if k < 0 else 2 if j < 0 else 4)
+    p = _Plan(1 if k < 0 else 2 if j < 0 else 4, checker=True)
     s, t = (lambda X: p.face(X, 1, "-")), (lambda X: p.face(X, 1, "+"))
     A, B, C, D = range(4)
     if k < 0:

@@ -39,6 +39,10 @@ a plan's gathers (`_walk`) gives its one program (`_program`), which
 `core._run` (the checkers) and `core._eval` (the constructions) both
 run: its chain sums and negations in batches over one register file,
 then every check at once; a failing check hands the call to the steps.
+A checker's program reads a slab sum with a zero chain as the other
+summand, which settles the equations it makes identities at compile
+time; a construction's keeps every sum, so its defining equations stay
+run-time compares.
 The globular nerve speaks the cubical vocabulary of folded cells (source,
 target, identity and the composite over a k-boundary are d_1^-, d_1^+,
 eps_1 and *_(n-k)), so `core.check_globular` checks it and
@@ -508,14 +512,28 @@ class _NerveBase(CubModel):
         negations ("neg", dst, zero, src) in batches, none reading its own
         registers) and the compares of distinct registers (("faces", lhs,
         rhs, i) per composite, ("eq", lhs, rhs) per equation).  None when a
-        step is refused or an equation's sides differ in length."""
+        step is refused or an equation's sides differ in length.
+
+        In a checker plan (`plan.checker`) a slab sum with a zero-chain
+        register as one summand is the other summand's register, not a
+        fill: both summands sit at one payload position, so have one degree,
+        the zero register holds the zero chain of that degree, and `run`
+        rank-checks every leaf before any fill.  The equations this makes
+        identities drop out with the other compares of a register with
+        itself.  Constructions keep every sum, so each of their defining
+        equations stays a run-time compare (on the T-plan the rule would
+        settle the two T-face equations here)."""
         zeros = tuple(map(self.zero_chain, range(max(dims) + 1)))
         sizes = [len(self.elements(d)) for d in dims[:plan.leaves]]
         offs = list(itertools.accumulate(sizes + [len(zeros)], initial=0))
         *maps, zero_at = (tuple(range(a, b)) for a, b in zip(offs, offs[1:]))
         ids, batches, compares = {}, [], []
+        zero_summands = set(zero_at) if plan.checker else set()
 
-        def fill(*op) -> int:  # a new register, hash-consed on `op`
+        def fill(*op) -> int:  # a summand, or a new register hash-consed on `op`
+            kind, a, b = op
+            if kind == "add" and (a in zero_summands or b in zero_summands):
+                return b if a in zero_summands else a
             if op not in ids:
                 ids[op] = offs[-1] + len(ids)
                 if not batches or max(op[1:]) >= batches[-1][0][1]:

@@ -21,6 +21,7 @@ The structural guards at the end need no timing.
 import collections
 import functools
 import random
+import sys
 import types
 from unittest import mock
 
@@ -45,7 +46,7 @@ from cubeforge.indices import lower, raise_
 from cubeforge.nerve import NcModel, NgModel, _NerveBase
 
 from cubical_models import BoxModel, PosetModel, grid2, opposite
-from test_lowering import Swapped, program, walk
+from test_lowering import Swapped, program
 
 # -- the closure-based oracle ---------------------------------------------------
 
@@ -710,6 +711,48 @@ def compiled_programs(m, fn):
     return built
 
 
+def compiled_walks(m, fn):
+    """What nerve `m` compiles its programs from while `fn()` runs, by (plan,
+    leaf dimensions): the `_walk` of each, and the sums it read as one
+    summand, as (zero register, summand register) pairs."""
+    built, original = {}, _NerveBase._walk
+
+    def record(self, plan, steps, dims):
+        elided = []
+
+        def spy(frame, event, result):  # the returns of `_walk`'s `fill`
+            if event == "return" and frame.f_code.co_qualname == "_NerveBase._walk.<locals>.fill":
+                kind, a, b = frame.f_locals["op"]
+                if kind == "add" and result in (a, b):  # a new register is neither operand
+                    elided.append((b if result == a else a, result))
+
+        previous = sys.getprofile()
+        sys.setprofile(spy)
+        try:
+            walked = original(self, plan, steps, dims)
+        finally:
+            sys.setprofile(previous)
+        if self is m:
+            built[plan, tuple(dims[:plan.leaves])] = walked, elided
+        return walked
+
+    with mock.patch.object(_NerveBase, "_walk", record):
+        fn()
+    return built
+
+
+def register_ranks(m, leaf_dims, walked):
+    """The rank of each register of a `_walk`: the leaf values' and the zero
+    chains' as `_program`'s `ranks` has them, then each fill's, its first
+    operand's."""
+    zeros, _, _, batches, _ = walked
+    ranks = [len(zeros[k]) for d in leaf_dims for k, _ in m.elements(d)] + list(map(len, zeros))
+    for op in (op for batch in batches for op in batch):
+        assert op[1] == len(ranks)
+        ranks.append(ranks[op[2]])
+    return ranks
+
+
 def run_plan(plan):
     """`core._run` of `plan` as a checker whose cells are the plan's leaves."""
     def check(m, dim, cells, max_pairs):
@@ -758,10 +801,12 @@ def test_corrupted_table_falls_back_to_the_oracle_report():
 @pytest.mark.parametrize("name", ["disk(3)", "cube(2)", "omega0", "swapped-conn", "wrong-slab"])
 def test_programs_compare_only_registers_they_have(name):
     """Every checker plan a nerve runs twice compiles (the unary plans
-    included), and its program compares sides of equal length, never a
-    register with itself, at most one compare per composite and equation,
-    and only registers of its file: the leaf payloads, the zero chains and
-    its fills.  The checkers' reports equal the oracle's."""
+    included), and the program it compiles compares sides of equal length,
+    never a register with itself, at most one compare per composite and
+    equation, and only registers of its file: the leaf payloads, the zero
+    chains and its fills.  Each sum it reads as one summand pairs the zero
+    chain of a degree k with a register of rank K.rank(k).  The checkers'
+    reports equal the oracle's."""
     m, oracle = fresh(name), fresh(name, Uncompiled)
     cells = {n: pool(name, n)[:4] for n in range(4)}
 
@@ -769,20 +814,42 @@ def test_programs_compare_only_registers_they_have(name):
         return [outcome(check, model, 3, on(model, cells), 4)
                 for _ in range(2) for check in (plans, globular)]
 
-    built = compiled_programs(m, lambda: checks(m))
+    built = compiled_walks(m, lambda: checks(m))
     assert checks(m) == checks(oracle)
-    assert {key for key, run in built.items() if run} >= {
+    assert {key for key, (walked, _) in built.items() if walked} >= {
         (core._unary_plan(n, m.max_dim), (n,)) for n in range(4)}
-    for (plan, leaf_dims), run in built.items():
-        if run is None:
+    elisions = []
+    for (plan, leaf_dims), (walked, elided) in built.items():
+        if walked is None:
             continue
-        zeros, sizes, _, batches, compares = walk(m, plan, leaf_dims)
+        zeros, sizes, _, batches, compares = walked
         width = sum(sizes) + len(zeros) + sum(map(len, batches))
         composites = sum(kind == "comp" for kind, *_ in plan.nodes)
         assert sum(op[0] == "faces" for op in compares) <= composites
         assert sum(op[0] == "eq" for op in compares) <= len(plan.equations)
         for _, lhs, rhs, *_ in compares:
             assert len(lhs) == len(rhs) and lhs != rhs and max(lhs + rhs) < width
+        ranks = register_ranks(m, leaf_dims, walked)
+        elisions += [(zero - sum(sizes), len(zeros), ranks[kept]) for zero, kept in elided]
+    assert elisions and all(0 <= k < degrees and rank == m.K.rank(k)
+                            for k, degrees, rank in elisions)
+
+
+@pytest.mark.parametrize("name", ["disk(3)", "cube(2)"])
+@pytest.mark.parametrize("plan, leaf_dims, fills, compares", [
+    (core._unary_plan(3, 6), (3,), {}, 0),
+    (core._pair_plan(3, 6, 1), (3, 3, 3), {"add": 9}, 32)])
+def test_checker_programs_read_sums_with_zero_as_the_summand(name, plan, leaf_dims, fills,
+                                                             compares):
+    """The 3-cell programs `check_axioms` compiles: every one of the unary
+    plan's 41 slab sums has a zero chain as a summand, so it fills nothing
+    and its 12 equations become identities; the pair plan along direction 1
+    keeps 9 of its 34 sums and all 32 compares."""
+    m = fresh(name)
+    built = compiled_walks(m, lambda: check_axioms(m, 3, {3: pool(name, 3)[:8]}, max_pairs=4))
+    *_, batches, got = built[plan, leaf_dims][0]
+    assert collections.Counter(op[0] for batch in batches for op in batch) == fills
+    assert len(got) == compares
 
 
 def test_sides_of_unequal_length_stay_on_the_loop():

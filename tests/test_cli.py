@@ -539,6 +539,18 @@ BAD_FILES = {
     "complex-degree-int-name": (
         "check", lambda: _complex(degrees=[["s0", 0], ["x"]]),
         "degree 0 is ['s0', 0], not a list of names"),
+    "complex-boundary-stray-degrees": (
+        "check", lambda: _complex(boundary={"0": [[7]], "1": [[-1], [1]], "2": [[5]]}),
+        "boundary has the key '0', not a degree in 1..1"),
+    "complex-boundary-above-top": (
+        "check", lambda: _complex(boundary={"1": [[-1], [1]], "2": [[5]]}),
+        "boundary has the key '2', not a degree in 1..1"),
+    "complex-boundary-list": (
+        "check", lambda: _complex(boundary=[]), "boundary is [], not an object of matrices"),
+    "complex-name-int": ("check", lambda: _complex(name=5), "name is 5, not a string"),
+    "cell-inline-boundary-list": (
+        "invert", lambda: _cell(adc={**to_json_dict(disk(1)), "boundary": [[[-1], [1]]]}),
+        "cannot read the complex 'adc': boundary is [[[-1], [1]]], not an object"),
 }
 
 

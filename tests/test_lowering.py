@@ -14,6 +14,7 @@ order.  `NcModel.has_r_inverse`, which reads the cone check alone, is
 checked against the exception route and against the slab cone condition.
 """
 
+import collections
 import functools
 import random
 from unittest import mock
@@ -398,7 +399,10 @@ def test_the_program_declines_leaf_values_of_another_shape():
 @pytest.mark.parametrize("name, n", [("omega0", 2), ("omega1", 3)])
 def test_the_verifications_stay_run_time_compares(name, n):
     """No defining equation of a transposition or reversal inverse is settled
-    while the program is compiled: each runs as a compare on every call."""
+    while the program is compiled: each runs as a compare on every call.
+    The programs keep every fill, as a construction reads no sum with a
+    zero chain as the other summand (the T-plan, its verification, each
+    R-plan)."""
     m = model(name)
     plans = [(invert._t_plan(1), (n,)), (invert._verify_t_plan(1), (n, n))]
     plans += [(invert._r_plan(k), (n, n)) for k in range(1, n + 1)]
@@ -408,6 +412,10 @@ def test_the_verifications_stay_run_time_compares(name, n):
     assert len(invert._t_plan(1).equations) == 6
     if n == 3:  # and 4 of the 14 composability compares
         assert sum(op[0] == "faces" for op in walk(m, invert._t_plan(1), (3,))[-1]) == 4
+    assert [collections.Counter(op[0] for batch in walk(m, plan, leaf_dims)[3] for op in batch)
+            for plan, leaf_dims in plans] == {
+        "omega0": [{"add": 33, "neg": 2}, {"add": 23}] + [{"add": 6}] * 2,
+        "omega1": [{"add": 97, "neg": 5}, {"add": 68}] + [{"add": 18}] * 3}[name]
 
 
 @pytest.mark.parametrize("name", ["omega0", "omega1"])
