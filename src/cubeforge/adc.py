@@ -823,9 +823,11 @@ def _rows(columns: Sequence[Column], height: int) -> list[list[int]]:
 
 
 def from_json_dict(data: dict) -> Adc:
-    """The complex of a `to_json_dict` object.  Raises ValueError naming the
-    field when `"boundary"` is not an object whose keys are degrees in
-    1..top, when `"name"` is not a string, or as `make_adc` does."""
+    """The complex of a `to_json_dict` object.  Raises ValueError when `data`
+    is not an object, naming the field when `"boundary"` is not an object
+    keyed by degrees in 1..top or `"name"` not a string, or as `make_adc` does."""
+    if not isinstance(data, dict):
+        raise ValueError(f"expected a JSON object, not {type(data).__name__}")
     degrees, matrices, name = data["degrees"], data.get("boundary", {}), data.get("name", "")
     if not isinstance(matrices, dict):
         raise ValueError(f"boundary is {matrices!r}, not an object of matrices by degree")

@@ -144,6 +144,8 @@ def header(K: Adc | None = None) -> list[str]:
 
 def parse_dims(text: str) -> list[int]:
     a, _, b = text.partition("..")
+    if not all(s.isascii() and s.removeprefix("-").isdigit() for s in (a, b or a)):
+        raise CliError(f"--dims must be N or START..END in integers, got {text!r}")
     lo, hi = int(a), int(b or a)
     if lo < 0:
         raise CliError(f"--dims must be >= 0, got {text!r}")

@@ -38,11 +38,11 @@ the same range checks, composability compare and cone check.  Composing
 a plan's gathers (`_walk`) gives its one program (`_program`), which
 `core._run` (the checkers) and `core._eval` (the constructions) both
 run: its chain sums and negations in batches over one register file,
-then every check at once; a failing check hands the call to the steps.
-A checker's program reads a slab sum with a zero chain as the other
-summand, which settles the equations it makes identities at compile
-time; a construction's keeps every sum, so its defining equations stay
-run-time compares.
+then every check at once, each distinct pair of compared registers
+once; a failing check hands the call to the steps.  A checker's program
+reads a slab sum with a zero chain as the other summand, which settles
+the equations it makes identities at compile time; a construction's
+keeps every sum, so its defining equations stay run-time compares.
 The globular nerve speaks the cubical vocabulary of folded cells (source,
 target, identity and the composite over a k-boundary are d_1^-, d_1^+,
 eps_1 and *_(n-k)), so `core.check_globular` checks it and
@@ -510,9 +510,9 @@ class _NerveBase(CubModel):
         chain per degree, then the fills): the zero chains, the leaf sizes, the
         index map of slot `out`, the fills (chain sums ("add", dst, a, b) and
         negations ("neg", dst, zero, src) in batches, none reading its own
-        registers) and the compares of distinct registers (("faces", lhs,
-        rhs, i) per composite, ("eq", lhs, rhs) per equation).  None when a
-        step is refused or an equation's sides differ in length.
+        registers) and the compares of sides that differ (("faces", lhs, rhs,
+        i) per composite, ("eq", lhs, rhs) per equation), run once per distinct
+        register pair.  None when a step is refused or sides differ in length.
 
         In a checker plan (`plan.checker`) a slab sum with a zero-chain
         register as one summand is the other summand's register, not a
@@ -520,9 +520,9 @@ class _NerveBase(CubModel):
         the zero register holds the zero chain of that degree, and `run`
         rank-checks every leaf before any fill.  The equations this makes
         identities drop out with the other compares of a register with
-        itself.  Constructions keep every sum, so each of their defining
-        equations stays a run-time compare (on the T-plan the rule would
-        settle the two T-face equations here)."""
+        itself.  Constructions keep every sum, so each defining equation
+        stays a run-time compare (the rule would settle the T-plan's two
+        T-face equations here)."""
         zeros = tuple(map(self.zero_chain, range(max(dims) + 1)))
         sizes = [len(self.elements(d)) for d in dims[:plan.leaves]]
         offs = list(itertools.accumulate(sizes + [len(zeros)], initial=0))
@@ -562,8 +562,8 @@ class _NerveBase(CubModel):
     def _program(self, plan, steps: tuple, dims: list) -> Callable[[list], object] | None:
         """`plan` over the registers of `_walk` as a function of the leaf
         values giving slot `out`'s value: the fills a batch at a time, then
-        the cone checks and the compares at once (NotImplemented when one
-        fails).  None when `_walk` gives None, since such a plan cannot hold."""
+        the cone checks and each distinct compared register pair at once
+        (NotImplemented when one fails); None for a plan `_walk` refuses."""
         walked = self._walk(plan, steps, dims)
         if walked is None:
             return None
@@ -571,9 +571,10 @@ class _NerveBase(CubModel):
         negs = [op for batch in batches for op in batch if op[0] == "neg"]
         stages = [([add if op[0] == "add" else sub for op in batch],
                    *(_kernel([op[k] for op in batch]) for k in (2, 3))) for batch in batches]
+        pairs = dict.fromkeys((min(p), max(p)) for op in compares for p in zip(*op[1:3])
+                              if p[0] != p[1])  # a conjunction: each unordered pair once
         left, right, flipped = (_kernel(regs or [0]) for regs in (
-            [r for op in compares for r in op[1]], [r for op in compares for r in op[2]],
-            [op[1] for op in negs]))
+            [a for a, _ in pairs], [b for _, b in pairs], [op[1] for op in negs]))
         degrees = [zero - sum(sizes) for _, _, zero, _ in negs]  # zero chain k: sum(sizes) + k
         ranks = [len(zeros[k]) for d in dims[:plan.leaves] for k, _ in self.elements(d)]
         ranks += map(len, zeros)

@@ -36,6 +36,7 @@ from cubeforge.core import (
     ALPHAS,
     CompositionError,
     CubModel,
+    NotInvertible,
     Report,
     Violation,
     check_axioms,
@@ -46,7 +47,8 @@ from cubeforge.indices import lower, raise_
 from cubeforge.nerve import NcModel, NgModel, _NerveBase
 
 from cubical_models import BoxModel, PosetModel, grid2, opposite
-from test_lowering import Swapped, program
+from test_lowering import Swapped, program, walk
+from test_lowering import model as lowering_model
 
 # -- the closure-based oracle ---------------------------------------------------
 
@@ -850,6 +852,108 @@ def test_checker_programs_read_sums_with_zero_as_the_summand(name, plan, leaf_di
     *_, batches, got = built[plan, leaf_dims][0]
     assert collections.Counter(op[0] for batch in batches for op in batch) == fills
     assert len(got) == compares
+
+
+def compared_pairs(run):
+    """The register pairs program `run` compares, read off its two compare
+    kernels: applied to the register numbers, each gives its side."""
+    kernels = dict(zip(run.__code__.co_freevars, (c.cell_contents for c in run.__closure__)))
+    regs = range(sys.maxsize)
+    return list(zip(kernels["left"](regs), kernels["right"](regs)))
+
+
+@pytest.mark.parametrize("name, plan, leaf_dims, counts", [
+    *((name, plan, leaf_dims, counts) for name in ("disk(3)", "cube(2)")
+      for plan, leaf_dims, counts in (
+          (core._pair_plan(3, 6, 1), (3, 3, 3), (1200, 804, 36)),
+          (core._pair_plan(2, 6, 1), (2, 2, 2), (284, 188, 12)),
+          (core._assoc_plan(1), (3,) * 4, (54, 45, 45)),
+          (core._interchange_plan(1, 2), (3,) * 6, (63, 63, 63)))),
+    ("omega1", invert._t_plan(1), (3,), (126, 54, 54))])
+def test_programs_compare_each_distinct_register_pair_once(name, plan, leaf_dims, counts):
+    """Of the register positions `_walk`'s compares line up (`counts`: all of
+    them, those reading two registers, and the distinct unordered pairs
+    among those), the program compares each distinct pair once, as (lower,
+    higher) register, and nothing else."""
+    m = lowering_model(name)
+    compares = walk(m, plan, leaf_dims)[-1]
+    positions = [p for _, lhs, rhs, *_ in compares for p in zip(lhs, rhs)]
+    distinct = dict.fromkeys((min(p), max(p)) for p in positions if p[0] != p[1])
+    assert (len(positions), sum(a != b for a, b in positions), len(distinct)) == counts
+    assert compared_pairs(program(m, plan, leaf_dims)) == list(distinct)
+
+
+def perturbed(data, payloads):
+    """`payloads` with one value of one leaf changed by a nonzero vector."""
+    leaf = data.draw(st.integers(0, len(payloads) - 1), label="leaf")
+    spots = [p for p, v in enumerate(payloads[leaf]) if v]
+    p = spots[data.draw(st.integers(0, len(spots) - 1), label="position")]
+    old = payloads[leaf][p]
+    delta = data.draw(st.lists(st.integers(-2, 2), min_size=len(old), max_size=len(old)),
+                      label="delta")
+    delta[data.draw(st.integers(0, len(old) - 1), label="at")] = data.draw(
+        st.sampled_from([-2, -1, 1, 2]), label="by")
+    value = tuple(c + d for c, d in zip(old, delta))
+    return [*payloads[:leaf], (*payloads[leaf][:p], value, *payloads[leaf][p + 1:]),
+            *payloads[leaf + 1:]]
+
+
+PERTURBED = ("disk(3)", "cube(2)", "omega0")
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), name=st.sampled_from(PERTURBED), n=st.integers(1, 3))
+def test_checker_programs_decline_exactly_where_the_steps_report(data, name, n):
+    """A selected pair A, B and their composite, one leaf value changed: the
+    pair plan's program declines exactly when its steps (on the `Uncompiled`
+    twin) report a violation, and accepts the lawful leaves."""
+    m, oracle = model(name), fresh(name, Uncompiled)
+    i = data.draw(st.integers(1, n), label="i")
+    pairs = core.composable_pairs(m, pool(name, n), i, 60)
+    A, B = pairs[data.draw(st.integers(0, len(pairs) - 1), label="pair")]
+    plan = core._pair_plan(n, m.max_dim, i)
+    run = program(m, plan, (n, n, n))
+    payloads = [A.payload, B.payload, m.comp(A, B, i).payload]
+    assert run(payloads) is not NotImplemented
+    payloads = perturbed(data, payloads)
+    report = Report()
+    core._run(plan, oracle, report, [core.Cell(oracle, n, v) for v in payloads], n)
+    assert (run(payloads) is NotImplemented) == bool(report.violations)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), name=st.sampled_from(PERTURBED), n=st.integers(2, 3))
+def test_construction_programs_decline_exactly_where_the_steps_fail(data, name, n):
+    """The T-plan on one cell, and the T and R verifications on a cell and its
+    inverse (the cell itself when it has none), as they are and with one
+    leaf value changed: the program declines exactly when the steps (on
+    the `Uncompiled` twin) return None or raise, and otherwise gives the
+    steps' value."""
+    m, oracle = model(name), fresh(name, Uncompiled)
+    cells = pool(name, n)
+    A = cells[data.draw(st.integers(0, len(cells) - 1), label="A")]
+    i = data.draw(st.integers(1, n - 1), label="i")
+    k = data.draw(st.integers(1, n), label="k")
+    kind = data.draw(st.sampled_from(["T", "verify T", "verify R"]), label="plan")
+    if kind == "T":
+        plan, leaves = invert._t_plan(i), [A]
+    else:
+        plan, inverse = ((invert._verify_t_plan(i), lambda: invert.t_inverse(m, A, i))
+                         if kind == "verify T" else (invert._r_plan(k), lambda: m.r_inverse(A, k)))
+        try:
+            leaves = [A, inverse()]
+        except NotInvertible:
+            leaves = [A, A]
+    run = program(m, plan, (n,) * len(leaves))
+    payloads = [C.payload for C in leaves]
+    for payloads in (payloads, perturbed(data, payloads)):
+        try:
+            value = core._eval(plan, oracle, [core.Cell(oracle, n, v) for v in payloads])
+        except (CompositionError, NotInvertible):
+            value = None
+        got = run(payloads)
+        assert (got is NotImplemented) == (value is None)
+        assert value is None or got == value.payload
 
 
 def test_sides_of_unequal_length_stay_on_the_loop():

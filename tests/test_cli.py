@@ -83,6 +83,8 @@ def test_check_negative_value_exit2(capsys, flag):
     (["check", "--adc", "disk:x", "--dim", "1"], "disk:N needs an integer N, got 'disk:x'"),
     (["check", "--adc", "disk:", "--dim", "1"], "disk:N needs an integer N, got 'disk:'"),
     (["check", "--adc", "cube:1.5", "--dim", "1"], "cube:N needs an integer N, got 'cube:1.5'"),
+    *((["classify", "--adc", "disk:2", "--dims", dims],
+       f"--dims must be N or START..END in integers, got {dims!r}") for dims in ("1..x", "..2", "x")),
 ])
 def test_negative_input_exit2(capsys, argv, message):
     code, out, err = run(capsys, *argv)
@@ -548,6 +550,9 @@ BAD_FILES = {
     "complex-boundary-list": (
         "check", lambda: _complex(boundary=[]), "boundary is [], not an object of matrices"),
     "complex-name-int": ("check", lambda: _complex(name=5), "name is 5, not a string"),
+    "complex-top-level-list": ("check", lambda: [1], "expected a JSON object, not list"),
+    "complex-top-level-str": ("check", lambda: "x", "expected a JSON object, not str"),
+    "complex-top-level-int": ("check", lambda: 5, "expected a JSON object, not int"),
     "cell-inline-boundary-list": (
         "invert", lambda: _cell(adc={**to_json_dict(disk(1)), "boundary": [[[-1], [1]]]}),
         "cannot read the complex 'adc': boundary is [[[-1], [1]]], not an object"),
