@@ -143,10 +143,11 @@ def header(K: Adc | None = None) -> list[str]:
 
 
 def parse_dims(text: str) -> list[int]:
-    a, _, b = text.partition("..")
-    if not all(s.isascii() and s.removeprefix("-").isdigit() for s in (a, b or a)):
+    a, dots, b = text.partition("..")
+    ends = (a, b) if dots else (a,)
+    if not all(s.isascii() and s.removeprefix("-").isdigit() for s in ends):
         raise CliError(f"--dims must be N or START..END in integers, got {text!r}")
-    lo, hi = int(a), int(b or a)
+    lo, hi = int(a), int(ends[-1])
     if lo < 0:
         raise CliError(f"--dims must be >= 0, got {text!r}")
     if hi < lo:

@@ -27,11 +27,11 @@ outside the plans, and shared by the plans of its pair, triples and
 quadruples.  Counts and violations are those of checking each equation
 on its own.
 The folds and the constructions and verifications of `cubeforge.invert`
-are plans too.  Plans are model-independent: `CubModel.lower`, the one
-evaluation hook, turns a plan into steps over the model's values; by
-default each step calls one of the five cell-level operations (face,
-deg, conn, comp, r_inverse), and the nerves lower them to payload
-kernels.  `_run` checks equations with the counts and violation
+(the closure formulas among them) are plans too.  Plans are
+model-independent: `CubModel.lower`, the one evaluation hook, turns a
+plan into steps over the model's values, each step one of the five
+operations (face, deg, conn, comp, r_inverse); the nerves lower them to
+payload kernels.  `_run` checks equations with the counts and violation
 text described above; `_eval` runs a construction in the order it was
 built and stops at its first failing equation.
 
@@ -119,24 +119,13 @@ class Lowered(NamedTuple):
     program: Callable[[], Any] = lambda: None
 
 
-def _unary(a, _b, data):
-    op, args = data
-    return op(a, *args)
-
-
-def _binary(a, b, data):
-    op, i = data
-    return op(a, b, i)
-
-
 class CubModel:
     """Interface for a cubical omega-category truncated at ``max_dim``.
 
     Subclasses implement the five operations; the optional hooks
     (`cells`, `r_inverse`, `has_r_inverse`) power enumeration-based
     checks and the invertibility machinery.  `lower` is the one hook
-    through which plans are evaluated; its default calls the operations
-    on cells, so every model runs every plan.
+    through which plans are evaluated; without it a model runs no plan.
     """
 
     max_dim: int = 0
@@ -177,17 +166,10 @@ class CubModel:
     def lower(self, plan: "_Plan", leaf_dims: tuple[int, ...]) -> Lowered:
         """`plan` as steps over this model's values, for leaves of `leaf_dims`.
 
-        The default values are cells and each step calls the cell-level
-        operation, so exceptions and their order are the operations' own.
+        Each step runs its node's operation (r_inverse for rev) and raises
+        what that operation raises on the same cells.
         """
-        steps: list = [None] * plan.leaves
-        for kind, x, args in plan.nodes:
-            op = getattr(self, "r_inverse" if kind == "rev" else kind)
-            if kind == "comp":
-                steps.append((_binary, x, args[0], (op, args[1])))
-            else:
-                steps.append((_unary, x, x, (op, args)))
-        return Lowered(tuple(steps), lambda A: A, lambda k, A: A, self.equal)
+        raise NotImplementedError
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,9 @@ delicate enough that silent corruption must be impossible.
 
 The two verifications and the fold-route transposition inverse are
 cached `core` plans, one per direction, run by `core._eval` in the order
-the formulas below compute them.
+the formulas below compute them.  So are the closure formulas, one plan
+per expression shape and direction, on the leaf cells and the inverses
+supplied with them: the expression's value, its inverse, the R equations.
 """
 
 from __future__ import annotations
@@ -47,12 +49,18 @@ from .perms import Perm, TWord, eval_word, length, min_rep
 # reversal (R) invertibility
 
 
-@functools.cache
-def _r_plan(k: int) -> _Plan:
-    p, (A, B) = _Plan(2), range(2)
+def _r_equations(p: _Plan, A: int, B: int, k: int) -> None:
+    """The defining equations of B as the reversal inverse of A in direction
+    k, both composites built before either is compared."""
     left, right = p.comp(A, B, k), p.comp(B, A, k)
     p.eq("R", left, p.deg(p.face(A, k, "-"), k), f"A *_{k} B != eps_{k} d_{k}^- A")
     p.eq("R", right, p.deg(p.face(A, k, "+"), k), f"B *_{k} A != eps_{k} d_{k}^+ A")
+
+
+@functools.cache
+def _r_plan(k: int) -> _Plan:
+    p = _Plan(2)
+    _r_equations(p, 0, 1, k)
     return p
 
 
@@ -117,75 +125,82 @@ class Conn:
 Expr = Union[Leaf, Comp, Eps, Conn]
 
 
-def eval_expr(model: CubModel, expr: Expr) -> Cell:
+def _shape(expr: Expr, leaves: list) -> tuple:
+    """`expr` with each leaf cell, and each inverse supplied with it, replaced
+    by its slot in `leaves`, to which they are appended in that order:
+    ("leaf", slot, ((k, slot), ...) or None), ("comp", i, left, right),
+    ("deg", i, sub) or ("conn", i, sub, alpha)."""
     if isinstance(expr, Leaf):
-        return expr.cell
+        leaves.append(expr.cell)
+        slot, supplied = len(leaves) - 1, None
+        if expr.inverses is not None:
+            supplied = tuple((k, len(leaves) + n) for n, k in enumerate(expr.inverses))
+            leaves += expr.inverses.values()
+        return ("leaf", slot, supplied)
     if isinstance(expr, Comp):
-        return model.comp(eval_expr(model, expr.left), eval_expr(model, expr.right), expr.i)
+        return ("comp", expr.i, _shape(expr.left, leaves), _shape(expr.right, leaves))
     if isinstance(expr, Eps):
-        return model.deg(eval_expr(model, expr.sub), expr.i)
+        return ("deg", expr.i, _shape(expr.sub, leaves))
     if isinstance(expr, Conn):
-        return model.conn(eval_expr(model, expr.sub), expr.i, expr.alpha)
+        return ("conn", expr.i, _shape(expr.sub, leaves), expr.alpha)
     raise DomainError(f"not an expression: {expr!r}")
 
 
-def _leaf_inverse(model: CubModel, leaf: Leaf, k: int) -> Cell:
-    if leaf.inverses is not None:
-        if k not in leaf.inverses:
-            raise DomainError(f"no component inverse supplied for direction {k}")
-        return leaf.inverses[k]
-    return model.r_inverse(leaf.cell, k)
+@functools.cache
+def _closure_plan(shape: tuple, k: int, leaves: int) -> _Plan:
+    """The value of an expression of `shape`, its closure inverse in
+    direction k (`out`), then the two R equations between them."""
+    p = _Plan(leaves)
 
+    def value(s: tuple) -> int:
+        kind, i = s[:2]
+        if kind == "leaf":
+            return i
+        if kind == "comp":
+            return p.comp(value(s[2]), value(s[3]), i)
+        return p.op(kind, value(s[2]), i, *s[3:])
 
-def _closure(model: CubModel, expr: Expr, k: int) -> Cell:
-    """The case analysis: reverse order along k, act componentwise elsewhere."""
-    if isinstance(expr, Leaf):
-        return _leaf_inverse(model, expr, k)
-    if isinstance(expr, Comp):
-        if expr.i == k:
-            return model.comp(
-                _closure(model, expr.right, k), _closure(model, expr.left, k), k
-            )
-        return model.comp(
-            _closure(model, expr.left, k), _closure(model, expr.right, k), expr.i
-        )
-    if isinstance(expr, Eps):
-        if expr.i == k:
-            return eval_expr(model, expr)  # a degeneracy is its own inverse
-        return model.deg(_closure(model, expr.sub, lower(k, expr.i)), expr.i)
-    if isinstance(expr, Conn):
-        i, alpha = expr.i, expr.alpha
-        if k not in (i, i + 1):
-            return model.conn(_closure(model, expr.sub, lower(k, i)), i, alpha)
-        inner = eval_expr(model, expr.sub)
-        inner_inv = _closure(model, expr.sub, i)
+    def inverse(s: tuple, k: int) -> int:
+        """The case analysis: reverse order along k, act componentwise elsewhere."""
+        kind, i = s[:2]
+        if kind == "leaf":
+            if s[2] is None:
+                return p.rev(i, k)
+            supplied = dict(s[2])
+            if k not in supplied:
+                raise DomainError(f"no component inverse supplied for direction {k}")
+            return supplied[k]
+        if kind == "comp":
+            if i == k:
+                return p.comp(inverse(s[3], k), inverse(s[2], k), k)
+            return p.comp(inverse(s[2], k), inverse(s[3], k), i)
+        if kind == "deg" and i == k:
+            return value(s)  # a degeneracy is its own inverse
+        if kind == "deg" or k not in (i, i + 1):
+            return p.op(kind, inverse(s[2], lower(k, i)), i, *s[3:])
+        sub, alpha = s[2:]
+        inner, inner_inv = value(sub), inverse(sub, i)
         if k == i:
             if alpha == "-":
                 # composed along i (not i+1): the other gluing does not typecheck
-                return model.comp(
-                    model.deg(inner_inv, i + 1), model.conn(inner, i, "+"), i
-                )
-            return model.comp(
-                model.conn(inner, i, "-"), model.deg(inner_inv, i + 1), i
-            )
+                return p.comp(p.deg(inner_inv, i + 1), p.conn(inner, i, "+"), i)
+            return p.comp(p.conn(inner, i, "-"), p.deg(inner_inv, i + 1), i)
         if alpha == "-":
-            return model.comp(
-                model.deg(inner_inv, i), model.conn(inner, i, "+"), i + 1
-            )
-        return model.comp(
-            model.conn(inner, i, "-"), model.deg(inner_inv, i), i + 1
-        )
-    raise DomainError(f"not an expression: {expr!r}")
+            return p.comp(p.deg(inner_inv, i), p.conn(inner, i, "+"), i + 1)
+        return p.comp(p.conn(inner, i, "-"), p.deg(inner_inv, i), i + 1)
+
+    A = value(shape)
+    p.out = inverse(shape, k)
+    _r_equations(p, A, p.out, k)
+    return p
 
 
 def r_inverse_by_closure(model: CubModel, expr: Expr, k: int) -> Cell:
     """Assemble the reversal inverse of a composite from component inverses."""
-    value = eval_expr(model, expr)
-    candidate = _closure(model, expr, k)
-    if not verify_r_inverse(model, value, candidate, k):
-        raise NotInvertible(
-            f"closure formula produced a bad inverse in direction {k}"
-        )
+    leaves: list = []
+    candidate = _eval(_closure_plan(_shape(expr, leaves), k, len(leaves)), model, leaves)
+    if candidate is None:
+        raise NotInvertible(f"closure formula produced a bad inverse in direction {k}")
     return candidate
 
 

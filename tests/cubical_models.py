@@ -1,23 +1,132 @@
-"""Two small cubical models, and the helpers only tests need.
+"""Two small cubical models, the cell-level evaluators, and the helpers
+only tests need.
 
-`BoxModel` is the shell construction of Al-Agl, Brown and Steiner
-(Adv. Math. 2002) over any model truncated at level n, and `PosetModel`
-the cubical nerve of a finite poset.  Both run every plan through
-`CubModel.lower`'s cell-level default, so beside the nerves they check
-that default.  A shell has one form: the `core.shell_key` tuple
-``((i, alpha, face_payload), ...)``, which is the payload of a Box
-(n+1)-cell.  `fits` is the one compatibility test: the search of
-`BoxModel.cells` places faces with it, and `is_shell` checks a whole
-family with it.
+`CellModel` lowers a plan to steps that call the model's own cell-level
+operations, so exceptions and their order are the operations' own.
+`BoxModel`, the shell construction of Al-Agl, Brown and Steiner
+(Adv. Math. 2002) over any model truncated at level n, and `PosetModel`,
+the cubical nerve of a finite poset, build on it, and so do the
+recording and counting wrappers of the tests.  A shell has one form: the
+`core.shell_key` tuple ``((i, alpha, face_payload), ...)``, which is the
+payload of a Box (n+1)-cell.  `fits` is the one compatibility test: the
+search of `BoxModel.cells` places faces with it, and `is_shell` checks a
+whole family with it.
+
+`eval_expr` and `closure_oracle` are the recursive cell-level evaluator of
+the closure formulas that `cubeforge.invert.r_inverse_by_closure` replaced
+by a plan; they stay here as its oracle.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Mapping, Sequence
 
-from cubeforge.core import (ALPHAS, Cell, CompositionError, CubModel, NotInvertible,
+from cubeforge.core import (ALPHAS, Cell, CompositionError, CubModel, Lowered, NotInvertible,
                             shell_key)
-from cubeforge.indices import lower
+from cubeforge.indices import DomainError, lower
+from cubeforge.invert import Comp, Conn, Eps, Expr, Leaf, verify_r_inverse
+
+
+def _unary(a, _b, data):
+    op, args = data
+    return op(a, *args)
+
+
+def _binary(a, b, data):
+    op, i = data
+    return op(a, b, i)
+
+
+class CellModel(CubModel):
+    """A model whose plans run on cells: each step calls one of the five
+    cell-level operations (face, deg, conn, comp, r_inverse)."""
+
+    def lower(self, plan, leaf_dims: tuple[int, ...]) -> Lowered:
+        steps: list = [None] * plan.leaves
+        for kind, x, args in plan.nodes:
+            op = getattr(self, "r_inverse" if kind == "rev" else kind)
+            if kind == "comp":
+                steps.append((_binary, x, args[0], (op, args[1])))
+            else:
+                steps.append((_unary, x, x, (op, args)))
+        return Lowered(tuple(steps), lambda A: A, lambda k, A: A, self.equal)
+
+
+# ---------------------------------------------------------------------------
+# the closure formulas, evaluated recursively on cells
+
+
+def eval_expr(model: CubModel, expr: Expr) -> Cell:
+    if isinstance(expr, Leaf):
+        return expr.cell
+    if isinstance(expr, Comp):
+        return model.comp(eval_expr(model, expr.left), eval_expr(model, expr.right), expr.i)
+    if isinstance(expr, Eps):
+        return model.deg(eval_expr(model, expr.sub), expr.i)
+    if isinstance(expr, Conn):
+        return model.conn(eval_expr(model, expr.sub), expr.i, expr.alpha)
+    raise DomainError(f"not an expression: {expr!r}")
+
+
+def leaf_inverse(model: CubModel, leaf: Leaf, k: int) -> Cell:
+    if leaf.inverses is not None:
+        if k not in leaf.inverses:
+            raise DomainError(f"no component inverse supplied for direction {k}")
+        return leaf.inverses[k]
+    return model.r_inverse(leaf.cell, k)
+
+
+def closure(model: CubModel, expr: Expr, k: int) -> Cell:
+    """The case analysis: reverse order along k, act componentwise elsewhere."""
+    if isinstance(expr, Leaf):
+        return leaf_inverse(model, expr, k)
+    if isinstance(expr, Comp):
+        if expr.i == k:
+            return model.comp(
+                closure(model, expr.right, k), closure(model, expr.left, k), k
+            )
+        return model.comp(
+            closure(model, expr.left, k), closure(model, expr.right, k), expr.i
+        )
+    if isinstance(expr, Eps):
+        if expr.i == k:
+            return eval_expr(model, expr)  # a degeneracy is its own inverse
+        return model.deg(closure(model, expr.sub, lower(k, expr.i)), expr.i)
+    if isinstance(expr, Conn):
+        i, alpha = expr.i, expr.alpha
+        if k not in (i, i + 1):
+            return model.conn(closure(model, expr.sub, lower(k, i)), i, alpha)
+        inner = eval_expr(model, expr.sub)
+        inner_inv = closure(model, expr.sub, i)
+        if k == i:
+            if alpha == "-":
+                # composed along i (not i+1): the other gluing does not typecheck
+                return model.comp(
+                    model.deg(inner_inv, i + 1), model.conn(inner, i, "+"), i
+                )
+            return model.comp(
+                model.conn(inner, i, "-"), model.deg(inner_inv, i + 1), i
+            )
+        if alpha == "-":
+            return model.comp(
+                model.deg(inner_inv, i), model.conn(inner, i, "+"), i + 1
+            )
+        return model.comp(
+            model.conn(inner, i, "-"), model.deg(inner_inv, i), i + 1
+        )
+    raise DomainError(f"not an expression: {expr!r}")
+
+
+def closure_oracle(model: CubModel, expr: Expr, k: int) -> Cell:
+    """The reversal inverse of a composite from component inverses: the value,
+    then the candidate, then `invert.verify_r_inverse`."""
+    value = eval_expr(model, expr)
+    candidate = closure(model, expr, k)
+    if not verify_r_inverse(model, value, candidate, k):
+        raise NotInvertible(
+            f"closure formula produced a bad inverse in direction {k}"
+        )
+    return candidate
 
 
 def opposite(alpha: str) -> str:
@@ -84,7 +193,7 @@ def is_shell(model: CubModel, n: int, faces: Mapping[tuple[int, str], Cell]) -> 
     return True
 
 
-class BoxModel(CubModel):
+class BoxModel(CellModel):
     """The shell construction over a model truncated at level n.
 
     Cells of dimension <= n are the base model's own cells; an (n+1)-cell
@@ -185,7 +294,7 @@ class BoxModel(CubModel):
 # a small independent instance: monotone cube labelings in a poset
 
 
-class PosetModel(CubModel):
+class PosetModel(CellModel):
     """The cubical nerve of a finite poset (e.g. reachability in a DAG).
 
     An n-cell is a monotone map {0,1}^n -> P, stored as the tuple of its

@@ -35,7 +35,6 @@ from cubeforge.adc import cube, disk, tensor, with_group_cones_above
 from cubeforge.core import (
     ALPHAS,
     CompositionError,
-    CubModel,
     NotInvertible,
     Report,
     Violation,
@@ -46,7 +45,7 @@ from cubeforge.core import (
 from cubeforge.indices import lower, raise_
 from cubeforge.nerve import NcModel, NgModel, _NerveBase
 
-from cubical_models import BoxModel, PosetModel, grid2, opposite
+from cubical_models import BoxModel, CellModel, PosetModel, grid2, opposite
 from test_lowering import Swapped, program, walk
 from test_lowering import model as lowering_model
 
@@ -562,7 +561,7 @@ def test_zero_cap_checks_no_pairs():
     assert (one["face-comp"], one["assoc"]) == (2, 1)
 
 
-class Counting(CubModel):
+class Counting(CellModel):
     """Forwards to a model and counts the operations called on it."""
 
     def __init__(self, base):

@@ -84,7 +84,7 @@ def test_check_negative_value_exit2(capsys, flag):
     (["check", "--adc", "disk:", "--dim", "1"], "disk:N needs an integer N, got 'disk:'"),
     (["check", "--adc", "cube:1.5", "--dim", "1"], "cube:N needs an integer N, got 'cube:1.5'"),
     *((["classify", "--adc", "disk:2", "--dims", dims],
-       f"--dims must be N or START..END in integers, got {dims!r}") for dims in ("1..x", "..2", "x")),
+       f"--dims must be N or START..END in integers, got {dims!r}") for dims in ("1..x", "..2", "x", "1..")),
 ])
 def test_negative_input_exit2(capsys, argv, message):
     code, out, err = run(capsys, *argv)

@@ -11,7 +11,6 @@ from cubeforge.invert import (
     Eps,
     Leaf,
     classify_omega_p,
-    eval_expr,
     has_r_invertible_shell,
     has_t_invertible_shell,
     is_plain_invertible,
@@ -28,7 +27,7 @@ from cubeforge.invert import (
 from cubeforge.nerve import NcModel
 from cubeforge.perms import Perm, TWord
 
-from cubical_models import PosetModel
+from cubical_models import PosetModel, eval_expr
 
 
 @pytest.fixture(scope="module")

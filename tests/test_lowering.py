@@ -5,13 +5,19 @@ payload kernels.  The oracles below are the cell-level code the plans
 replaced, kept as it was apart from the plan node kinds now being
 strings: the equation loop of `core._run`, and `psi`, `psi_block`,
 `phi`, `fold_tail`, `verify_r_inverse`, `verify_t_inverse` and the
-fold-route `t_inverse`.  Both sides must give the same counts and
+fold-route `t_inverse`; the recursive closure evaluator
+(`cubical_models.closure_oracle`) is the oracle of
+`r_inverse_by_closure`.  Both sides must give the same counts and
 violation strings in the same order, the same values, or the same
 exception type and text, on lawful nerves, on nerves with a corrupted
 compiled table, on a poset model, and on wrong inverse candidates; on a
 recording model they must also call the same operations in the same
-order.  `NcModel.has_r_inverse`, which reads the cone check alone, is
-checked against the exception route and against the slab cone condition.
+order.  The one allowed difference: a closure whose index arithmetic
+fails raises `DomainError` while its plan is built, before any operation
+runs, where the oracle may first fail an operation.
+`NcModel.has_r_inverse`, which reads the cone check alone, is checked
+against the exception route and against the slab cone condition.  A
+`CubModel` that does not lower plans runs none.
 """
 
 import collections
@@ -27,10 +33,11 @@ import cubeforge.core as core
 import cubeforge.invert as invert
 from cubeforge.adc import cube, disk, tensor, with_group_cones_above
 from cubeforge.core import (Cell, CompositionError, CubModel, DomainError, NotInvertible,
-                            Violation, check_axioms, check_globular)
+                            Violation, check_axioms, check_globular, composable_pairs)
+from cubeforge.invert import Comp, Conn, Eps, Leaf
 from cubeforge.nerve import _SHIFT, NcModel, NgModel, _kernel, _Table
 
-from cubical_models import PosetModel, check_composable
+from cubical_models import CellModel, PosetModel, check_composable, closure_oracle, eval_expr
 
 # -- the cell-level oracles -------------------------------------------------------
 
@@ -188,9 +195,9 @@ class Swapped(NcModel):
         return super()._table(kind, n, i, alpha)
 
 
-class Recording(CubModel):
-    """Forwards to a model and logs every operation called, in order; it
-    keeps the cell-level default of `lower`."""
+class Recording(CellModel):
+    """Forwards to a model and logs every operation called, in order; its
+    plans run on cells (`CellModel`)."""
 
     def __init__(self, base):
         self.base, self.max_dim, self.log = base, base.max_dim, []
@@ -350,6 +357,96 @@ def test_t_inverse_agrees_on_whole_pools(name, dim):
             assert_same_work(invert.t_inverse, cell_t_inverse, m, A, i)
             built += not isinstance(outcome(invert.t_inverse, m, A, i), tuple)
     assert built > 0
+
+
+def draw_leaf(data, m, name, n, cell=None):
+    """A leaf of dimension n: `cell` or a pool cell, its inverses left to the
+    model or supplied for a few directions (the model's where it has one,
+    or another n-cell)."""
+    cands = pool(name, n)
+    A = cell or cands[data.draw(st.integers(0, len(cands) - 1), label="leaf")]
+    if not data.draw(st.booleans(), label="supplied"):
+        return Leaf(A)
+    inverses = {}
+    for d in data.draw(st.lists(st.integers(0, n + 1), unique=True, max_size=3), label="dirs"):
+        B = outcome(m.r_inverse, A, d)
+        if isinstance(B, tuple) or not data.draw(st.booleans(), label="true inverse"):
+            B = cands[data.draw(st.integers(0, len(cands) - 1), label="other")]
+        inverses[d] = B
+    return Leaf(A, inverses)
+
+
+def draw_expr(data, m, name, n, depth):
+    """An expression of dimension n, at most `depth` operations deep.  A
+    composite's right operand is often composable with its left: a pool cell
+    whose d_i^- matches, or the unit eps_i d_i^+ of the left's value."""
+    kinds = ["comp", "eps"] * (depth > 0 and n > 0) + ["conn"] * (depth > 0 and n > 1) + ["leaf"]
+    kind = data.draw(st.sampled_from(kinds), label="kind")
+    if kind == "leaf":
+        return draw_leaf(data, m, name, n)
+    if kind == "eps":
+        return Eps(data.draw(st.integers(1, n), label="i"), draw_expr(data, m, name, n - 1, depth - 1))
+    if kind == "conn":
+        return Conn(data.draw(st.integers(1, n - 1), label="i"), data.draw(st.sampled_from("-+")),
+                    draw_expr(data, m, name, n - 1, depth - 1))
+    i = data.draw(st.integers(1, n), label="i")
+    left = draw_expr(data, m, name, n, depth - 1)
+    value = outcome(eval_expr, m, left)
+    right = data.draw(st.sampled_from(["match", "unit", "any"]), label="right")
+    if right == "any" or isinstance(value, tuple):
+        return Comp(i, left, draw_expr(data, m, name, n, depth - 1))
+    if right == "unit":
+        return Comp(i, left, Eps(i, Leaf(m.face(value, i, "+"))))
+    matches = [B for B in pool(name, n) if m.face(B, i, "-") == m.face(value, i, "+")]
+    if not matches:
+        return Comp(i, left, draw_leaf(data, m, name, n))
+    return Comp(i, left, draw_leaf(data, m, name, n, matches[
+        data.draw(st.integers(0, len(matches) - 1), label="match")]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), name=NAMES)
+def test_closure_plans_match_the_recursive_evaluator(data, name):
+    """Expressions up to depth 2, in every direction k from 0 to n+1 (the
+    simplest draws first: a composite, k = 1).  On a new model the first
+    call runs the closure plan's steps, the second its compiled program;
+    both agree with the recursive oracle.  A `DomainError` from the plan's
+    index arithmetic is only checked to be an error of the oracle too."""
+    m = model(name)
+    n = data.draw(st.sampled_from((2, 1, 3, 0)), label="n")
+    expr = draw_expr(data, m, name, n, data.draw(st.sampled_from((2, 1, 0)), label="depth"))
+    k = data.draw(st.sampled_from((*range(1, n + 1), 0, n + 1)), label="k")
+    fresh = MODELS[name]()
+    built = outcome(invert.r_inverse_by_closure, Recording(fresh), expr, k)
+    if isinstance(built, tuple) and built[1] == "DomainError":
+        assert outcome(invert.r_inverse_by_closure, fresh, expr, k) == built
+        assert outcome(closure_oracle, fresh, expr, k)[0] == "raised"
+        return
+    for _ in range(2):
+        assert_same_work(invert.r_inverse_by_closure, closure_oracle, fresh, expr, k)
+
+
+def test_closure_builds_one_plan_per_shape():
+    """Closure calls of one shape and direction share one plan and one
+    lowering, and run as its compiled program from the second call on."""
+    m = MODELS["omega0"]()
+    pairs = composable_pairs(m, [Cell(m, 2, A.payload) for A in pool("omega0", 2)], 1, 40)
+    invert._closure_plan.cache_clear()
+    got = [invert.r_inverse_by_closure(m, Comp(1, Leaf(A), Leaf(B)), 1) for A, B in pairs]
+    assert len(pairs) == 40 and invert._closure_plan.cache_info().currsize == 1
+    (low,) = m._lowered.values()
+    run = low.program()
+    assert run is not None
+    assert [run([A.payload, B.payload]) for A, B in pairs] == [C.payload for C in got]
+
+
+def test_a_model_without_lower_runs_no_plan():
+    class Bare(CubModel):
+        max_dim = 3
+
+    m = Bare()
+    with pytest.raises(NotImplementedError):
+        core.psi(m, Cell(m, 2, ()), 1)
 
 
 def program(m, plan, leaf_dims):
