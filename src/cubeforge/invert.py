@@ -67,9 +67,9 @@ def _r_plan(k: int) -> _Plan:
 def verify_r_inverse(model: CubModel, A: Cell, B: Cell, k: int) -> bool:
     """Do A and B compose to the two k-degenerate identities?
 
-    Both composites are computed before either is compared.
+    Both composites are computed before either is compared; k outside 1..A.dim fails.
     """
-    return _eval(_r_plan(k), model, [A, B]) is not None
+    return 1 <= k <= A.dim and _eval(_r_plan(k), model, [A, B]) is not None
 
 
 def r_inverse(model: CubModel, A: Cell, k: int) -> Cell:
@@ -146,11 +146,16 @@ def _shape(expr: Expr, leaves: list) -> tuple:
     raise DomainError(f"not an expression: {expr!r}")
 
 
+def _dim(s: tuple, dims: tuple) -> int:
+    """The dimension of an expression of shape `s` over leaves of dimensions `dims`."""
+    return dims[s[1]] if s[0] == "leaf" else _dim(s[2], dims) + (s[0] != "comp")
+
+
 @functools.cache
-def _closure_plan(shape: tuple, k: int, leaves: int) -> _Plan:
-    """The value of an expression of `shape`, its closure inverse in
-    direction k (`out`), then the two R equations between them."""
-    p = _Plan(leaves)
+def _closure_plan(shape: tuple, k: int, dims: tuple) -> _Plan:
+    """The value of an expression of `shape`, its closure inverse in direction
+    k (`out`), then the two R equations between them, when k is in range."""
+    p = _Plan(len(dims))
 
     def value(s: tuple) -> int:
         kind, i = s[:2]
@@ -191,15 +196,17 @@ def _closure_plan(shape: tuple, k: int, leaves: int) -> _Plan:
 
     A = value(shape)
     p.out = inverse(shape, k)
-    _r_equations(p, A, p.out, k)
+    if 1 <= k <= _dim(shape, dims):  # else `verify_r_inverse` fails
+        _r_equations(p, A, p.out, k)
     return p
 
 
 def r_inverse_by_closure(model: CubModel, expr: Expr, k: int) -> Cell:
     """Assemble the reversal inverse of a composite from component inverses."""
     leaves: list = []
-    candidate = _eval(_closure_plan(_shape(expr, leaves), k, len(leaves)), model, leaves)
-    if candidate is None:
+    plan = _closure_plan(_shape(expr, leaves), k, tuple(A.dim for A in leaves))
+    candidate = _eval(plan, model, leaves)
+    if candidate is None or not plan.equations:
         raise NotInvertible(f"closure formula produced a bad inverse in direction {k}")
     return candidate
 
@@ -252,10 +259,10 @@ def _verify_t_plan(i: int) -> _Plan:
 def verify_t_inverse(model: CubModel, A: Cell, B: Cell, i: int) -> bool:
     """The two defining 2D equations of the transposition inverse.
 
-    The four face equations come first, then the braid of (A, B), then
-    that of (B, A); the first failing one ends the check.
+    An i outside 1..A.dim-1 fails.  The four face equations come first, then
+    the braid of (A, B), then that of (B, A); the first failing one ends it.
     """
-    return _eval(_verify_t_plan(i), model, [A, B]) is not None
+    return 1 <= i <= A.dim - 1 and _eval(_verify_t_plan(i), model, [A, B]) is not None
 
 
 @functools.cache

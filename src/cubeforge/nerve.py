@@ -38,11 +38,11 @@ the same range checks, composability compare and cone check.  Composing
 a plan's gathers (`_walk`) gives its one program (`_program`), which
 `core._run` (the checkers) and `core._eval` (the constructions) both
 run: its chain sums and negations in batches over one register file,
-then every check at once, each distinct pair of compared registers
-once; a failing check hands the call to the steps.  A checker's program
-reads a slab sum with a zero chain as the other summand, which settles
-the equations it makes identities at compile time; a construction's
-keeps every sum, so its defining equations stay run-time compares.
+then every check at once: each distinct register pair once, the cone
+checks in one `_sign_test`; a failing check hands the call to the steps.
+A checker's program reads a slab sum with a zero chain as the other
+summand, which settles the equations it makes identities at compile
+time; a construction's keeps every sum and compares every equation.
 The globular nerve speaks the cubical vocabulary of folded cells (source,
 target, identity and the composite over a k-boundary are d_1^-, d_1^+,
 eps_1 and *_(n-k)), so `core.check_globular` checks it and
@@ -174,6 +174,16 @@ def _invert(a: tuple, _b: tuple, data: tuple) -> tuple:
     return getter(a + flipped)
 
 
+def _sign_test(K: Adc, degrees: Sequence[int]) -> Callable[[Sequence[tuple]], bool | None]:
+    """Whether the negation of each value (of `degrees`, in order) is in the cone: one
+    gather of the flagged coordinates of the flattened values; None for a wrong rank."""
+    ranks = [K.rank(k) for k in degrees]
+    flags = [f for k in degrees if k <= K.top for f in K.cone[k]]
+    signs = _kernel([q for q, f in enumerate(flags) if f]) if any(flags) else lambda _: (0,)
+    return lambda values: (max(signs(tuple(itertools.chain.from_iterable(values)))) <= 0
+                           if list(map(len, values)) == ranks else None)
+
+
 def _refuse(_a: tuple, _b: tuple, error: tuple) -> tuple:
     kind, text = error
     raise kind(text)
@@ -201,6 +211,7 @@ class _NerveBase(CubModel):
         self._step_tables: dict[tuple[int, int], tuple[tuple, ...]] = {}
         self._tables: dict[tuple, _Table] = {}
         self._lowered: dict[tuple, Lowered] = {}
+        self._rev_tests: dict[tuple[int, int], tuple] = {}
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.K.name or 'K'})"
@@ -471,7 +482,7 @@ class _NerveBase(CubModel):
         if kind == "comp":
             m, i = args
             if m != n or not 1 <= i <= n:
-                raise ValueError("bad composition request")
+                raise ValueError(f"no composite in direction {i} of a {n}-cell and a {m}-cell")
             return _compose, (self._table(kind, n, i), self._table("face", n, i, "+"),
                               self._table("face", n, i, "-"), i)
         (i,) = args
@@ -573,12 +584,12 @@ class _NerveBase(CubModel):
                    *(_kernel([op[k] for op in batch]) for k in (2, 3))) for batch in batches]
         pairs = dict.fromkeys((min(p), max(p)) for op in compares for p in zip(*op[1:3])
                               if p[0] != p[1])  # a conjunction: each unordered pair once
-        left, right, flipped = (_kernel(regs or [0]) for regs in (
-            [a for a, _ in pairs], [b for _, b in pairs], [op[1] for op in negs]))
-        degrees = [zero - sum(sizes) for _, _, zero, _ in negs]  # zero chain k: sum(sizes) + k
+        left, right = (_kernel([p[s] for p in pairs] or [0]) for s in (0, 1))
+        sources = _kernel([op[3] for op in negs]) if negs else None
+        negated = _sign_test(self.K, [op[2] - sum(sizes) for op in negs])  # zero k: sum(sizes) + k
         ranks = [len(zeros[k]) for d in dims[:plan.leaves] for k, _ in self.elements(d)]
         ranks += map(len, zeros)
-        in_cone, out = self.K.in_cone, _kernel(out_map)
+        out = _kernel(out_map)
 
         def run(vals: list):
             regs = list(itertools.chain(*vals, zeros))
@@ -586,7 +597,7 @@ class _NerveBase(CubModel):
                 return NotImplemented
             for fns, a, b in stages:
                 regs.extend(map(tuple, map(map, fns, a(regs), b(regs))))
-            holds = left(regs) == right(regs) and all(map(in_cone, degrees, flipped(regs)))
+            holds = left(regs) == right(regs) and (sources is None or negated(sources(regs)))
             return out(regs) if holds else NotImplemented
 
         return run
@@ -617,11 +628,18 @@ class _NerveBase(CubModel):
         return Cell(self, A.dim, fn(A.payload, (), data))
 
     def has_r_inverse(self, A: Cell, i: int) -> bool:
-        """Whether `r_inverse` succeeds, from its cone check alone."""
+        """Whether `r_inverse` succeeds, from its cone check alone: the sign test
+        of the slab values, or `r_inverse` itself for values of another rank."""
         if not 1 <= i <= A.dim:
             return False
-        _, ((_, negs), in_cone) = self._step("rev", A.dim, i)
-        return _negated(A.payload, negs, in_cone)[0] is not None
+        found = self._rev_tests.get((A.dim, i))
+        if found is None:
+            _, ((_, negs), _) = self._step("rev", A.dim, i)
+            slab, degrees = _kernel([p for _, p, _ in negs]), [k for k, _, _ in negs]
+            found = self._rev_tests[A.dim, i] = slab, _sign_test(self.K, degrees)
+        slab, negated = found
+        holds = negated(slab(A.payload))
+        return CubModel.has_r_inverse(self, A, i) if holds is None else holds
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,27 @@ def test_verify_r_inverse_rejects_non_idempotent(omega0):
     assert not verify_r_inverse(omega0, A, A, 1)
 
 
+def test_verifications_fail_directions_out_of_range(omega0, sample2):
+    """A direction out of range fails a verification, as it fails
+    `has_r_inverse` and `is_t_invertible`; a composite out of range names
+    the direction and both dimensions; a closure in such a direction fails
+    its verification."""
+    A = sample2[0]
+    B = r_inverse(omega0, A, 1)
+    assert verify_r_inverse(omega0, A, B, 1)
+    for k in (0, 3):
+        assert not verify_r_inverse(omega0, A, B, k) and not omega0.has_r_inverse(A, k)
+    for i in (0, 2, 5):
+        assert not verify_t_inverse(omega0, A, A, i) and not is_t_invertible(omega0, A, i)
+    for B, i, text in ((A, 3, "direction 3 of a 2-cell and a 2-cell"),
+                       (omega0.face(A, 1, "-"), 1, "direction 1 of a 2-cell and a 1-cell")):
+        with pytest.raises(ValueError, match=f"^no composite in {text}$"):
+            omega0.comp(A, B, i)
+    with pytest.raises(NotInvertible, match="^closure formula produced a bad inverse in "
+                                            "direction 3$"):
+        r_inverse_by_closure(omega0, Leaf(A, {3: A}), 3)
+
+
 def test_r_inverse_verified_and_witnessed(omega0, sample2):
     for A in sample2[:20]:
         for k in (1, 2):

@@ -3,7 +3,8 @@
 Every plan runs through `CubModel.lower`; the cubical nerve lowers it to
 payload kernels.  The oracles below are the cell-level code the plans
 replaced, kept as it was apart from the plan node kinds now being
-strings: the equation loop of `core._run`, and `psi`, `psi_block`,
+strings and the two verifications answering False for a direction out
+of range: the equation loop of `core._run`, and `psi`, `psi_block`,
 `phi`, `fold_tail`, `verify_r_inverse`, `verify_t_inverse` and the
 fold-route `t_inverse`; the recursive closure evaluator
 (`cubical_models.closure_oracle`) is the oracle of
@@ -31,11 +32,11 @@ from hypothesis import strategies as st
 
 import cubeforge.core as core
 import cubeforge.invert as invert
-from cubeforge.adc import cube, disk, tensor, with_group_cones_above
+from cubeforge.adc import cube, disk, make_adc, tensor, vec_neg, with_group_cones_above
 from cubeforge.core import (Cell, CompositionError, CubModel, DomainError, NotInvertible,
                             Violation, check_axioms, check_globular, composable_pairs)
 from cubeforge.invert import Comp, Conn, Eps, Leaf
-from cubeforge.nerve import _SHIFT, NcModel, NgModel, _kernel, _Table
+from cubeforge.nerve import _SHIFT, NcModel, NgModel, _kernel, _negated, _sign_test, _Table
 
 from cubical_models import CellModel, PosetModel, check_composable, closure_oracle, eval_expr
 
@@ -105,6 +106,8 @@ def cell_fold_tail(model, A):
 
 
 def cell_verify_r_inverse(model, A, B, k):
+    if not 1 <= k <= A.dim:
+        return False
     left = comp(model, A, B, k)
     right = comp(model, B, A, k)
     return model.equal(
@@ -126,6 +129,8 @@ def grid2(model, rows, row_dir, col_dir):
 
 
 def cell_verify_t_inverse(model, A, B, i):
+    if not 1 <= i <= A.dim - 1:
+        return False
     for j, a in ((i, "-"), (i, "+"), (i + 1, "-"), (i + 1, "+")):
         other = i + 1 if j == i else i
         if not model.equal(model.face(B, j, a), model.face(A, other, a)):
@@ -515,12 +520,12 @@ def test_the_verifications_stay_run_time_compares(name, n):
         "omega1": [{"add": 97, "neg": 5}, {"add": 68}] + [{"add": 18}] * 3}[name]
 
 
-@pytest.mark.parametrize("name", ["omega0", "omega1"])
+@pytest.mark.parametrize("name", ["omega0", "omega1", "disk(3)", "cube(2)", "tensor"])
 def test_has_r_inverse_matches_the_exception_route(name):
     m = model(name)
-    # every bound-1 cell, 454 and 442 of them; omega0's 3-cells exceed the
-    # enumeration budget at bound 1
-    tops = {"omega0": 2, "omega1": 3}[name]
+    # every bound-1 cell; omega0's 3-cells exceed the enumeration budget at
+    # bound 1.  On the nonneg cones most slab values fail the sign test.
+    tops = {"omega0": 2}.get(name, 3)
     seen = set()
     for n in range(tops + 1):
         for A in m.cells(n, 1):
@@ -531,6 +536,66 @@ def test_has_r_inverse_matches_the_exception_route(name):
                 assert fast == (1 <= i <= n and all(
                     m.K.in_cone(k, tuple(-c for c in A.payload[pos]))
                     for pos, (k, s) in enumerate(m.elements(n)) if s[i - 1] == "0"))
+                if 1 <= i <= n:  # a cell's own values: the sign test decides, not the steps
+                    slab, negated = m._rev_tests[n, i]
+                    assert negated(slab(A.payload)) is fast
                 seen.add(fast)
     assert seen == {True, False}
 
+
+
+@st.composite
+def complexes(draw):
+    """A complex of random ranks (0 to 3 per degree, zero boundaries) whose
+    cone at each degree is "nonneg", "group" or a random bool per element."""
+    ranks = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4), label="ranks")
+    cones = [draw(st.sampled_from(["nonneg", "group"])
+                  | st.lists(st.booleans(), min_size=r, max_size=r), label=f"cone{k}")
+             for k, r in enumerate(ranks)]
+    degrees = [[f"e{k}_{j}" for j in range(r)] for k, r in enumerate(ranks)]
+    boundary = [[[0] * r for _ in range(ranks[k])] for k, r in enumerate(ranks[1:])]
+    return make_adc(degrees, boundary, [1] * ranks[0], cones)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), K=complexes())
+def test_the_sign_test_is_the_cone_of_the_negations(data, K):
+    """Values of the right ranks (degrees above the top too): the compiled
+    test answers as `Adc.in_cone` on each negation; a value of another rank
+    gives None, which sends the caller to the step route."""
+    degrees = data.draw(st.lists(st.integers(0, K.top + 2), max_size=6), label="degrees")
+    wrong = data.draw(st.sets(st.integers(0, len(degrees) - 1)) if degrees else st.just(set()),
+                      label="wrong ranks")
+    values = [tuple(data.draw(st.lists(st.integers(-3, 3), min_size=size, max_size=size),
+                              label=f"value{q}"))
+              for q, k in enumerate(degrees)
+              for size in [K.rank(k) + data.draw(st.sampled_from([-1, 1]), label=f"off{q}")
+                           if q in wrong and K.rank(k) else K.rank(k) + (q in wrong)]]
+    got = _sign_test(K, degrees)(values)
+    if wrong:
+        assert got is None
+    else:
+        assert got == all(K.in_cone(k, vec_neg(v)) for k, v in zip(degrees, values))
+
+
+@pytest.mark.parametrize("K, shows", [
+    (with_group_cones_above(disk(2), 1), {False, "ValueError"}),
+    (disk(3), {False, "ValueError"}),
+    (disk(1), {True, False, "ValueError"}),  # a widened (0,) above the top is invertible
+], ids=["omega1", "disk(3)", "disk(1)"])
+def test_has_r_inverse_reads_values_of_another_rank_as_the_steps_do(K, shows):
+    """A slab value one coordinate wider or narrower: `has_r_inverse` answers,
+    or raises, as the step route's cone check on the negations does."""
+    m = NcModel(K)
+    seen = set()
+    for A in m.cells(2, 1)[:40]:
+        for i in (1, 2):
+            _, ((_, negs), in_cone) = m._step("rev", 2, i)
+            for _, p, _ in negs:
+                for v in (A.payload[p] + (0,), A.payload[p][1:]):
+                    B = Cell(m, 2, A.payload[:p] + (v,) + A.payload[p + 1:])
+                    got = outcome(m.has_r_inverse, B, i)
+                    steps = outcome(lambda: _negated(B.payload, negs, in_cone)[0] is not None)
+                    assert got == steps
+                    seen.add(got if isinstance(got, bool) else got[1])
+    assert seen == shows

@@ -427,7 +427,7 @@ def oracle_ng_conn(ng, A, i, alpha):
 def oracle_ng_comp(ng, A, B, i):
     n = A.dim
     if B.dim != n or not 1 <= i <= n:
-        raise ValueError("bad composition request")
+        raise ValueError(f"no composite in direction {i} of a {n}-cell and a {B.dim}-cell")
     if oracle_ng_face(ng, A, i, "+") != oracle_ng_face(ng, B, i, "-"):
         raise CompositionError(f"faces differ along direction {i}")
     k, a, b = n - i, A.payload, B.payload  # s_k from A, t_k from B, sums above
