@@ -146,16 +146,16 @@ def _shape(expr: Expr, leaves: list) -> tuple:
     raise DomainError(f"not an expression: {expr!r}")
 
 
-def _dim(s: tuple, dims: tuple) -> int:
+def _dim(s: tuple, dims: Sequence[int]) -> int:
     """The dimension of an expression of shape `s` over leaves of dimensions `dims`."""
     return dims[s[1]] if s[0] == "leaf" else _dim(s[2], dims) + (s[0] != "comp")
 
 
 @functools.cache
-def _closure_plan(shape: tuple, k: int, dims: tuple) -> _Plan:
+def _closure_plan(shape: tuple, k: int, leaves: int, checked: bool) -> _Plan:
     """The value of an expression of `shape`, its closure inverse in direction
-    k (`out`), then the two R equations between them, when k is in range."""
-    p = _Plan(len(dims))
+    k (`out`), then, if `checked`, the two R equations between them."""
+    p = _Plan(leaves)
 
     def value(s: tuple) -> int:
         kind, i = s[:2]
@@ -196,7 +196,7 @@ def _closure_plan(shape: tuple, k: int, dims: tuple) -> _Plan:
 
     A = value(shape)
     p.out = inverse(shape, k)
-    if 1 <= k <= _dim(shape, dims):  # else `verify_r_inverse` fails
+    if checked:
         _r_equations(p, A, p.out, k)
     return p
 
@@ -204,9 +204,10 @@ def _closure_plan(shape: tuple, k: int, dims: tuple) -> _Plan:
 def r_inverse_by_closure(model: CubModel, expr: Expr, k: int) -> Cell:
     """Assemble the reversal inverse of a composite from component inverses."""
     leaves: list = []
-    plan = _closure_plan(_shape(expr, leaves), k, tuple(A.dim for A in leaves))
-    candidate = _eval(plan, model, leaves)
-    if candidate is None or not plan.equations:
+    shape = _shape(expr, leaves)
+    in_range = 1 <= k <= _dim(shape, [A.dim for A in leaves])  # else `verify_r_inverse` fails
+    candidate = _eval(_closure_plan(shape, k, len(leaves), in_range), model, leaves)
+    if candidate is None or not in_range:
         raise NotInvertible(f"closure formula produced a bad inverse in direction {k}")
     return candidate
 

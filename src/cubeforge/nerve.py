@@ -65,7 +65,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from operator import add, attrgetter, eq, itemgetter, sub
+from operator import add, attrgetter, eq, getitem, itemgetter, sub
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .adc import (Adc, Chain, ChainMap, comp_split, cube, cube_conn, cube_deg, cube_face,
@@ -174,14 +174,14 @@ def _invert(a: tuple, _b: tuple, data: tuple) -> tuple:
     return getter(a + flipped)
 
 
-def _sign_test(K: Adc, degrees: Sequence[int]) -> Callable[[Sequence[tuple]], bool | None]:
-    """Whether the negation of each value (of `degrees`, in order) is in the cone: one
-    gather of the flagged coordinates of the flattened values; None for a wrong rank."""
-    ranks = [K.rank(k) for k in degrees]
-    flags = [f for k in degrees if k <= K.top for f in K.cone[k]]
-    signs = _kernel([q for q, f in enumerate(flags) if f]) if any(flags) else lambda _: (0,)
-    return lambda values: (max(signs(tuple(itertools.chain.from_iterable(values)))) <= 0
-                           if list(map(len, values)) == ranks else None)
+def _sign_test(K: Adc, sources: Sequence[tuple[int, int]]) -> Callable[[Sequence[tuple]], bool]:
+    """Whether the negation of `values[p]` is in the cone for each (degree k, position
+    p) of `sources`, for values of the right ranks: one max over the flagged coordinates."""
+    flagged = [(p, c) for k, p in sources if k <= K.top for c, f in enumerate(K.cone[k]) if f]
+    if not flagged:
+        return lambda _values: True
+    rows, cols = zip(*flagged)
+    return lambda values: max(map(getitem, map(values.__getitem__, rows), cols)) <= 0
 
 
 def _refuse(_a: tuple, _b: tuple, error: tuple) -> tuple:
@@ -585,8 +585,7 @@ class _NerveBase(CubModel):
         pairs = dict.fromkeys((min(p), max(p)) for op in compares for p in zip(*op[1:3])
                               if p[0] != p[1])  # a conjunction: each unordered pair once
         left, right = (_kernel([p[s] for p in pairs] or [0]) for s in (0, 1))
-        sources = _kernel([op[3] for op in negs]) if negs else None
-        negated = _sign_test(self.K, [op[2] - sum(sizes) for op in negs])  # zero k: sum(sizes) + k
+        negated = _sign_test(self.K, [(zero_k - sum(sizes), q) for _, _, zero_k, q in negs])
         ranks = [len(zeros[k]) for d in dims[:plan.leaves] for k, _ in self.elements(d)]
         ranks += map(len, zeros)
         out = _kernel(out_map)
@@ -597,7 +596,7 @@ class _NerveBase(CubModel):
                 return NotImplemented
             for fns, a, b in stages:
                 regs.extend(map(tuple, map(map, fns, a(regs), b(regs))))
-            holds = left(regs) == right(regs) and (sources is None or negated(sources(regs)))
+            holds = left(regs) == right(regs) and negated(regs)
             return out(regs) if holds else NotImplemented
 
         return run
@@ -628,18 +627,18 @@ class _NerveBase(CubModel):
         return Cell(self, A.dim, fn(A.payload, (), data))
 
     def has_r_inverse(self, A: Cell, i: int) -> bool:
-        """Whether `r_inverse` succeeds, from its cone check alone: the sign test
-        of the slab values, or `r_inverse` itself for values of another rank."""
+        """Whether `r_inverse` succeeds: the slab's sign test, or `_negated` for wrong ranks."""
         if not 1 <= i <= A.dim:
             return False
         found = self._rev_tests.get((A.dim, i))
         if found is None:
             _, ((_, negs), _) = self._step("rev", A.dim, i)
-            slab, degrees = _kernel([p for _, p, _ in negs]), [k for k, _, _ in negs]
-            found = self._rev_tests[A.dim, i] = slab, _sign_test(self.K, degrees)
-        slab, negated = found
-        holds = negated(slab(A.payload))
-        return CubModel.has_r_inverse(self, A, i) if holds is None else holds
+            found = self._rev_tests[A.dim, i] = (
+                negs, _kernel([p for _, p, _ in negs]), [self.K.rank(k) for k, _, _ in negs],
+                _sign_test(self.K, [(k, p) for k, p, _ in negs]))
+        negs, slab, ranks, negated = found
+        return (negated(A.payload) if list(map(len, slab(A.payload))) == ranks
+                else _negated(A.payload, negs, self.K.in_cone)[0] is not None)
 
 
 # ---------------------------------------------------------------------------

@@ -537,8 +537,9 @@ def test_has_r_inverse_matches_the_exception_route(name):
                     m.K.in_cone(k, tuple(-c for c in A.payload[pos]))
                     for pos, (k, s) in enumerate(m.elements(n)) if s[i - 1] == "0"))
                 if 1 <= i <= n:  # a cell's own values: the sign test decides, not the steps
-                    slab, negated = m._rev_tests[n, i]
-                    assert negated(slab(A.payload)) is fast
+                    _, slab, ranks, negated = m._rev_tests[n, i]
+                    assert list(map(len, slab(A.payload))) == ranks
+                    assert negated(A.payload) is fast
                 seen.add(fast)
     assert seen == {True, False}
 
@@ -560,22 +561,19 @@ def complexes(draw):
 @settings(max_examples=300, deadline=None)
 @given(data=st.data(), K=complexes())
 def test_the_sign_test_is_the_cone_of_the_negations(data, K):
-    """Values of the right ranks (degrees above the top too): the compiled
-    test answers as `Adc.in_cone` on each negation; a value of another rank
-    gives None, which sends the caller to the step route."""
+    """Values of the right ranks (degrees above the top too), in a tuple or a
+    list, read at any positions, repeats included: the compiled test answers
+    as `Adc.in_cone` on each negation.  A value of another rank never reaches
+    it; `has_r_inverse` sends it to the steps (the test below)."""
     degrees = data.draw(st.lists(st.integers(0, K.top + 2), max_size=6), label="degrees")
-    wrong = data.draw(st.sets(st.integers(0, len(degrees) - 1)) if degrees else st.just(set()),
-                      label="wrong ranks")
-    values = [tuple(data.draw(st.lists(st.integers(-3, 3), min_size=size, max_size=size),
-                              label=f"value{q}"))
-              for q, k in enumerate(degrees)
-              for size in [K.rank(k) + data.draw(st.sampled_from([-1, 1]), label=f"off{q}")
-                           if q in wrong and K.rank(k) else K.rank(k) + (q in wrong)]]
-    got = _sign_test(K, degrees)(values)
-    if wrong:
-        assert got is None
-    else:
-        assert got == all(K.in_cone(k, vec_neg(v)) for k, v in zip(degrees, values))
+    values = [tuple(data.draw(st.lists(st.integers(-3, 3), min_size=K.rank(k),
+                                       max_size=K.rank(k)), label=f"value{q}"))
+              for q, k in enumerate(degrees)]
+    read = data.draw(st.lists(st.integers(0, len(degrees) - 1)) if degrees else st.just([]),
+                     label="positions")
+    registers = data.draw(st.sampled_from([tuple, list]), label="registers")(values)
+    got = _sign_test(K, [(degrees[p], p) for p in read])(registers)
+    assert got == all(K.in_cone(degrees[p], vec_neg(values[p])) for p in read)
 
 
 @pytest.mark.parametrize("K, shows", [
