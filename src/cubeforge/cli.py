@@ -225,6 +225,8 @@ def cmd_classify(args) -> int:
     K = resolve_adc(args.adc, args.orientation)
     model = NcModel(K)
     require_at_most(dims[-1], model.max_dim, "--dims end")
+    if dims[0] < 1:
+        raise CliError(f"--dims start must be >= 1, as plain invertibility needs, got {dims[0]}")
     rng = random.Random(args.seed)
     report = classify_omega_p(
         model, dims, bound=args.bound, extra_random=args.random, rng=rng

@@ -33,15 +33,17 @@ plan into steps over the model's values, each step one of the five
 operations (face, deg, conn, comp, r_inverse); the nerves lower them to
 payload kernels.  `_run` checks equations with the counts and violation
 text described above; `_eval` runs a construction in the order it was
-built and stops at its first failing equation.
+built and stops at its first failing equation; `_ask` answers a plan's
+probes (has this slot a reversal inverse in that direction?) as asked.
 
 On the nerves a plan run a second time on a model is compiled into one
-program (`Lowered.program`), which serves both runners: it computes every
-node at once and then makes every check (composability compares, cone
-checks, the equations) at once.  When they all hold, `_eval` returns its
-value and `_run` adds the plan's per-family counts; when any fails, the
-program declines and the call goes to the steps, which stay the
-reference for every failure, so violations keep their order and text.
+program (`Lowered.program`), which serves all three runners: it computes
+every node at once and then makes every check (composability compares,
+cone checks, the equations) at once.  When they all hold, `_eval` returns
+its value, `_run` adds the plan's per-family counts and `_ask` reads
+every probe's answer; when any fails, the program declines and the call
+goes to the steps, which stay the reference for every failure, so
+violations keep their order and text.
 """
 
 from __future__ import annotations
@@ -106,9 +108,10 @@ class Lowered(NamedTuple):
     k the value ``fn(vals[x], vals[y], data)`` (y is read by comp only).
     `load` maps a leaf cell to its value, `cell(k, value)` a value in slot
     k back to a cell, and `equal` compares values as the model compares cells.
-    `program()` gives None or the compiled plan, which `_run` and `_eval`
-    both try first: a function of the leaf values giving slot `out`'s value
-    when every composability compare, cone check and equation holds, else
+    `program()` gives None or the compiled plan, which `_run`, `_eval` and
+    `_ask` try first: a function of the leaf values giving slot `out`'s
+    value (a plan with probes: the list of their answers) when every
+    composability compare, cone check and equation holds, else
     NotImplemented, which hands the call to the steps.
     """
 
@@ -318,8 +321,10 @@ class _Plan:
     deduplicated by structure.  Each equation keeps the nodes its lhs,
     then its rhs, need, in order, and the number of slots built before
     it; `counts` holds the number of equations per family, in
-    first-appearance order; `out` is the slot a construction returns.  A
-    plan names operations only: `CubModel.lower` supplies the code.
+    first-appearance order; `out` is the slot a construction returns;
+    `probes` ask `has_r_inverse` of slots (`_ask`; such plans hold no
+    equations).  A plan names operations only: `CubModel.lower` supplies
+    the code.
     `checker` marks the plans `_run` runs, whose programs read a sum with
     a zero chain as the other summand (`cubeforge.nerve`).
     """
@@ -332,6 +337,8 @@ class _Plan:
         self.slots: dict[tuple, int] = {}
         self.equations: list[tuple] = []  # (family, lhs, rhs, detail, steps, built)
         self.counts: dict[str, int] = {}
+        self.probes: list[tuple] = []  # (x, k, the nodes its word reached, in that order)
+        self.touched: list[int] = []  # the slots `op` returned since the last eq or probe
         self.out = 0
 
     def op(self, kind: str, x: int, *args) -> int:
@@ -339,6 +346,7 @@ class _Plan:
         if node not in self.slots:
             self.slots[node] = self.leaves + len(self.nodes)
             self.nodes.append(node)
+        self.touched.append(self.slots[node])
         return self.slots[node]
 
     def face(self, x: int, i: int, alpha: str) -> int:
@@ -378,6 +386,15 @@ class _Plan:
         built = self.leaves + len(self.nodes)
         self.equations.append((family, lhs, rhs, detail, tuple(steps), built))
         self.counts[family] = self.counts.get(family, 0) + 1
+        self.touched = []
+
+    def probe(self, x: int, k: int) -> int:
+        """Ask `has_r_inverse` of slot x in direction k; the probe's index.  Its
+        nodes are those the calls building its word, just before it, reached,
+        in that order, which is the order code evaluating the word computes them."""
+        nodes, self.touched = tuple(dict.fromkeys(s for s in self.touched if s >= self.leaves)), []
+        self.probes.append((x, k, nodes))
+        return len(self.probes) - 1
 
 
 def _run(plan: _Plan, model: CubModel, report: Report, cells: list, n: int) -> None:
@@ -442,6 +459,30 @@ def _eval(plan: _Plan, model: CubModel, cells: list) -> Cell | None:
         build(len(steps))
         value = vals[out]
     return cells[out] if out < plan.leaves else low.cell(out, value)
+
+
+def _ask(plan: _Plan, model: CubModel, cells: list) -> Callable[[int], bool]:
+    """The answers to `plan`'s probes on the leaf `cells`, by probe index: all
+    at once from the lowered plan's program, unless it declines; else each
+    when asked, `model.has_r_inverse` deciding it after its nodes (`probe`)
+    are computed or shared, so work and exceptions follow the questions."""
+    low = model.lower(plan, tuple(A.dim for A in cells))
+    vals, program = list(map(low.load, cells)), low.program()
+    bits = NotImplemented if program is None else program(vals)
+    if bits is not NotImplemented:
+        return bits.__getitem__
+    steps, leaves = low.steps, plan.leaves
+    vals += [None] * len(plan.nodes)
+
+    def ask(q: int) -> bool:
+        x, k, need = plan.probes[q]
+        for s in need:
+            if vals[s] is None:
+                fn, a, b, data = steps[s]
+                vals[s] = fn(vals[a], vals[b], data)
+        return model.has_r_inverse(cells[x] if x < leaves else low.cell(x, vals[x]), k)
+
+    return ask
 
 
 @functools.cache

@@ -22,12 +22,19 @@ cached `core` plans, one per direction, run by `core._eval` in the order
 the formulas below compute them.  So are the closure formulas, one plan
 per expression shape and direction, on the leaf cells and the inverses
 supplied with them: the expression's value, its inverse, the R equations.
+The predicates (plain, shell and transposition invertibility) and the
+classifier ask "does this cell reverse in that direction?" through probe
+plans (`_probe_plan`, answered by `core._ask`), cached per dimension,
+direction and question; the classifier asks one plan per dimension of each
+cell (its full fold, the faces of its R_1 shell, the cell, the 1-folds of
+the faces of its T_1 shell, its 1-fold), a compiled program on the nerves.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from itertools import product
 from typing import Mapping, Sequence, Union
 
 from .core import (
@@ -35,11 +42,11 @@ from .core import (
     Cell,
     CubModel,
     NotInvertible,
-    OracleUnavailable,
+    _ask,
     _eval,
     _Plan,
     fold_tail,
-    psi,
+    psi,  # noqa: F401 -- perfbench traces it as `invert.psi`
 )
 from .indices import DomainError, lower
 from .perms import Perm, TWord, eval_word, length, min_rep
@@ -81,15 +88,11 @@ def r_inverse(model: CubModel, A: Cell, k: int) -> Cell:
 
 
 def has_r_invertible_shell(model: CubModel, A: Cell, i: int) -> bool:
-    """Face-wise reversal invertibility, with the displaced direction i_j."""
+    """Face-wise reversal invertibility: every face d_j^alpha A with j != i
+    reverses in the displaced direction i_j.  False for i outside 1..dim."""
     if A.dim < 1:
         raise DomainError("shells need dimension >= 1")
-    return all(
-        model.has_r_inverse(model.face(A, j, a), lower(i, j))
-        for j in range(1, A.dim + 1)
-        if j != i
-        for a in ALPHAS
-    )
+    return 1 <= i <= A.dim and _holds(model, A, i, "R")
 
 
 # ---------------------------------------------------------------------------
@@ -220,10 +223,7 @@ def is_plain_invertible(model: CubModel, A: Cell) -> bool:
     """Reversal invertibility in direction 1 after the full fold."""
     if A.dim < 1:
         raise DomainError("plain invertibility needs dimension >= 1")
-    try:
-        return model.has_r_inverse(fold_tail(model, A), 1)
-    except NotImplementedError as exc:  # pragma: no cover
-        raise OracleUnavailable(str(exc))
+    return _holds(model, A, 1, "P")
 
 
 def plain_witness(model: CubModel, A: Cell) -> Cell:
@@ -295,20 +295,42 @@ def t_inverse(model: CubModel, A: Cell, i: int) -> Cell:
 
 def is_t_invertible(model: CubModel, A: Cell, i: int) -> bool:
     """A is transposition-invertible at i iff its i-fold reverses at i."""
-    if not 1 <= i <= A.dim - 1:
-        return False
-    return model.has_r_inverse(psi(model, A, i), i)
+    return 1 <= i <= A.dim - 1 and _holds(model, A, i, "t")
 
 
 def has_t_invertible_shell(model: CubModel, A: Cell, i: int) -> bool:
+    """Face-wise transposition invertibility: every face d_j^alpha A with j
+    not in {i, i+1} is transposition-invertible at i_j.  False for i
+    outside 1..dim-1."""
     if A.dim < 2:
         raise DomainError("transposition shells need dimension >= 2")
-    return all(
-        is_t_invertible(model, model.face(A, j, a), lower(i, j))
-        for j in range(1, A.dim + 1)
-        if j not in (i, i + 1)
-        for a in ALPHAS
-    )
+    return 1 <= i <= A.dim - 1 and _holds(model, A, i, "T")
+
+
+@functools.cache
+def _probe_plan(n: int, i: int, parts: str) -> _Plan:
+    """The probes of an n-cell A, for each letter of `parts` in turn: "P"
+    its full fold in direction 1; "R" each face d_j^alpha A, j != i, at
+    i_j (the R_i shell); "A" A at i; "T" the i_j-fold of each d_j^alpha A,
+    j not in {i, i+1}, at i_j (the T_i shell); "t" the i-fold of A at i."""
+    p, A = _Plan(1), 0
+    for part in parts:
+        if part == "P":
+            p.probe(functools.reduce(p.psi, range(n - 1, 0, -1), A), 1)
+        elif part in "At":
+            p.probe(A if part == "A" else p.psi(A, i), i)
+        else:
+            for j, a in product(range(1, n + 1), ALPHAS):
+                if j != i and (part == "R" or j != i + 1):
+                    X, k = p.face(A, j, a), lower(i, j)
+                    p.probe(X if part == "R" else p.psi(X, k), k)
+    return p
+
+
+def _holds(model: CubModel, A: Cell, i: int, parts: str) -> bool:
+    """Whether every probe of `_probe_plan(A.dim, i, parts)` holds on A, asked in order."""
+    plan = _probe_plan(A.dim, i, parts)
+    return all(map(_ask(plan, model, [A]), range(len(plan.probes))))
 
 
 # ---------------------------------------------------------------------------
@@ -416,33 +438,35 @@ def classify_omega_p(
     checks run on the same sample: cells with a reversal-invertible
     shell in direction 1 must reverse in direction 1, and (dimension
     >= 2) cells with a transposition-invertible shell at 1 must be
-    transposition-invertible at 1.  `extra_random` more cells per dimension
-    come from `sample_cells` with `rng`; without both, ValueError.
+    transposition-invertible at 1.  Per dimension this is one probe plan
+    (`_probe_plan`), asked of each cell in that order, shells
+    short-circuiting; on the nerves it runs from the second cell on as one
+    compiled program.  A dimension below 1 raises `DomainError` before any
+    cell is drawn.  `extra_random` more cells per dimension come from
+    `sample_cells` with `rng`; without both, ValueError.
     """
     if extra_random and (rng is None or not hasattr(model, "sample_cells")):
         raise ValueError("extra_random needs an rng and a model with sample_cells")
+    if any(n < 1 for n in dims):
+        raise DomainError("plain invertibility needs dimension >= 1")
     evidence = []
     for n in sorted(dims):
         cells = list(model.cells(n, bound))
         if extra_random:
             cells += model.sample_cells(n, extra_random, bound + 1, rng)
-        witness = None
-        all_inv = True
-        shell_ok = True
-        t_shell_ok = True
+        # probe 0 the fold, 1..r-1 the R_1 shell, r the cell, r+1..t-1 the T_1 shell, t the 1-fold
+        plan, r, t = _probe_plan(n, 1, "PRATt" if n >= 2 else "PRA"), 2 * n - 1, 4 * n - 4
+        witness, all_inv, shell_ok, t_shell_ok = None, True, True, True
         for A in cells:
-            plain = is_plain_invertible(model, A)
+            bit = _ask(plan, model, [A])
+            plain = bit(0)
             if not plain and witness is None:
-                all_inv = False
-                witness = A.payload
-            if has_r_invertible_shell(model, A, 1):
-                if model.has_r_inverse(A, 1) != plain:
-                    shell_ok = False
-            elif model.has_r_inverse(A, 1):
-                shell_ok = False  # invertible cells always have invertible shells
-            if n >= 2 and has_t_invertible_shell(model, A, 1):
-                if is_t_invertible(model, A, 1) != plain:
-                    t_shell_ok = False
+                all_inv, witness = False, A.payload
+            shell = all(map(bit, range(1, r)))
+            if bit(r) != (shell and plain):  # invertible cells have invertible shells
+                shell_ok = False
+            if n >= 2 and all(map(bit, range(r + 1, t))) and bit(t) != plain:
+                t_shell_ok = False
         evidence.append(
             DimEvidence(n, len(cells), all_inv, witness, shell_ok, t_shell_ok)
         )

@@ -36,10 +36,13 @@ gather.  The cell-level methods wrap one payload kernel per table, and
 `lower` turns each node of a `core` plan into a step calling it, with
 the same range checks, composability compare and cone check.  Composing
 a plan's gathers (`_walk`) gives its one program (`_program`), which
-`core._run` (the checkers) and `core._eval` (the constructions) both
-run: its chain sums and negations in batches over one register file,
-then every check at once: each distinct register pair once, the cone
-checks in one `_sign_test`; a failing check hands the call to the steps.
+`core._run` (the checkers), `core._eval` (the constructions) and
+`core._ask` (the probes of `cubeforge.invert`'s invertibility
+predicates) all run: its chain sums and negations in batches over one
+register file, then every check at once: each distinct register pair
+once, the cone checks in one `_sign_test`; a failing check hands the
+call to the steps.  A probe is one more `_sign_test`, of the probed
+slot's registers at the `rev` table's slab positions.
 A checker's program reads a slab sum with a zero chain as the other
 summand, which settles the equations it makes identities at compile
 time; a construction's keeps every sum and compares every equation.
@@ -519,7 +522,7 @@ class _NerveBase(CubModel):
     def _walk(self, plan, steps: tuple, dims: list) -> tuple | None:
         """Map a lowered plan onto one register file (the leaf payloads, a zero
         chain per degree, then the fills): the zero chains, the leaf sizes, the
-        index map of slot `out`, the fills (chain sums ("add", dst, a, b) and
+        index map of each slot, the fills (chain sums ("add", dst, a, b) and
         negations ("neg", dst, zero, src) in batches, none reading its own
         registers) and the compares of sides that differ (("faces", lhs, rhs,
         i) per composite, ("eq", lhs, rhs) per equation), run once per distinct
@@ -568,17 +571,26 @@ class _NerveBase(CubModel):
         compares += [("eq", maps[lhs], maps[rhs]) for _, lhs, rhs, *_ in plan.equations]
         if None in maps or any(len(op[1]) != len(op[2]) for op in compares):
             return None
-        return zeros, sizes, maps[plan.out], batches, [op for op in compares if op[1] != op[2]]
+        return zeros, sizes, maps, batches, [op for op in compares if op[1] != op[2]]
 
     def _program(self, plan, steps: tuple, dims: list) -> Callable[[list], object] | None:
         """`plan` over the registers of `_walk` as a function of the leaf
-        values giving slot `out`'s value: the fills a batch at a time, then
-        the cone checks and each distinct compared register pair at once
-        (NotImplemented when one fails); None for a plan `_walk` refuses."""
+        values giving slot `out`'s value (or the probes' answers, each a
+        `_sign_test` of the slot's `rev` slab): the fills a batch at a time,
+        then the cone checks and each distinct compared register pair at
+        once (NotImplemented when one fails); None for a plan `_walk` or a
+        probe's `rev` refuses."""
         walked = self._walk(plan, steps, dims)
         if walked is None:
             return None
-        zeros, sizes, out_map, batches, compares = walked
+        zeros, sizes, maps, batches, compares = walked
+        tests = []
+        for x, k, _ in plan.probes:
+            try:  # the steps' `has_r_inverse` answers a probe `rev` refuses
+                _, ((_, negs), _) = self._step("rev", dims[x], k)
+            except (ValueError, OracleUnavailable):
+                return None
+            tests.append(_sign_test(self.K, [(d, maps[x][p]) for d, p, _ in negs]))
         negs = [op for batch in batches for op in batch if op[0] == "neg"]
         stages = [([add if op[0] == "add" else sub for op in batch],
                    *(_kernel([op[k] for op in batch]) for k in (2, 3))) for batch in batches]
@@ -588,7 +600,7 @@ class _NerveBase(CubModel):
         negated = _sign_test(self.K, [(zero_k - sum(sizes), q) for _, _, zero_k, q in negs])
         ranks = [len(zeros[k]) for d in dims[:plan.leaves] for k, _ in self.elements(d)]
         ranks += map(len, zeros)
-        out = _kernel(out_map)
+        out = (lambda regs: [test(regs) for test in tests]) if tests else _kernel(maps[plan.out])
 
         def run(vals: list):
             regs = list(itertools.chain(*vals, zeros))

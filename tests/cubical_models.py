@@ -14,7 +14,16 @@ whole family with it.
 
 `eval_expr` and `closure_oracle` are the recursive cell-level evaluator of
 the closure formulas that `cubeforge.invert.r_inverse_by_closure` replaced
-by a plan; they stay here as its oracle.
+by a plan; they stay here as its oracle.  `plain_oracle`,
+`r_shell_oracle`, `t_oracle`, `t_shell_oracle` and `classify_oracle` are
+the cell-level bodies of `is_plain_invertible`, `has_r_invertible_shell`,
+`is_t_invertible`, `has_t_invertible_shell` and `classify_omega_p`, which
+now ask their questions through probe plans (`cubeforge.core._ask`).
+They are kept as they were, apart from three checks the plans brought:
+a shell direction out of range answers False, as `has_r_inverse` and
+`is_t_invertible` do; the classifier refuses a dimension below 1 before
+it draws any cell; and `plain_oracle` no longer turns a
+`NotImplementedError` into `OracleUnavailable`.
 """
 
 from __future__ import annotations
@@ -22,9 +31,10 @@ from __future__ import annotations
 from typing import Iterable, Mapping, Sequence
 
 from cubeforge.core import (ALPHAS, Cell, CompositionError, CubModel, Lowered, NotInvertible,
-                            shell_key)
+                            fold_tail, psi, shell_key)
 from cubeforge.indices import DomainError, lower
-from cubeforge.invert import Comp, Conn, Eps, Expr, Leaf, verify_r_inverse
+from cubeforge.invert import (Comp, Conn, DimEvidence, Eps, Expr, Leaf, OmegaPReport,
+                              verify_r_inverse)
 
 
 def _unary(a, _b, data):
@@ -127,6 +137,87 @@ def closure_oracle(model: CubModel, expr: Expr, k: int) -> Cell:
             f"closure formula produced a bad inverse in direction {k}"
         )
     return candidate
+
+
+# ---------------------------------------------------------------------------
+# the invertibility predicates and the classifier, on cells
+
+
+def plain_oracle(model: CubModel, A: Cell) -> bool:
+    """Reversal invertibility in direction 1 after the full fold."""
+    if A.dim < 1:
+        raise DomainError("plain invertibility needs dimension >= 1")
+    return model.has_r_inverse(fold_tail(model, A), 1)
+
+
+def r_shell_oracle(model: CubModel, A: Cell, i: int) -> bool:
+    """Face-wise reversal invertibility, with the displaced direction i_j."""
+    if A.dim < 1:
+        raise DomainError("shells need dimension >= 1")
+    if not 1 <= i <= A.dim:
+        return False
+    return all(
+        model.has_r_inverse(model.face(A, j, a), lower(i, j))
+        for j in range(1, A.dim + 1)
+        if j != i
+        for a in ALPHAS
+    )
+
+
+def t_oracle(model: CubModel, A: Cell, i: int) -> bool:
+    """A is transposition-invertible at i iff its i-fold reverses at i."""
+    if not 1 <= i <= A.dim - 1:
+        return False
+    return model.has_r_inverse(psi(model, A, i), i)
+
+
+def t_shell_oracle(model: CubModel, A: Cell, i: int) -> bool:
+    if A.dim < 2:
+        raise DomainError("transposition shells need dimension >= 2")
+    if not 1 <= i <= A.dim - 1:
+        return False
+    return all(
+        t_oracle(model, model.face(A, j, a), lower(i, j))
+        for j in range(1, A.dim + 1)
+        if j not in (i, i + 1)
+        for a in ALPHAS
+    )
+
+
+def classify_oracle(model: CubModel, dims: Sequence[int], *, bound: int = 1,
+                    extra_random: int = 0, rng=None) -> OmegaPReport:
+    """The classifier's loop: per cell, the plain, R-shell and T-shell
+    predicates in turn, each with its own short-circuits."""
+    if extra_random and (rng is None or not hasattr(model, "sample_cells")):
+        raise ValueError("extra_random needs an rng and a model with sample_cells")
+    if any(n < 1 for n in dims):
+        raise DomainError("plain invertibility needs dimension >= 1")
+    evidence = []
+    for n in sorted(dims):
+        cells = list(model.cells(n, bound))
+        if extra_random:
+            cells += model.sample_cells(n, extra_random, bound + 1, rng)
+        witness = None
+        all_inv = True
+        shell_ok = True
+        t_shell_ok = True
+        for A in cells:
+            plain = plain_oracle(model, A)
+            if not plain and witness is None:
+                all_inv = False
+                witness = A.payload
+            if r_shell_oracle(model, A, 1):
+                if model.has_r_inverse(A, 1) != plain:
+                    shell_ok = False
+            elif model.has_r_inverse(A, 1):
+                shell_ok = False  # invertible cells always have invertible shells
+            if n >= 2 and t_shell_oracle(model, A, 1):
+                if t_oracle(model, A, 1) != plain:
+                    t_shell_ok = False
+        evidence.append(
+            DimEvidence(n, len(cells), all_inv, witness, shell_ok, t_shell_ok)
+        )
+    return OmegaPReport(evidence, bound)
 
 
 def opposite(alpha: str) -> str:

@@ -85,6 +85,8 @@ def test_check_negative_value_exit2(capsys, flag):
     (["check", "--adc", "cube:1.5", "--dim", "1"], "cube:N needs an integer N, got 'cube:1.5'"),
     *((["classify", "--adc", "disk:2", "--dims", dims],
        f"--dims must be N or START..END in integers, got {dims!r}") for dims in ("1..x", "..2", "x", "1..")),
+    (["classify", "--adc", "disk:2", "--dims", "0..1"],
+     "--dims start must be >= 1, as plain invertibility needs, got 0"),
 ])
 def test_negative_input_exit2(capsys, argv, message):
     code, out, err = run(capsys, *argv)

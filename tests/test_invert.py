@@ -203,6 +203,25 @@ def test_shell_conditions(plain_disk2, omega0, sample2):
     assert not has_r_invertible_shell(plain_disk2, bad, 1)
 
 
+def test_shells_fail_directions_out_of_range(omega0, sample2):
+    """A shell direction out of range answers False, as `has_r_inverse` and
+    `is_t_invertible` do, where i <= 0 raised `lower`'s DomainError; the
+    dimension refusals stay."""
+    disk3 = NcModel(disk(3))
+    for model, A in ((omega0, sample2[0]), (disk3, disk3.cells(3, 1)[40])):
+        n = A.dim
+        assert has_r_invertible_shell(model, A, 1) in (True, False)
+        for i in (0, -1, n + 1):
+            assert has_r_invertible_shell(model, A, i) is False
+            assert has_t_invertible_shell(model, A, i) is False
+        assert has_t_invertible_shell(model, A, n) is False
+    x = omega0.cells(1, 1)[0]
+    for shell, text in ((has_r_invertible_shell, "shells need dimension >= 1"),
+                        (has_t_invertible_shell, "transposition shells need dimension >= 2")):
+        with pytest.raises(DomainError, match=f"^{text}$"):
+            shell(omega0, omega0.face(x, 1, "-") if shell is has_r_invertible_shell else x, 0)
+
+
 def test_equivalence_of_characterisations(plain_disk2, omega0, sample2):
     # reversal-invertible iff plain invertible with reversal-invertible shell
     for model, cells in ((plain_disk2, plain_disk2.cells(2, 1)), (omega0, sample2)):
@@ -339,6 +358,16 @@ def test_classifier_deterministic(plain_disk2):
     r2 = classify_omega_p(plain_disk2, [1, 2], bound=1,
                           extra_random=10, rng=random.Random(5))
     assert r1.summary() == r2.summary()
+
+
+def test_classifier_refuses_dimension_zero_before_drawing_cells():
+    class Listing(NcModel):
+        def cells(self, n, bound, budget=None):
+            raise AssertionError("enumerated")
+
+    for dims in ([0], [0, 1], [2, 1, 0]):
+        with pytest.raises(DomainError, match="^plain invertibility needs dimension >= 1$"):
+            classify_omega_p(Listing(disk(2)), dims, bound=1)
 
 
 def test_classifier_refuses_extra_cells_it_cannot_draw(plain_disk2):
