@@ -30,8 +30,10 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable, Sequence
+from functools import cached_property, lru_cache
+from operator import itemgetter
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .core import Report
 
@@ -82,6 +84,12 @@ def _apply(columns: Sequence[Column], coeffs: Sequence[int], rank: int) -> Vecto
             for x, r in col:
                 out[r] += c * x
     return tuple(out)
+
+
+def _kernel(index: Sequence[int]) -> Callable[[tuple], tuple]:
+    """The gather of the positions `index` from a tuple, as a tuple."""
+    # itemgetter of a single index returns the bare item, not a 1-tuple
+    return itemgetter(*index) if len(index) > 1 else lambda payload, p=index[0]: (payload[p],)
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -149,6 +157,24 @@ class Adc:
             if c
         ]
         return " + ".join(terms).replace("+ -", "- ") if terms else "0"
+
+    # the flat basis and what reads it, built once per complex (an Adc is immutable)
+    @cached_property
+    def flat(self) -> tuple[tuple[int, str], ...]:
+        """The basis as (degree, name) pairs: by degree, then as `degrees` lists it."""
+        return tuple((k, name) for k, names in enumerate(self.degrees) for name in names)
+
+    @cached_property
+    def positions(self) -> Mapping[str, int]:
+        """Each basis name's position in `flat`."""
+        return MappingProxyType({name: pos for pos, (_, name) in enumerate(self.flat)})
+
+    @cached_property
+    def flat_columns(self) -> tuple[Column, ...]:
+        """Per `flat` position, its boundary column with rows shifted to `flat` positions."""
+        offs = list(itertools.accumulate(map(len, self.degrees), initial=0))
+        return tuple(tuple((c, offs[k - 1] + r) for c, r in col)
+                     for k, cols in enumerate(self.columns) for col in cols)
 
 
 def make_adc(
@@ -270,6 +296,12 @@ def disk(n: int, d_convention: str = TARGET_MINUS_SOURCE) -> Adc:
     d[s_{k+1}] = d[t_{k+1}] = t_k - s_k; the flipped convention negates
     every boundary.  All cones are non-negative.
     """
+    return _disk(n, d_convention)
+
+
+@lru_cache(maxsize=None)
+def _disk(n: int, d_convention: str) -> Adc:
+    # an Adc is immutable, so every caller can share one copy per (n, convention)
     sign = orientation_sign(d_convention)
     degrees = [[f"s{k}", f"t{k}"] for k in range(n)] + [["x"]]
     # d[generator] = sign * (t_{k-1} - s_{k-1}): rows s_{k-1}, t_{k-1}
@@ -359,6 +391,29 @@ class ChainMap:
     source: Adc
     target: Adc
     terms: tuple[tuple[tuple[tuple[int, int], ...], ...], ...]
+
+    @cached_property
+    def precomposition(self) -> tuple[Callable[[tuple], tuple], tuple, int]:
+        """Precomposition with this monomial co-map over `flat` payloads, built once:
+        (gather, negs, kills).  Past the target's width the gather reads the negated
+        values `negs` names (degree, position, name), or zero chains of degrees < kills."""
+        width, offs = len(self.target.flat), list(
+            itertools.accumulate(map(len, self.target.degrees), initial=0))
+        index: list[int] = []
+        negs: list[tuple[int, int, str]] = []
+        for (k, name), terms in zip(self.source.flat, (t for row in self.terms for t in row),
+                                    strict=True):
+            if not terms:
+                index.append(width + k)
+                continue
+            ((c, t),) = terms
+            if c == 1:
+                index.append(offs[k] + t)
+            else:
+                index.append(width + len(negs))
+                negs.append((k, offs[k] + t, name))
+        kills = len(self.terms) if not negs and max(index) >= width else 0
+        return _kernel(index), tuple(negs), kills
 
     def apply(self, k: int, coeffs: Sequence[int]) -> Vector:
         if k > self.source.top:

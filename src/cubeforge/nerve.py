@@ -12,10 +12,10 @@ eagerly at construction:
 * augmentation: every vertex value has augmentation 1;
 * positivity: every value lies in the cone of its degree.
 
-Validation and the bounded search read the signed sums from one table
-per dimension (`_boundary_terms`: the domain's sparse boundary columns,
-`Adc.columns`, shifted to payload positions); with the augmentation read as the
-boundary of a vertex (rhs = (1,)), one solver query draws every value.
+Validation and the bounded search read the signed sums from the domain's
+boundary columns shifted to payload positions (`Adc.flat_columns`); with
+the augmentation read as the boundary of a vertex (rhs = (1,)), one
+solver query draws every value.
 The search's step table (`_steps`, one per dimension and bound) memoizes
 each step's candidates by the values its rhs reads, so the sum and the
 query run once per distinct such values.  It is kept for sampling until
@@ -28,11 +28,13 @@ operations act by precomposition with the co-structure maps of
 `cubeforge.adc`: `cube_face`, `cube_deg`, `cube_conn`, `cube_rev` and
 `cube_swap`, split as `comp_split` says; or `disk_face`, `disk_identity`
 (eps_1, the only degeneracy; there are no connections) and `disk_rev`
-(direction 1 only), split as `disk_split` says.  Each map is built once
-(`adc` caches it) and compiled once per (operation, dimension,
-direction, sign) into an `operator.itemgetter` over the payload, with
-the zero chains it kills appended, so an operation is one C-level
-gather.  The cell-level methods wrap one payload kernel per table, and
+(direction 1 only), split as `disk_split` says.  What reads only these
+maps and domains is built once per process: the flat basis (`Adc.flat`),
+each map's gather (`ChainMap.precomposition`) and each composite's
+(`_comp_table`).  A nerve's table per (operation, dimension, direction,
+sign) is that gather with its K's zero chains appended where the map
+kills values, so an operation is one C-level gather.  The cell-level
+methods wrap one payload kernel per table, and
 `lower` turns each node of a `core` plan into a step calling it, with
 the same range checks, composability compare and cone check.  Composing
 a plan's gathers (`_walk`) gives its one program (`_program`), which
@@ -71,9 +73,9 @@ from dataclasses import dataclass
 from operator import add, attrgetter, eq, getitem, itemgetter, sub
 from typing import Callable, Mapping, NamedTuple, Sequence
 
-from .adc import (Adc, Chain, ChainMap, comp_split, cube, cube_conn, cube_deg, cube_face,
-                  cube_rev, cube_swap, disk, disk_face, disk_identity, disk_rev, disk_split,
-                  to_json_dict, vec_neg)
+from .adc import (Adc, Chain, ChainMap, _kernel, comp_split, cube, cube_conn, cube_deg,
+                  cube_face, cube_rev, cube_swap, disk, disk_face, disk_identity, disk_rev,
+                  disk_split, to_json_dict, vec_neg)
 from .core import (BudgetExceeded, Cell, CompositionError, CubModel, Lowered, NotInvertible,
                    OracleUnavailable, globular_cells)
 
@@ -134,9 +136,21 @@ class _Table(NamedTuple):
     extra: tuple
 
 
-def _kernel(index: Sequence[int]) -> Callable[[tuple], tuple]:
-    # itemgetter of a single index returns the bare item, not a 1-tuple
-    return itemgetter(*index) if len(index) > 1 else lambda payload, p=index[0]: (payload[p],)
+@functools.lru_cache(maxsize=None)
+def _comp_table(family: Callable, split: Callable, n: int, i: int, conv: str) -> _Table:
+    """The composite along i of n-cells over `family(n, conv)`, built once per
+    process: it indexes A's payload, then B's, then the slab sums."""
+    flat = family(n, conv).flat
+    index: list[int] = []
+    slab: list[int] = []
+    for pos, (_, s) in enumerate(flat):
+        pieces = split(n, i, s)
+        if len(pieces) == 2:
+            index.append(2 * len(flat) + len(slab))
+            slab.append(pos)
+        else:
+            index.append(pos if pieces[0][0] == 1 else len(flat) + pos)
+    return _Table(_kernel(index), tuple(slab))
 
 
 # -- payload kernels: (payload, payload of the second operand, data) -> payload
@@ -196,7 +210,9 @@ class _NerveBase(CubModel):
     """A nerve over a domain family: assignment payloads over the basis of
     `family(n)`.  Its operations compile from `_co_map(kind, n, i, alpha)`,
     the co-map whose precomposition is operation `kind` on n-cells (or the
-    error the family raises for one it lacks), and from `split`."""
+    error the family raises for one it lacks), and from `split`.  Nerves of
+    one family share that compile; a nerve keeps what reads its K: the
+    tables (`_table`), solver, cells, steps, plans and sign tests."""
 
     max_dim = 6
     family: Callable[[int, str], Adc]
@@ -206,11 +222,8 @@ class _NerveBase(CubModel):
         self.K = K
         self.solver = _ChainSolver(K)
         self._domains: dict[int, Adc] = {}
-        self._elements: dict[int, list[tuple[int, str]]] = {}
-        self._index: dict[int, dict[str, int]] = {}
         self._cell_cache: dict[tuple[int, int], list[tuple]] = {}
         self._zeros: dict[int, tuple] = {}
-        self._terms: dict[int, tuple] = {}
         self._step_tables: dict[tuple[int, int], tuple[tuple, ...]] = {}
         self._tables: dict[tuple, _Table] = {}
         self._lowered: dict[tuple, Lowered] = {}
@@ -224,22 +237,12 @@ class _NerveBase(CubModel):
             self._domains[n] = self.family(n, self.K.d_convention)
         return self._domains[n]
 
-    def elements(self, n: int) -> list[tuple[int, str]]:
+    def elements(self, n: int) -> tuple[tuple[int, str], ...]:
         """The domain basis of dimension-n cells as (degree, name) pairs."""
-        if n not in self._elements:
-            dom = self.domain(n)
-            flat = [
-                (k, name)
-                for k in range(dom.top + 1)
-                for name in dom.degrees[k]
-            ]
-            self._elements[n] = flat
-            self._index[n] = {name: pos for pos, (k, name) in enumerate(flat)}
-        return self._elements[n]
+        return self.domain(n).flat
 
     def pos(self, n: int, name: str) -> int:
-        self.elements(n)
-        return self._index[n][name]
+        return self.domain(n).positions[name]
 
     def zero_chain(self, k: int) -> tuple:
         if k not in self._zeros:
@@ -265,7 +268,7 @@ class _NerveBase(CubModel):
                     for (k, name), v in flat if len(v) != K.rank(k)]
         if problems:  # the laws below read every value at its rank
             return problems
-        for ((k, name), v), terms in zip(flat, self._boundary_terms(A.dim)):
+        for ((k, name), v), terms in zip(flat, self.domain(A.dim).flat_columns):
             if not K.in_cone(k, v):
                 problems.append(f"value at {name} escapes the cone")
             if k == 0:
@@ -275,17 +278,6 @@ class _NerveBase(CubModel):
                   != _boundary(terms, A.payload, K.rank(k - 1))):
                 problems.append(f"chain-map law fails at {name}")
         return problems
-
-    def _boundary_terms(self, n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """The chain-map law of n-cells: per payload position p, the
-        (coefficient, position) pairs of its domain boundary, so the value
-        at p must have boundary `_boundary(terms[p], payload, rank)`."""
-        if n not in self._terms:
-            dom = self.domain(n)
-            offs = list(itertools.accumulate(map(len, dom.degrees), initial=0))
-            self._terms[n] = tuple(tuple((c, offs[k - 1] + r) for c, r in col)
-                                   for k, cols in enumerate(dom.columns) for col in cols)
-        return self._terms[n]
 
     # -- enumeration --------------------------------------------------------
 
@@ -318,7 +310,7 @@ class _NerveBase(CubModel):
         grows, so a heap of ready positions keyed by (-degree, position)
         pops the element a rescan of that ranking would pick.
         """
-        flat, terms = self.elements(n), self._boundary_terms(n)
+        flat, terms = self.elements(n), self.domain(n).flat_columns
         missing = [len(t) for t in terms]
         users: list[list[int]] = [[] for _ in flat]
         for p, t in enumerate(terms):
@@ -347,7 +339,7 @@ class _NerveBase(CubModel):
         """
         key = (n, bound)
         if key not in self._step_tables:
-            flat, terms = self.elements(n), self._boundary_terms(n)
+            flat, terms = self.elements(n), self.domain(n).flat_columns
             self._step_tables[key] = tuple(
                 (p, itemgetter(*(q for _, q in terms[p])) if k else None, {},
                  k, terms[p], self.K.rank(k - 1))
@@ -409,52 +401,19 @@ class _NerveBase(CubModel):
     # -- operation tables -----------------------------------------------------
 
     def _table(self, kind: str, n: int, i: int, alpha: str = "") -> _Table:
-        """The compiled table of an operation on n-cells, built once."""
+        """The compiled table of an operation on n-cells, kept per model: the
+        shared compile of its co-map (or of `split`), with this K's zero chains
+        appended where it kills values."""
         key = (kind, n, i, alpha)
         tab = self._tables.get(key)
         if tab is None:
             if kind == "comp":
-                tab = self._compile_comp(n, i)
+                tab = _comp_table(self.family, self.split, n, i, self.K.d_convention)
             else:
-                tab = self._compile(self._co_map(kind, n, i, alpha), n)
+                getter, negs, kills = self._co_map(kind, n, i, alpha).precomposition
+                tab = _Table(getter, negs or tuple(map(self.zero_chain, range(kills))))
             self._tables[key] = tab
         return tab
-
-    def _compile(self, cmap: ChainMap, n: int) -> _Table:
-        """Precomposition with a co-map into the n-th domain, over an n-cell's payload."""
-        width = len(self.elements(n))
-        offs = list(itertools.accumulate(map(len, cmap.target.degrees), initial=0))
-        images = (terms for row in cmap.terms for terms in row)
-        index: list[int] = []
-        negs: list[tuple[int, int, str]] = []
-        for (k, name), terms in zip(self.elements(cmap.source.top), images, strict=True):
-            if not terms:
-                index.append(width + k)
-                continue
-            ((c, t),) = terms
-            if c == 1:
-                index.append(offs[k] + t)
-            else:
-                index.append(width + len(negs))
-                negs.append((k, offs[k] + t, name))
-        zeros = tuple(self.zero_chain(k) for k in range(len(cmap.terms)))
-        extra = tuple(negs) if negs else zeros if max(index) >= width else ()
-        return _Table(_kernel(index), extra)
-
-    def _compile_comp(self, n: int, i: int) -> _Table:
-        """A composite indexes A's payload, then B's, then the slab sums."""
-        flat = self.elements(n)
-        width = len(flat)
-        index: list[int] = []
-        slab: list[int] = []
-        for pos, (_, s) in enumerate(flat):
-            pieces = self.split(n, i, s)
-            if len(pieces) == 2:
-                index.append(2 * width + len(slab))
-                slab.append(pos)
-            else:
-                index.append(pos if pieces[0][0] == 1 else width + pos)
-        return _Table(_kernel(index), tuple(slab))
 
     def _step(self, kind: str, n: int, *args) -> tuple:
         """The kernel and its data for operation `kind` on n-cells.

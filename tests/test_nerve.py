@@ -1,16 +1,19 @@
+import contextlib
 import hashlib
 import itertools
 import json
 import random
 import re
+from collections import Counter
+from operator import add
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubeforge.adc import (SOURCE_MINUS_TARGET, TARGET_MINUS_SOURCE, Chain, cube, disk, tensor,
-                           vec_neg, with_group_cones_above)
+from cubeforge.adc import (SOURCE_MINUS_TARGET, TARGET_MINUS_SOURCE, Chain, ChainMap, cube, disk,
+                           tensor, vec_neg, with_group_cones_above)
 from cubeforge.core import (
     ALPHAS,
     BudgetExceeded,
@@ -27,11 +30,14 @@ from cubeforge.core import (
     shell_key,
 )
 from cubeforge.invert import r_inverse
-from cubeforge.nerve import NcModel, NgModel, _boundary, gamma_vs_ng, globular_signature
+from cubeforge.nerve import (NcModel, NgModel, _boundary, _comp_table, _kernel, _Table,
+                             gamma_vs_ng, globular_signature)
 from cubeforge.nerve import SEARCH_BUDGET as NERVE_BUDGET
 
 from cubical_models import BoxModel, is_shell
 from test_adc import dense_boundary
+from test_check_plan import FlippedFace, WrongSlab
+from test_lowering import Swapped
 
 
 @pytest.fixture(scope="module")
@@ -519,6 +525,218 @@ def test_both_nerves_run_on_the_base_operations():
         assert {"family", "split", "_co_map"} <= set(vars(nerve))
 
 
+# -- the shared compile against the per-model one --------------------------------
+
+
+def oracle_elements(model, n):
+    """The flat basis of n-cells, as each model listed it for itself."""
+    dom = model.family(n, model.K.d_convention)
+    return [(k, name) for k in range(dom.top + 1) for name in dom.degrees[k]]
+
+
+def oracle_compile(model, cmap, n):
+    """Precomposition with a co-map into the n-th domain, compiled per model."""
+    width = len(oracle_elements(model, n))
+    offs = list(itertools.accumulate(map(len, cmap.target.degrees), initial=0))
+    images = (terms for row in cmap.terms for terms in row)
+    index, negs = [], []
+    for (k, name), terms in zip(oracle_elements(model, cmap.source.top), images, strict=True):
+        if not terms:
+            index.append(width + k)
+            continue
+        ((c, t),) = terms
+        if c == 1:
+            index.append(offs[k] + t)
+        else:
+            index.append(width + len(negs))
+            negs.append((k, offs[k] + t, name))
+    zeros = tuple(model.zero_chain(k) for k in range(len(cmap.terms)))
+    extra = tuple(negs) if negs else zeros if max(index) >= width else ()
+    return _Table(_kernel(index), extra)
+
+
+def oracle_compile_comp(model, n, i):
+    """A composite indexes A's payload, then B's, then the slab sums."""
+    flat = oracle_elements(model, n)
+    width, index, slab = len(flat), [], []
+    for pos, (_, s) in enumerate(flat):
+        pieces = model.split(n, i, s)
+        if len(pieces) == 2:
+            index.append(2 * width + len(slab))
+            slab.append(pos)
+        else:
+            index.append(pos if pieces[0][0] == 1 else width + pos)
+    return _Table(_kernel(index), tuple(slab))
+
+
+def oracle_table(model, kind, n, i, alpha=""):
+    if kind == "comp":
+        return oracle_compile_comp(model, n, i)
+    return oracle_compile(model, model._co_map(kind, n, i, alpha), n)
+
+
+def table_keys(top):
+    """Every (kind, n, i, alpha) of a table read on cells of dimension <= top."""
+    for n in range(top + 1):
+        for i in range(1, n + 2):
+            yield from (("face", n, i, a) for a in "-+" if i <= n)
+            yield from (("conn", n, i, a) for a in "-+" if i <= n < top)
+            yield from [("deg", n, i, "")] if n < top else []
+            yield from [("rev", n, i, ""), ("comp", n, i, "")] if i <= n else []
+            yield from [("swap", n, i, "")] if i < n else []
+
+
+def gathered(tab, kind, a, b):
+    """What a table gathers from payloads `a` (and `b`, for a composite)."""
+    if kind == "comp":
+        return tab.getter(a + b + tuple(tuple(map(add, a[p], b[p])) for p in tab.extra))
+    if kind in ("rev", "swap"):
+        return tab.getter(a + tuple(vec_neg(a[p]) for _, p, _ in tab.extra))
+    return tab.getter(a + tab.extra)
+
+
+def random_payload(model, n, rng):
+    return tuple(tuple(rng.randint(-3, 3) for _ in range(model.K.rank(k)))
+                 for k, _ in model.elements(n))
+
+
+SHARED_COMPILE = {
+    "disk(2)": lambda c: NcModel(disk(2, c)),
+    "disk(3)": lambda c: NcModel(disk(3, c)),
+    "cube(2)": lambda c: NcModel(cube(2, c)),
+    "tensor": lambda c: NcModel(tensor(disk(1, c), disk(2, c))),
+    "omega0": lambda c: NcModel(with_group_cones_above(disk(2, c), 0)),
+    "omega1": lambda c: NcModel(with_group_cones_above(disk(2, c), 1)),
+    "globular disk(3)": lambda c: NgModel(disk(3, c)),
+}
+
+
+@pytest.mark.parametrize("conv", [TARGET_MINUS_SOURCE, SOURCE_MINUS_TARGET])
+@pytest.mark.parametrize("name", SHARED_COMPILE)
+def test_shared_tables_gather_as_the_per_model_compile(name, conv):
+    """Every table of n-cells, n <= 4, gathers what the per-model compile
+    gathers on random payloads, with the same `extra`: this K's zero
+    chains where the co-map kills values.  A co-map the family lacks
+    raises the same error from both."""
+    model, rng, seen = SHARED_COMPILE[name](conv), random.Random(f"{name} {conv}"), Counter()
+    for key in table_keys(4):
+        try:
+            want = oracle_table(model, *key)
+        except (ValueError, OracleUnavailable) as exc:
+            with pytest.raises(type(exc)):
+                model._table(*key)
+            continue
+        got, kind, n = model._table(*key), key[0], key[1]
+        assert got.extra == want.extra, key
+        if kind in ("face", "deg", "conn") and got.extra:
+            assert got.extra == tuple((0,) * model.K.rank(k) for k in range(len(got.extra)))
+        for _ in range(3):
+            a, b = random_payload(model, n, rng), random_payload(model, n, rng)
+            assert gathered(got, kind, a, b) == gathered(want, kind, a, b), key
+        seen[kind] += 1
+    lacks = {"conn"} if isinstance(model, NgModel) else set()
+    assert set(seen) == {"face", "deg", "conn", "rev", "swap", "comp"} - lacks
+
+
+OMEGA0 = with_group_cones_above(disk(2), 0)
+# a fault-injecting nerve, its stock nerve and complex, and which tables it corrupts
+FAULTY_NERVES = {
+    "swapped": (lambda K: Swapped(K, ("conn", 2, 1, "+")), NcModel, disk(2),
+                lambda key: key == ("conn", 2, 1, "+")),
+    "wrong-slab": (lambda K: WrongSlab(K, ("comp", 2, 1, "")), NcModel, disk(2),
+                   lambda key: key == ("comp", 2, 1, "")),
+    "flipped-face": (FlippedFace, NgModel, OMEGA0, lambda key: key[0] == "face" and key[2] == 2),
+}
+
+
+def registers(tab, width):
+    """The registers a table gathers, past `width` its appended ones, and its extra."""
+    return tab.getter(tuple(range(2 * width + len(tab.extra)))), tab.extra
+
+
+@pytest.mark.parametrize("first", ["faulty", "stock"])
+@pytest.mark.parametrize("name", FAULTY_NERVES)
+def test_a_per_model_override_never_reaches_the_shared_compile(name, first):
+    """A fault-injecting nerve built before or after a stock nerve over the
+    same complex, each of them the first to compile the shared tables,
+    keeps its fault, and the stock nerve keeps the per-model compile's
+    tables."""
+    make_faulty, stock_class, K, corrupted = FAULTY_NERVES[name]
+    _comp_table.cache_clear()
+    for key in table_keys(3):
+        if key[0] != "comp":
+            with contextlib.suppress(ValueError, OracleUnavailable):
+                vars(stock_class(K)._co_map(*key)).pop("precomposition", None)
+    order = (make_faulty, stock_class) if first == "faulty" else (stock_class, make_faulty)
+    built = [make(K) for make in order]
+    faulty, stock = built if first == "faulty" else built[::-1]
+    for model in built:
+        for key in table_keys(3):
+            with contextlib.suppress(ValueError, OracleUnavailable):
+                model._table(*key)
+    later = stock_class(K)
+    for key in table_keys(3):
+        width = len(stock.elements(key[1]))
+        try:
+            want = registers(oracle_table(stock, *key), width)
+        except (ValueError, OracleUnavailable):
+            continue
+        assert registers(stock._table(*key), width) == want, key
+        assert registers(later._table(*key), width) == want, key
+        got = registers(faulty._table(*key), width)
+        assert (got != want) == corrupted(key), key
+
+
+def test_nerves_of_one_family_compile_each_co_map_once(monkeypatch):
+    """Five cubical nerves over complexes of different ranks: each co-map's
+    gather and each composite's are built once, every nerve's tables append
+    its own K's zero chains, and a warm `_step` reads one `_tables` entry
+    per table it uses."""
+    assert disk(2) is disk(2) and disk(2, SOURCE_MINUS_TARGET) is disk(2, SOURCE_MINUS_TARGET)
+    complexes = [disk(2), OMEGA0, cube(2), tensor(disk(1), disk(2)), disk(3)]
+    assert len({tuple(map(K.rank, range(4))) for K in complexes}) == 4  # omega0's are disk(2)'s
+    keys = list(table_keys(3))
+    co_maps = {key: NcModel(disk(2))._co_map(*key) for key in keys if key[0] != "comp"}
+    for cmap in co_maps.values():
+        vars(cmap).pop("precomposition", None)
+    _comp_table.cache_clear()
+    built = Counter()
+    prop = ChainMap.__dict__["precomposition"]
+    compile_once = prop.func
+    monkeypatch.setattr(prop, "func", lambda cmap: built.update([id(cmap)]) or compile_once(cmap))
+    models = [NcModel(K) for K in complexes]
+    for model in models:
+        for key in keys:
+            model._table(*key)
+    assert built == Counter({id(cmap): 1 for cmap in co_maps.values()})
+    comps = len(keys) - len(co_maps)
+    assert _comp_table.cache_info()[:2] == ((len(models) - 1) * comps, comps)  # (hits, misses)
+    for key, cmap in co_maps.items():
+        tabs = [model._table(*key) for model in models]
+        assert all(tab.getter is cmap.precomposition[0] for tab in tabs)
+        for model, tab in zip(models, tabs):
+            if key[0] in ("face", "deg", "conn") and tab.extra:
+                assert tab.extra == tuple((0,) * model.K.rank(k) for k in range(len(tab.extra)))
+    # warm: the compile routes fail, and each table is one `_tables.get`
+    model = models[1]
+    monkeypatch.setattr(model, "_co_map", None)
+    monkeypatch.setattr("cubeforge.nerve._comp_table", None)
+
+    class Counting(dict):
+        gets = 0
+
+        def get(self, key, default=None):
+            Counting.gets += 1
+            return super().get(key, default)
+
+    model._tables = Counting(model._tables)
+    for args, reads in [(("face", 2, 1, "-"), 1), (("deg", 2, 3), 1), (("conn", 2, 2, "+"), 1),
+                        (("rev", 3, 2), 1), (("swap", 3, 1), 1), (("comp", 3, 3, 2), 3)]:
+        before = Counting.gets
+        model._step(*args)
+        assert Counting.gets - before == reads, args
+
+
 def test_budget_exceeded():
     nc = NcModel(cube(2))
     with pytest.raises(BudgetExceeded) as exc:
@@ -549,7 +767,7 @@ def test_a_box_over_the_budget_is_refused_before_the_search():
 def _rescan_order(model, n):
     """The placement order by rescanning the (-degree, position) ranking
     from its start after every placement: the oracle of `_order`."""
-    flat, terms = model.elements(n), model._boundary_terms(n)
+    flat, terms = model.elements(n), model.domain(n).flat_columns
     placed, order = set(), []
     by_pref = sorted(range(len(flat)), key=lambda p: (-flat[p][0], p))
     while len(order) < len(flat):
@@ -570,7 +788,7 @@ def test_heap_order_is_the_rescan_order(model):
 def _direct_search(model, n, bound, budget, rng, limit):
     """The search without the candidate memo: every step sums its rhs and
     asks the solver.  Returns the payloads found and the nodes visited."""
-    flat, terms = model.elements(n), model._boundary_terms(n)
+    flat, terms = model.elements(n), model.domain(n).flat_columns
     query = model.solver.chains_with_boundary
     nodes, out, values = 0, [], [None] * len(flat)
 
