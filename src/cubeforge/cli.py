@@ -10,11 +10,11 @@ Inputs are file paths; wherever a complex is expected, the shorthand
 specs ``disk:N`` and ``cube:N`` also work and honour ``--orientation``
 (files carry their own stored convention).  All randomness flows through
 ``--seed``; output is byte-identical for fixed inputs, seed and flags.
-Exit codes: 0 success, 1 violations or a non-invertible input, 2 parse
-or usage errors (an empty sample, an `--i` naming no direction of the
-cell, two flags of which only one is read, a `perm` ambient above
-`MAX_AMBIENT`, a `disk:N` / `cube:N` above `MAX_SPEC`), and exhausted
-search budgets.
+Exit codes: 0 success, 1 violations, a non-invertible input or a stdout
+closed by its reader, 2 parse or usage errors (an empty sample, an `--i`
+naming no direction of the cell, two flags of which only one is read, a
+`perm` ambient above `MAX_AMBIENT`, a `disk:N` / `cube:N` above
+`MAX_SPEC`), and exhausted search budgets.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import random
 import sys
 
@@ -509,7 +510,13 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         # found by name when called, so the parser, built once, holds no command
-        return globals()[f"cmd_{args.command}"](args)
+        code = globals()[f"cmd_{args.command}"](args)
+        sys.stdout.flush()  # a reader that left early breaks the pipe here at the latest
+        return code
+    except BrokenPipeError:  # so that the flush at exit writes nowhere, not a traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: standard output was closed before all was written", file=sys.stderr)
+        return 1
     except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -107,7 +107,8 @@ class Lowered(NamedTuple):
     """A plan on one model: ``steps[k] = (fn, x, y, data)`` gives node slot
     k the value ``fn(vals[x], vals[y], data)`` (y is read by comp only).
     `load` maps a leaf cell to its value, `cell(k, value)` a value in slot
-    k back to a cell, and `equal` compares values as the model compares cells.
+    k back to a cell of this model, and `equal` compares values as the model
+    compares cells.  The nerves of one shape share the steps and program.
     `program()` gives None or the compiled plan, which `_run`, `_eval` and
     `_ask` try first: a function of the leaf values giving slot `out`'s
     value (a plan with probes: the list of their answers) when every

@@ -28,26 +28,26 @@ operations act by precomposition with the co-structure maps of
 `cubeforge.adc`: `cube_face`, `cube_deg`, `cube_conn`, `cube_rev` and
 `cube_swap`, split as `comp_split` says; or `disk_face`, `disk_identity`
 (eps_1, the only degeneracy; there are no connections) and `disk_rev`
-(direction 1 only), split as `disk_split` says.  What reads only these
-maps and domains is built once per process: the flat basis (`Adc.flat`),
-each map's gather (`ChainMap.precomposition`) and each composite's
-(`_comp_table`).  A nerve's table per (operation, dimension, direction,
-sign) is that gather with its K's zero chains appended where the map
-kills values, so an operation is one C-level gather.  The cell-level
-methods wrap one payload kernel per table, and
-`lower` turns each node of a `core` plan into a step calling it, with
-the same range checks, composability compare and cone check.  Composing
-a plan's gathers (`_walk`) gives its one program (`_program`), which
-`core._run` (the checkers), `core._eval` (the constructions) and
-`core._ask` (the probes of `cubeforge.invert`'s invertibility
-predicates) all run: its chain sums and negations in batches over one
-register file, then every check at once: each distinct register pair
-once, the cone checks in one `_sign_test`; a failing check hands the
-call to the steps.  A probe is one more `_sign_test`, of the probed
+(direction 1 only), split as `disk_split` says.  Each map's gather
+(`ChainMap.precomposition`) and each composite's (`_comp_table`) is built
+once per process; an operation's table appends K's zero chains where its
+map kills values, so an operation is one C-level gather.  `lower` turns
+each node of a `core` plan into a step calling its table, with the same
+range checks, composability compare and cone check.  Composing a plan's
+gathers (`_walk`) gives its one program (`_program`), which `core._run`
+(the checkers), `core._eval` (the constructions) and `core._ask` (the
+probes of `cubeforge.invert`'s invertibility predicates) all run from
+the plan's second run on: its chain sums and negations in batches over
+one register file, then every check at once: each distinct register
+pair once, the cone checks in one `_sign_test`; a failing check hands
+the call to the steps.  A probe is one more `_sign_test`, of the probed
 slot's registers at the `rev` table's slab positions.
 A checker's program reads a slab sum with a zero chain as the other
 summand, which settles the equations it makes identities at compile
 time; a construction's keeps every sum and compares every equation.
+These read K only through its cone and convention, so the nerves of one
+class, convention and cone share them, and each plan's run count
+(`_shape`): a plan one of them has run once runs compiled on all.
 The globular nerve speaks the cubical vocabulary of folded cells (source,
 target, identity and the composite over a k-boundary are d_1^-, d_1^+,
 eps_1 and *_(n-k)), so `core.check_globular` checks it and
@@ -153,6 +153,13 @@ def _comp_table(family: Callable, split: Callable, n: int, i: int, conv: str) ->
     return _Table(_kernel(index), tuple(slab))
 
 
+@functools.lru_cache(maxsize=None)
+def _shape(cls: type, conv: str, cone: tuple) -> tuple[dict, ...]:
+    """The record the nerves of one class, convention and cone (so ranks and
+    top degree) share for the process: zero chains, tables, plans, sign tests."""
+    return {}, {}, {}, {}
+
+
 # -- payload kernels: (payload, payload of the second operand, data) -> payload
 
 _SHIFT = {"face": -1, "deg": 1, "conn": 1}  # the dimension change of a plan node
@@ -210,9 +217,12 @@ class _NerveBase(CubModel):
     """A nerve over a domain family: assignment payloads over the basis of
     `family(n)`.  Its operations compile from `_co_map(kind, n, i, alpha)`,
     the co-map whose precomposition is operation `kind` on n-cells (or the
-    error the family raises for one it lacks), and from `split`.  Nerves of
-    one family share that compile; a nerve keeps what reads its K: the
-    tables (`_table`), solver, cells, steps, plans and sign tests."""
+    error the family raises for one it lacks), and from `split`.  The
+    nerves of one class, convention and cone share one record (`_shape`):
+    zero chains, tables, sign tests, and each plan's steps and program with
+    its run count.  A nerve keeps what reads K's boundaries or itself: the
+    solver, cells, search steps and each plan's binding to its cells.  A
+    class that changes `_table`, `_step` or `_co_map` keeps its own record."""
 
     max_dim = 6
     family: Callable[[int, str], Adc]
@@ -221,21 +231,19 @@ class _NerveBase(CubModel):
     def __init__(self, K: Adc):
         self.K = K
         self.solver = _ChainSolver(K)
-        self._domains: dict[int, Adc] = {}
         self._cell_cache: dict[tuple[int, int], list[tuple]] = {}
-        self._zeros: dict[int, tuple] = {}
         self._step_tables: dict[tuple[int, int], tuple[tuple, ...]] = {}
-        self._tables: dict[tuple, _Table] = {}
         self._lowered: dict[tuple, Lowered] = {}
-        self._rev_tests: dict[tuple[int, int], tuple] = {}
+        cls = type(self)  # a class that changes a table, step or co-map keeps its own record
+        stock = all(f.__module__ == __name__ for f in (cls._table, cls._step, cls._co_map))
+        self._zeros, self._tables, self._plans, self._rev_tests = (
+            _shape if stock else _shape.__wrapped__)(cls, K.d_convention, K.cone)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.K.name or 'K'})"
 
     def domain(self, n: int) -> Adc:
-        if n not in self._domains:
-            self._domains[n] = self.family(n, self.K.d_convention)
-        return self._domains[n]
+        return self.family(n, self.K.d_convention)  # cached by the family
 
     def elements(self, n: int) -> tuple[tuple[int, str], ...]:
         """The domain basis of dimension-n cells as (degree, name) pairs."""
@@ -455,27 +463,36 @@ class _NerveBase(CubModel):
         return _invert, (self._table(kind, n, i), self.K.in_cone)
 
     def lower(self, plan, leaf_dims: tuple[int, ...]) -> Lowered:
-        """`plan` as payload kernels over the compiled tables, built once per
-        (plan, leaf dimensions).  A node out of range or refused becomes a
-        step raising what the operation would raise, when (and if) it runs."""
+        """`plan` as payload kernels over the compiled tables: its steps, slot
+        dimensions and program (compiled on the plan's second run by any nerve
+        of the shape) are kept in the shape's record, and bound to this nerve's
+        cells.  A node out of range or refused becomes a step raising what the
+        operation would raise, when (and if) it runs."""
         key = (plan, leaf_dims)
         low = self._lowered.get(key)
         if low is None:
-            dims, steps = list(leaf_dims), [None] * plan.leaves
-            for kind, x, args in plan.nodes:
-                y, args = (args[0], (dims[args[0]], args[1])) if kind == "comp" else (x, args)
-                try:
-                    fn, data = self._step(kind, dims[x], *args)
-                except (ValueError, OracleUnavailable) as exc:
-                    fn, data = _refuse, (type(exc), str(exc))
-                steps.append((fn, x, y, data))
-                dims.append(dims[x] + _SHIFT.get(kind, 0))
-            steps, runs = tuple(steps), itertools.count()  # a plan run once keeps its steps
-            program = functools.cache(lambda: self._program(plan, steps, dims))
-            low = Lowered(steps, attrgetter("payload"),
-                          lambda k, payload: Cell(self, dims[k], payload), eq,
-                          lambda: program() if next(runs) else None)
-            self._lowered[key] = low
+            if key not in self._plans:
+                dims, steps = list(leaf_dims), [None] * plan.leaves
+                for kind, x, args in plan.nodes:
+                    y, args = (args[0], (dims[args[0]], args[1])) if kind == "comp" else (x, args)
+                    try:
+                        fn, data = self._step(kind, dims[x], *args)
+                    except (ValueError, OracleUnavailable) as exc:
+                        fn, data = _refuse, (type(exc), str(exc))
+                    steps.append((fn, x, y, data))
+                    dims.append(dims[x] + _SHIFT.get(kind, 0))
+                steps, runs, compiled = tuple(steps), itertools.count(), []
+
+                def program(model):  # a plan run once keeps its steps
+                    if next(runs) and not compiled:
+                        compiled.append(model._program(plan, steps, dims))
+                    return compiled[0] if compiled else None
+
+                self._plans[key] = steps, dims, program
+            steps, dims, program = self._plans[key]
+            low = self._lowered[key] = Lowered(
+                steps, attrgetter("payload"), lambda k, payload: Cell(self, dims[k], payload), eq,
+                lambda: program(self))
         return low
 
     def _walk(self, plan, steps: tuple, dims: list) -> tuple | None:

@@ -43,7 +43,7 @@ from cubeforge.core import (
     globular_cells,
 )
 from cubeforge.indices import lower, raise_
-from cubeforge.nerve import NcModel, NgModel, _NerveBase
+from cubeforge.nerve import NcModel, NgModel, _NerveBase, _shape
 
 from cubical_models import BoxModel, CellModel, PosetModel, grid2, opposite
 from test_lowering import Swapped, program, walk
@@ -808,6 +808,7 @@ def test_programs_compare_only_registers_they_have(name):
     chains and its fills.  Each sum it reads as one summand pairs the zero
     chain of a degree k with a register of rank K.rank(k).  The checkers'
     reports equal the oracle's."""
+    _shape.cache_clear()  # so that `m` compiles what its shape runs twice
     m, oracle = fresh(name), fresh(name, Uncompiled)
     cells = {n: pool(name, n)[:4] for n in range(4)}
 
@@ -846,6 +847,7 @@ def test_checker_programs_read_sums_with_zero_as_the_summand(name, plan, leaf_di
     plan's 41 slab sums has a zero chain as a summand, so it fills nothing
     and its 12 equations become identities; the pair plan along direction 1
     keeps 9 of its 34 sums and all 32 compares."""
+    _shape.cache_clear()  # so that `m` compiles what its shape runs twice
     m = fresh(name)
     built = compiled_walks(m, lambda: check_axioms(m, 3, {3: pool(name, 3)[:8]}, max_pairs=4))
     *_, batches, got = built[plan, leaf_dims][0]
@@ -990,8 +992,10 @@ def test_leaves_of_the_wrong_width_fall_back():
 
 
 def test_a_plan_run_once_keeps_its_steps():
-    """A plan compiles on its second run on a model, in the checkers as in
-    the constructions, so a one-shot call pays no compile."""
+    """A plan compiles on its second run in the process on a nerve of its
+    shape, in the checkers as in the constructions, so a one-shot call pays
+    no compile."""
+    _shape.cache_clear()  # no nerve of this shape has run a plan
     m = NcModel(with_group_cones_above(disk(2), 0))
     oracle = type("UncompiledNcModel", (Uncompiled, NcModel), {})(m.K)
     cells = {n: m.cells(n, 1)[:1] for n in range(3)}

@@ -32,6 +32,29 @@ def test_python_dash_m_runs_the_command(capsys):
     assert (done.returncode, done.stdout) == (code, out) and out
 
 
+@pytest.mark.parametrize("argv", [["fold", "--phi", "2", "--format", "json"],
+                                  ["perm", "boundary", "--word", "T1 T2", "--i", "2"]])
+def test_a_reader_that_closed_stdout_ends_the_command_with_one_line(tmp_path, argv):
+    """`python -m cubeforge` writing to a pipe whose read end is closed, with
+    output that fills the pipe at once (fold) or waits for the flush (perm):
+    exit 1 and one line on stderr, no traceback."""
+    model = NcModel(with_group_cones_above(disk(2), 0))
+    cellfile = tmp_path / "a.cell"
+    cellfile.write_text(json.dumps(cell_to_json(model, model.cells(2, 1)[5])))
+    if argv[0] == "fold":
+        argv = [argv[0], "--cell", str(cellfile), *argv[1:]]
+    env = {**os.environ, "PYTHONPATH": str(Path(cubeforge.__file__).resolve().parents[1])}
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run([sys.executable, "-m", "cubeforge", *argv], env=env, stdout=write,
+                              stderr=subprocess.PIPE, text=True, timeout=120)
+    finally:
+        os.close(write)
+    assert done.returncode == 1
+    assert done.stderr == "error: standard output was closed before all was written\n"
+
+
 def test_check_ok(tmp_path, capsys):
     path = tmp_path / "disk2.adc"
     save_adc(disk(2), str(path))

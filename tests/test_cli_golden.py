@@ -14,7 +14,7 @@ import pytest
 
 from cubeforge.adc import disk, save_adc, to_json_dict, with_group_cones_above
 from cubeforge.cli import main
-from cubeforge.nerve import NcModel
+from cubeforge.nerve import NcModel, _shape
 from cubeforge.transfor import chain_map_transfor, homotopy_lax_transfor
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -93,3 +93,16 @@ def test_cli_golden(name, tmp_path, capsys):
     code = main(build(tmp_path))
     assert code == want_code
     assert capsys.readouterr().out.encode() == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("first", ["disk2", "omega0"])
+def test_classify_goldens_hold_in_either_order(first, tmp_path, capsys):
+    """disk(2) and omega0 have equal ranks and different cones, so their
+    nerves share no sign test: classifying both in one process, in either
+    order and each twice (the second call runs compiled), prints the goldens."""
+    _shape.cache_clear()
+    names = ["classify_disk2.txt", "classify_omega0.txt"]
+    for name in (names if first == "disk2" else names[::-1]) * 2:
+        build, want_code = CASES[name]
+        assert main(build(tmp_path)) == want_code
+        assert capsys.readouterr().out.encode() == (GOLDEN / name).read_bytes(), name

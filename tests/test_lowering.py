@@ -34,9 +34,11 @@ import cubeforge.core as core
 import cubeforge.invert as invert
 from cubeforge.adc import cube, disk, make_adc, tensor, vec_neg, with_group_cones_above
 from cubeforge.core import (Cell, CompositionError, CubModel, DomainError, NotInvertible,
-                            Violation, check_axioms, check_globular, composable_pairs)
+                            OracleUnavailable, Violation, check_axioms, check_globular,
+                            composable_pairs)
 from cubeforge.invert import Comp, Conn, Eps, Leaf
-from cubeforge.nerve import _SHIFT, NcModel, NgModel, _kernel, _negated, _sign_test, _Table
+from cubeforge.nerve import (_SHIFT, NcModel, NgModel, _kernel, _negated, _shape, _sign_test,
+                             _Table)
 
 from cubical_models import CellModel, PosetModel, check_composable, closure_oracle, eval_expr
 
@@ -597,3 +599,101 @@ def test_has_r_inverse_reads_values_of_another_rank_as_the_steps_do(K, shows):
                     assert got == steps
                     seen.add(got if isinstance(got, bool) else got[1])
     assert seen == shows
+
+
+# -- fault models beside stock nerves ------------------------------------------------
+
+
+def fault_models():
+    """name -> (a fault model over K, its stock class, K).  Built when called:
+    `test_check_plan` and `test_probes`, which define some of them, import
+    this module."""
+    from test_check_plan import FlippedFace, WrongSlab
+    from test_probes import Unglued
+    return {
+        "swapped-conn": (lambda K: Swapped(K, ("conn", 2, 1, "+")), NcModel, disk(2)),
+        "swapped-face": (lambda K: Swapped(K, ("face", 2, 2, "+")), NcModel, disk(2)),
+        "wrong-slab": (lambda K: WrongSlab(K, ("comp", 2, 1, "")), NcModel, disk(2)),
+        "unglued": (lambda K: Unglued(K, (2, 2)), NcModel, disk(2)),
+        "flipped-face": (FlippedFace, NgModel, with_group_cones_above(disk(2), 0)),
+    }
+
+
+def step_maps(m):
+    """What each operation's step on cells of dimension <= 3 reads: the index
+    map and extra of every table in its data, or the error it raises."""
+    from test_nerve import table_keys
+    out = {}
+    for kind, n, i, alpha in table_keys(3):
+        args = {"face": (i, alpha), "conn": (i, alpha), "comp": (n, i)}.get(kind, (i,))
+        try:
+            _, data = m._step(kind, n, *args)
+        except (ValueError, OracleUnavailable, NotInvertible) as exc:
+            out[kind, n, i, alpha] = type(exc).__name__
+            continue
+        width = 2 * len(m.elements(n))
+        tables = [data] if isinstance(data, _Table) else [t for t in data if isinstance(t, _Table)]
+        out[kind, n, i, alpha] = [(t.getter(tuple(range(width + len(t.extra)))), t.extra)
+                                  for t in tables]
+    return out
+
+
+def behaviour(m, payloads):
+    """`m`'s step maps, and its checker's report, 2-folds and T_1-inverses on
+    the cells `payloads` (dimension -> payloads), each run twice: a plan's
+    second run in a clean process is compiled."""
+    cells = {n: [Cell(m, n, p) for p in ps] for n, ps in payloads.items()}
+    if isinstance(m, NgModel):
+        check = functools.partial(check_globular, m, cells, max_pairs=4)
+    else:
+        check = functools.partial(check_axioms, m, 2, cells, max_pairs=4)
+    got = []
+    for _ in range(2):
+        got.append(outcome(check))
+        for A in cells[2]:
+            got += [outcome(lambda: core.phi(m, A, 2).payload),
+                    outcome(lambda: invert.t_inverse(m, A, 1).payload)]
+    return step_maps(m), got
+
+
+def alone(make, payloads):
+    """`behaviour` of the nerve `make()` builds as the first of its shape."""
+    _shape.cache_clear()
+    return behaviour(make(), payloads)
+
+
+@pytest.mark.parametrize("first", ["fault", "stock"])
+@pytest.mark.parametrize("name", ["swapped-conn", "swapped-face", "wrong-slab", "unglued",
+                                  "flipped-face"])
+def test_fault_models_keep_their_faults_beside_stock_nerves(name, first):
+    """A fault model built before or after a stock nerve over the same K, the
+    two run in turn: each behaves as it does alone, so the fault model shows
+    its own fault and the stock nerve, which reports no violation, none."""
+    make, stock_class, K = fault_models()[name]
+    payloads = {n: [A.payload for A in stock_class(K).cells(n, 1)[:5]] for n in range(3)}
+    want = {"fault": alone(lambda: make(K), payloads),
+            "stock": alone(lambda: stock_class(K), payloads)}
+    assert want["fault"][0] != want["stock"][0] and want["stock"][1][0][1] == []  # violations
+    _shape.cache_clear()
+    order = ["fault", "stock"] if first == "fault" else ["stock", "fault"]
+    models = {}
+    for side in order:
+        models[side] = make(K) if side == "fault" else stock_class(K)
+        assert behaviour(models[side], payloads) == want[side], side
+    for side in order:
+        assert behaviour(models[side], payloads) == want[side], side
+
+
+def test_two_swapped_nerves_over_one_complex_keep_their_own_faults():
+    """Swapped nerves over one K, with different keys: each keeps its own
+    corrupted table, whichever runs first, and neither reaches a stock nerve."""
+    keys, K = [("conn", 2, 1, "+"), ("face", 2, 2, "+")], disk(2)
+    payloads = {n: [A.payload for A in NcModel(K).cells(n, 1)[:5]] for n in range(3)}
+    want = [alone(lambda: Swapped(K, key), payloads) for key in keys]
+    stock = alone(lambda: NcModel(K), payloads)
+    assert len({repr(w[0]) for w in (*want, stock)}) == 3
+    for order in (keys, keys[::-1]):
+        _shape.cache_clear()
+        models = [Swapped(K, key) for key in order]
+        got = [behaviour(m, payloads) for m in models + [NcModel(K)]]
+        assert got == [want[keys.index(key)] for key in order] + [stock]

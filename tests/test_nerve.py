@@ -13,12 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubeforge.adc import (SOURCE_MINUS_TARGET, TARGET_MINUS_SOURCE, Chain, ChainMap, cube, disk,
-                           tensor, vec_neg, with_group_cones_above)
+                           from_json_dict, tensor, to_json_dict, vec_neg, with_group_cones_above)
 from cubeforge.core import (
     ALPHAS,
     BudgetExceeded,
     Cell,
     CompositionError,
+    CubModel,
     NotInvertible,
     OracleUnavailable,
     check_axioms,
@@ -29,12 +30,12 @@ from cubeforge.core import (
     phi,
     shell_key,
 )
-from cubeforge.invert import r_inverse
-from cubeforge.nerve import (NcModel, NgModel, _boundary, _comp_table, _kernel, _Table,
+from cubeforge.invert import is_plain_invertible, r_inverse
+from cubeforge.nerve import (NcModel, NgModel, _boundary, _comp_table, _kernel, _shape, _Table,
                              gamma_vs_ng, globular_signature)
 from cubeforge.nerve import SEARCH_BUDGET as NERVE_BUDGET
 
-from cubical_models import BoxModel, is_shell
+from cubical_models import BoxModel, is_shell, plain_oracle
 from test_adc import dense_boundary
 from test_check_plan import FlippedFace, WrongSlab
 from test_lowering import Swapped
@@ -700,6 +701,7 @@ def test_nerves_of_one_family_compile_each_co_map_once(monkeypatch):
     for cmap in co_maps.values():
         vars(cmap).pop("precomposition", None)
     _comp_table.cache_clear()
+    _shape.cache_clear()  # no nerve holds a table yet
     built = Counter()
     prop = ChainMap.__dict__["precomposition"]
     compile_once = prop.func
@@ -735,6 +737,58 @@ def test_nerves_of_one_family_compile_each_co_map_once(monkeypatch):
         before = Counting.gets
         model._step(*args)
         assert Counting.gets - before == reads, args
+
+
+def test_nerves_over_one_complex_file_share_one_record():
+    """A hundred nerves over complexes read from one JSON dict: a hundred
+    complexes of one cone and convention, so one shared record."""
+    _shape.cache_clear()
+    data = to_json_dict(OMEGA0)
+    models = [NcModel(from_json_dict(data)) for _ in range(100)]
+    assert len({id(m.K) for m in models}) == 100
+    assert _shape.cache_info()[:2] == (99, 1)  # (hits, misses)
+    records = {tuple(map(id, (m._zeros, m._tables, m._plans, m._rev_tests))) for m in models}
+    assert len(records) == 1
+
+
+# nerves that must share no record: equal ranks but different cones, and
+# one complex in both conventions
+UNSHARED = {
+    "disk(2), omega0": (disk(2), OMEGA0),
+    "printed, flipped": (disk(2), disk(2, SOURCE_MINUS_TARGET)),
+}
+
+
+@pytest.mark.parametrize("name", UNSHARED)
+def test_nerves_of_different_shapes_share_no_table_or_sign_test(name):
+    """Two nerves warmed in turn: each has its own record, every table
+    gathers as its own per-model compile, and every sign test (the direct
+    ones and the probes of `is_plain_invertible`, run twice so that the
+    second is compiled) answers as its own cone's exception route.  Read on
+    one complex's cells, the two cones' answers differ where they differ."""
+    _shape.cache_clear()
+    models = [NcModel(K) for K in UNSHARED[name]]
+    assert all(getattr(models[0], r) is not getattr(models[1], r)
+               for r in ("_zeros", "_tables", "_plans", "_rev_tests"))
+    rng, answers = random.Random(name), []
+    cells = [(n, A.payload) for n in (1, 2) for A in models[0].cells(n, 1)]
+    for m in models:
+        for key in table_keys(3):
+            with contextlib.suppress(ValueError, OracleUnavailable):
+                want, got = oracle_table(m, *key), m._table(*key)
+                assert got.extra == want.extra, key
+                a, b = random_payload(m, key[1], rng), random_payload(m, key[1], rng)
+                assert gathered(got, key[0], a, b) == gathered(want, key[0], a, b), key
+        seen = []
+        for _ in range(2):
+            for n, payload in cells:
+                A = Cell(m, n, payload)
+                seen += [m.has_r_inverse(A, i) for i in range(1, n + 1)]
+                seen.append(is_plain_invertible(m, A))
+                assert seen[-n - 1:] == [CubModel.has_r_inverse(m, A, i)
+                                         for i in range(1, n + 1)] + [plain_oracle(m, A)]
+        answers.append(seen)
+    assert (answers[0] != answers[1]) == (name == "disk(2), omega0")
 
 
 def test_budget_exceeded():

@@ -29,7 +29,7 @@ import cubeforge.invert as invert
 from cubeforge.adc import (SOURCE_MINUS_TARGET, TARGET_MINUS_SOURCE, cube, disk, tensor,
                            with_group_cones_above)
 from cubeforge.core import Cell
-from cubeforge.nerve import NcModel, _kernel, _NerveBase, _Table
+from cubeforge.nerve import NcModel, _kernel, _NerveBase, _shape, _Table
 
 from cubical_models import (PosetModel, classify_oracle, plain_oracle, r_shell_oracle,
                             t_oracle, t_shell_oracle)
@@ -80,10 +80,13 @@ PREDICATES = [(invert.has_r_invertible_shell, r_shell_oracle),
 
 def three_ways(make, fn):
     """fn(model) on a new model with its programs switched off, then twice on
-    another new model."""
+    another new model; each is the first nerve of its shape to run a plan,
+    and the first one's switched-off programs are not the second's."""
+    _shape.cache_clear()
     off = make()
     with mock.patch.object(_NerveBase, "_program", lambda *_: None):
         steps = fn(off)
+    _shape.cache_clear()
     m = make()
     return [steps, fn(m), fn(m)]
 
