@@ -97,6 +97,8 @@ def resolve_adc(ref: str, orientation: str) -> Adc:
         return load_adc(ref)
     except FileNotFoundError:
         raise CliError(f"no such file: {ref}")
+    except OSError as exc:
+        raise CliError(f"cannot read {ref}: {exc.strerror}")
     except MALFORMED as exc:
         raise CliError(f"cannot parse complex from {ref}: {exc}")
 
@@ -121,6 +123,8 @@ def load_json(path: str, what: str) -> dict:
             data = json.load(fh)
     except FileNotFoundError:
         raise CliError(f"no such file: {path}")
+    except OSError as exc:
+        raise CliError(f"cannot read {path}: {exc.strerror}")
     except json.JSONDecodeError as exc:
         raise CliError(f"cannot parse {path}: {exc}")
     if not isinstance(data, dict):

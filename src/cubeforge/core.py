@@ -36,8 +36,8 @@ text described above; `_eval` runs a construction in the order it was
 built and stops at its first failing equation; `_ask` answers a plan's
 probes (has this slot a reversal inverse in that direction?) as asked.
 
-On the nerves a plan run a second time on a model is compiled into one
-program (`Lowered.program`), which serves all three runners: it computes
+On the nerves a plan is compiled into one program (`Lowered.program`)
+when it is first lowered, which serves all three runners: it computes
 every node at once and then makes every check (composability compares,
 cone checks, the equations) at once.  When they all hold, `_eval` returns
 its value, `_run` adds the plan's per-family counts and `_ask` reads
@@ -104,12 +104,12 @@ class Cell:
 
 
 class Lowered(NamedTuple):
-    """A plan on one model: ``steps[k] = (fn, x, y, data)`` gives node slot
+    """A plan on a model: ``steps[k] = (fn, x, y, data)`` gives node slot
     k the value ``fn(vals[x], vals[y], data)`` (y is read by comp only).
-    `load` maps a leaf cell to its value, `cell(k, value)` a value in slot
-    k back to a cell of this model, and `equal` compares values as the model
-    compares cells.  The nerves of one shape share the steps and program.
-    `program()` gives None or the compiled plan, which `_run`, `_eval` and
+    `load` maps a leaf cell to its value, `cell(model, k, value)` a value
+    in slot k back to a cell of `model`, and `equal` compares values as
+    the model compares cells; so the nerves of one shape share one record.
+    `program` is None or the compiled plan, which `_run`, `_eval` and
     `_ask` try first: a function of the leaf values giving slot `out`'s
     value (a plan with probes: the list of their answers) when every
     composability compare, cone check and equation holds, else
@@ -118,9 +118,9 @@ class Lowered(NamedTuple):
 
     steps: tuple
     load: Callable[[Cell], Any]
-    cell: Callable[[int, Any], Cell]
+    cell: Callable[["CubModel", int, Any], Cell]
     equal: Callable[[Any, Any], bool]
-    program: Callable[[], Any] = lambda: None
+    program: Callable[[list], Any] | None = None
 
 
 class CubModel:
@@ -128,8 +128,10 @@ class CubModel:
 
     Subclasses implement the five operations; the optional hooks
     (`cells`, `r_inverse`, `has_r_inverse`) power enumeration-based
-    checks and the invertibility machinery.  `lower` is the one hook
-    through which plans are evaluated; without it a model runs no plan.
+    checks and the invertibility machinery; `has_r_inverse` answers
+    whether `r_inverse` raises `NotInvertible`, on the nerves too.
+    `lower` is the one hook through which plans are evaluated; without it
+    a model runs no plan.
     """
 
     max_dim: int = 0
@@ -408,8 +410,8 @@ def _run(plan: _Plan, model: CubModel, report: Report, cells: list, n: int) -> N
     left uncomputed is computed afresh by the next equation needing it.
     """
     low = model.lower(plan, tuple(A.dim for A in cells))
-    vals, checked, program = list(map(low.load, cells)), report.checked, low.program()
-    if program is not None and program(vals) is not NotImplemented:
+    vals, checked = list(map(low.load, cells)), report.checked
+    if low.program is not None and low.program(vals) is not NotImplemented:
         for family, count in plan.counts.items():
             checked[family] = checked.get(family, 0) + count
         return
@@ -442,10 +444,9 @@ def _eval(plan: _Plan, model: CubModel, cells: list) -> Cell | None:
     cell in slot `plan.out`.  A lowered plan's program, if any, runs
     first; the steps run only when it declines, returning NotImplemented.
     """
-    low = model.lower(plan, tuple(A.dim for A in cells))
+    low, out = model.lower(plan, tuple(A.dim for A in cells)), plan.out
     vals = list(map(low.load, cells))
-    program, out = low.program(), plan.out
-    value = NotImplemented if program is None else program(vals)
+    value = NotImplemented if low.program is None else low.program(vals)
     if value is NotImplemented:
         steps, equal = low.steps, low.equal
 
@@ -459,7 +460,7 @@ def _eval(plan: _Plan, model: CubModel, cells: list) -> Cell | None:
                 return None
         build(len(steps))
         value = vals[out]
-    return cells[out] if out < plan.leaves else low.cell(out, value)
+    return cells[out] if out < plan.leaves else low.cell(model, out, value)
 
 
 def _ask(plan: _Plan, model: CubModel, cells: list) -> Callable[[int], bool]:
@@ -468,8 +469,8 @@ def _ask(plan: _Plan, model: CubModel, cells: list) -> Callable[[int], bool]:
     when asked, `model.has_r_inverse` deciding it after its nodes (`probe`)
     are computed or shared, so work and exceptions follow the questions."""
     low = model.lower(plan, tuple(A.dim for A in cells))
-    vals, program = list(map(low.load, cells)), low.program()
-    bits = NotImplemented if program is None else program(vals)
+    vals = list(map(low.load, cells))
+    bits = NotImplemented if low.program is None else low.program(vals)
     if bits is not NotImplemented:
         return bits.__getitem__
     steps, leaves = low.steps, plan.leaves
@@ -481,7 +482,7 @@ def _ask(plan: _Plan, model: CubModel, cells: list) -> Callable[[int], bool]:
             if vals[s] is None:
                 fn, a, b, data = steps[s]
                 vals[s] = fn(vals[a], vals[b], data)
-        return model.has_r_inverse(cells[x] if x < leaves else low.cell(x, vals[x]), k)
+        return model.has_r_inverse(cells[x] if x < leaves else low.cell(model, x, vals[x]), k)
 
     return ask
 

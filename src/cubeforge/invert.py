@@ -440,10 +440,10 @@ def classify_omega_p(
     >= 2) cells with a transposition-invertible shell at 1 must be
     transposition-invertible at 1.  Per dimension this is one probe plan
     (`_probe_plan`), asked of each cell in that order, shells
-    short-circuiting; on the nerves it runs from the second cell on as one
-    compiled program.  A dimension below 1 raises `DomainError` before any
-    cell is drawn.  `extra_random` more cells per dimension come from
-    `sample_cells` with `rng`; without both, ValueError.
+    short-circuiting; on the nerves it runs as one compiled program.  A
+    dimension below 1 raises `DomainError` before any cell is drawn.
+    `extra_random` more cells per dimension come from `sample_cells` with
+    `rng`; without both, ValueError.
     """
     if extra_random and (rng is None or not hasattr(model, "sample_cells")):
         raise ValueError("extra_random needs an rng and a model with sample_cells")

@@ -36,18 +36,17 @@ each node of a `core` plan into a step calling its table, with the same
 range checks, composability compare and cone check.  Composing a plan's
 gathers (`_walk`) gives its one program (`_program`), which `core._run`
 (the checkers), `core._eval` (the constructions) and `core._ask` (the
-probes of `cubeforge.invert`'s invertibility predicates) all run from
-the plan's second run on: its chain sums and negations in batches over
-one register file, then every check at once: each distinct register
-pair once, the cone checks in one `_sign_test`; a failing check hands
-the call to the steps.  A probe is one more `_sign_test`, of the probed
+probes of `cubeforge.invert`'s invertibility predicates) all run
+first: its chain sums and negations in batches over one register file,
+then every check at once: each distinct register pair once, the cone
+checks in one `_sign_test`; a failing check hands the call to the steps.  A probe is one more `_sign_test`, of the probed
 slot's registers at the `rev` table's slab positions.
 A checker's program reads a slab sum with a zero chain as the other
 summand, which settles the equations it makes identities at compile
 time; a construction's keeps every sum and compares every equation.
 These read K only through its cone and convention, so the nerves of one
-class, convention and cone share them, and each plan's run count
-(`_shape`): a plan one of them has run once runs compiled on all.
+class, convention and cone share them (`_shape`): each plan is lowered
+and compiled once, when the first of them lowers it.
 The globular nerve speaks the cubical vocabulary of folded cells (source,
 target, identity and the composite over a k-boundary are d_1^-, d_1^+,
 eps_1 and *_(n-k)), so `core.check_globular` checks it and
@@ -156,8 +155,8 @@ def _comp_table(family: Callable, split: Callable, n: int, i: int, conv: str) ->
 @functools.lru_cache(maxsize=None)
 def _shape(cls: type, conv: str, cone: tuple) -> tuple[dict, ...]:
     """The record the nerves of one class, convention and cone (so ranks and
-    top degree) share for the process: zero chains, tables, plans, sign tests."""
-    return {}, {}, {}, {}
+    top degree) share for the process: zero chains, tables, lowered plans."""
+    return {}, {}, {}
 
 
 # -- payload kernels: (payload, payload of the second operand, data) -> payload
@@ -178,24 +177,14 @@ def _compose(a: tuple, b: tuple, data: tuple) -> tuple:
     return getter(a + b + tuple(tuple(map(add, a[p], b[p])) for p in slab))
 
 
-def _negated(payload: tuple, negs: tuple, in_cone) -> tuple:
-    """The values `negs` names, negated, and None; or None and the name of
-    the first value whose negation leaves the cone."""
-    flipped = []
-    for k, p, name in negs:
-        neg = vec_neg(payload[p])
-        if not in_cone(k, neg):
-            return None, name
-        flipped.append(neg)
-    return tuple(flipped), None
-
-
 def _invert(a: tuple, _b: tuple, data: tuple) -> tuple:
     (getter, negs), in_cone = data
-    flipped, bad = _negated(a, negs, in_cone)
-    if flipped is None:
-        raise NotInvertible(f"value at {bad} is not invertible in the cone")
-    return getter(a + flipped)
+    flipped = []
+    for k, p, name in negs:
+        flipped.append(vec_neg(a[p]))
+        if not in_cone(k, flipped[-1]):
+            raise NotInvertible(f"value at {name} is not invertible in the cone")
+    return getter(a + tuple(flipped))
 
 
 def _sign_test(K: Adc, sources: Sequence[tuple[int, int]]) -> Callable[[Sequence[tuple]], bool]:
@@ -219,10 +208,10 @@ class _NerveBase(CubModel):
     the co-map whose precomposition is operation `kind` on n-cells (or the
     error the family raises for one it lacks), and from `split`.  The
     nerves of one class, convention and cone share one record (`_shape`):
-    zero chains, tables, sign tests, and each plan's steps and program with
-    its run count.  A nerve keeps what reads K's boundaries or itself: the
-    solver, cells, search steps and each plan's binding to its cells.  A
-    class that changes `_table`, `_step` or `_co_map` keeps its own record."""
+    zero chains, tables and each plan's `Lowered`, its steps and program.
+    A nerve keeps what reads K's boundaries: the solver, cells and search
+    steps.  `has_r_inverse` is `CubModel`'s, through `r_inverse`.  A class
+    that changes `_table`, `_step` or `_co_map` keeps its own record."""
 
     max_dim = 6
     family: Callable[[int, str], Adc]
@@ -233,10 +222,9 @@ class _NerveBase(CubModel):
         self.solver = _ChainSolver(K)
         self._cell_cache: dict[tuple[int, int], list[tuple]] = {}
         self._step_tables: dict[tuple[int, int], tuple[tuple, ...]] = {}
-        self._lowered: dict[tuple, Lowered] = {}
         cls = type(self)  # a class that changes a table, step or co-map keeps its own record
         stock = all(f.__module__ == __name__ for f in (cls._table, cls._step, cls._co_map))
-        self._zeros, self._tables, self._plans, self._rev_tests = (
+        self._zeros, self._tables, self._plans = (
             _shape if stock else _shape.__wrapped__)(cls, K.d_convention, K.cone)
 
     def __repr__(self) -> str:
@@ -463,36 +451,26 @@ class _NerveBase(CubModel):
         return _invert, (self._table(kind, n, i), self.K.in_cone)
 
     def lower(self, plan, leaf_dims: tuple[int, ...]) -> Lowered:
-        """`plan` as payload kernels over the compiled tables: its steps, slot
-        dimensions and program (compiled on the plan's second run by any nerve
-        of the shape) are kept in the shape's record, and bound to this nerve's
-        cells.  A node out of range or refused becomes a step raising what the
-        operation would raise, when (and if) it runs."""
+        """`plan` as payload kernels over the compiled tables, with its program:
+        built by the first nerve of the shape to lower it, and kept in the
+        shape's record for them all.  A node out of range or refused becomes
+        a step raising what the operation would raise, when (and if) it runs."""
         key = (plan, leaf_dims)
-        low = self._lowered.get(key)
+        low = self._plans.get(key)
         if low is None:
-            if key not in self._plans:
-                dims, steps = list(leaf_dims), [None] * plan.leaves
-                for kind, x, args in plan.nodes:
-                    y, args = (args[0], (dims[args[0]], args[1])) if kind == "comp" else (x, args)
-                    try:
-                        fn, data = self._step(kind, dims[x], *args)
-                    except (ValueError, OracleUnavailable) as exc:
-                        fn, data = _refuse, (type(exc), str(exc))
-                    steps.append((fn, x, y, data))
-                    dims.append(dims[x] + _SHIFT.get(kind, 0))
-                steps, runs, compiled = tuple(steps), itertools.count(), []
-
-                def program(model):  # a plan run once keeps its steps
-                    if next(runs) and not compiled:
-                        compiled.append(model._program(plan, steps, dims))
-                    return compiled[0] if compiled else None
-
-                self._plans[key] = steps, dims, program
-            steps, dims, program = self._plans[key]
-            low = self._lowered[key] = Lowered(
-                steps, attrgetter("payload"), lambda k, payload: Cell(self, dims[k], payload), eq,
-                lambda: program(self))
+            dims, steps = list(leaf_dims), [None] * plan.leaves
+            for kind, x, args in plan.nodes:
+                y, args = (args[0], (dims[args[0]], args[1])) if kind == "comp" else (x, args)
+                try:
+                    fn, data = self._step(kind, dims[x], *args)
+                except (ValueError, OracleUnavailable) as exc:
+                    fn, data = _refuse, (type(exc), str(exc))
+                steps.append((fn, x, y, data))
+                dims.append(dims[x] + _SHIFT.get(kind, 0))
+            steps = tuple(steps)
+            low = self._plans[key] = Lowered(
+                steps, attrgetter("payload"), lambda model, k, v: Cell(model, dims[k], v), eq,
+                self._program(plan, steps, dims))
         return low
 
     def _walk(self, plan, steps: tuple, dims: list) -> tuple | None:
@@ -614,20 +592,6 @@ class _NerveBase(CubModel):
         fn, data = self._step("rev", A.dim, i)
         return Cell(self, A.dim, fn(A.payload, (), data))
 
-    def has_r_inverse(self, A: Cell, i: int) -> bool:
-        """Whether `r_inverse` succeeds: the slab's sign test, or `_negated` for wrong ranks."""
-        if not 1 <= i <= A.dim:
-            return False
-        found = self._rev_tests.get((A.dim, i))
-        if found is None:
-            _, ((_, negs), _) = self._step("rev", A.dim, i)
-            found = self._rev_tests[A.dim, i] = (
-                negs, _kernel([p for _, p, _ in negs]), [self.K.rank(k) for k, _, _ in negs],
-                _sign_test(self.K, [(k, p) for k, p, _ in negs]))
-        negs, slab, ranks, negated = found
-        return (negated(A.payload) if list(map(len, slab(A.payload))) == ranks
-                else _negated(A.payload, negs, self.K.in_cone)[0] is not None)
-
 
 # ---------------------------------------------------------------------------
 # the two nerves
@@ -697,12 +661,15 @@ def assignment_from_json(model: _NerveBase, dim, assignment) -> Cell:
         raise ValueError(f"a cell dimension must be an int in 0..{model.max_dim}, not {dim!r}")
     if not isinstance(assignment, dict):
         raise ValueError(f"an assignment must be a JSON object, not {type(assignment).__name__}")
+    stray = next((name for name in assignment if name not in model.domain(dim).positions), None)
+    if stray is not None:
+        raise ValueError(f"a {dim}-cell has no element {stray!r}")
     for k, name in model.elements(dim):
         v, rank = assignment.get(name), model.K.rank(k)
         if not (isinstance(v, list) and len(v) == rank and all(type(c) is int for c in v)):
             got = repr(v) if name in assignment else "nothing"
             raise ValueError(f"{dim}-cell element {name!r} needs a list of {rank} ints, got {got}")
-    return model.make(dim, {name: tuple(v) for name, v in assignment.items()})
+    return model.make(dim, assignment)
 
 
 def cell_to_json(model: _NerveBase, A: Cell) -> dict:

@@ -59,7 +59,7 @@ class CellModel(CubModel):
                 steps.append((_binary, x, args[0], (op, args[1])))
             else:
                 steps.append((_unary, x, x, (op, args)))
-        return Lowered(tuple(steps), lambda A: A, lambda k, A: A, self.equal)
+        return Lowered(tuple(steps), lambda A: A, lambda _model, _k, A: A, self.equal)
 
 
 # ---------------------------------------------------------------------------

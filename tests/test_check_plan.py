@@ -9,11 +9,11 @@ appending).  Both checkers must return the same counts, in the same
 family order, and the same violation strings in the same order, or
 raise the same exception, on sampled and on faulty models.
 
-On the nerves, `core._run` runs a plan's compiled program from the
-plan's second run on a model, and runs the equations one by one only
-when the program declines.  The same nerves with their programs switched
-off (`Uncompiled`) are the oracle of that path: the reports must be equal
-on the first run of each plan and on later runs, on lawful nerves and on
+On the nerves, `core._run` runs a plan's compiled program, built when
+the plan is first lowered, and runs the equations one by one only when
+the program declines.  The same nerves with their programs switched off
+(`Uncompiled`) are the oracle of that path: the reports must be equal on
+the first run of each plan and on later runs, on lawful nerves and on
 nerves with a corrupted compiled table, which make the program decline.
 The structural guards at the end need no timing.
 """
@@ -658,7 +658,7 @@ class Uncompiled:
     its steps.  The oracle of the programs."""
 
     def lower(self, plan, leaf_dims):
-        return super().lower(plan, leaf_dims)._replace(program=lambda: None)
+        return super().lower(plan, leaf_dims)._replace(program=None)
 
 
 class Observed:
@@ -670,17 +670,12 @@ class Observed:
     def lower(self, plan, leaf_dims):
         low = super().lower(plan, leaf_dims)
 
-        def program():
-            run = low.program()
+        def observed(vals):
+            value = NotImplemented if low.program is None else low.program(vals)
+            self.on_steps += value is NotImplemented
+            return value
 
-            def observed(vals):
-                value = NotImplemented if run is None else run(vals)
-                self.on_steps += value is NotImplemented
-                return value
-
-            return observed
-
-        return low._replace(program=program)
+        return low._replace(program=observed)
 
 
 def fresh(name, *mixins):
@@ -773,8 +768,8 @@ LAWFUL = {"disk(3)", "cube(2)", "omega0", "ng disk(3)", "ng (w,1) disk(3)", "ng 
 def test_programs_report_as_their_steps(name, check):
     """A checker on a fresh nerve and on its `Uncompiled` twin: equal reports
     (counts, and violations in order and text) while each plan runs for the
-    first time, and again when every plan runs its program.  On a lawful
-    nerve the programs then decide every equation; on a faulty one some
+    first time, and again on later runs.  On a lawful nerve the programs
+    decide every equation from the first run on; on a faulty one some
     decline, and the steps report."""
     compiled, oracle = fresh(name, Observed), fresh(name, Uncompiled)
     cells = {n: pool(name, n)[:10] for n in range(TOP[name] + 1)}
@@ -783,7 +778,7 @@ def test_programs_report_as_their_steps(name, check):
     for later in (False, True):
         compiled.on_steps = 0
         assert outcome(check, compiled, TOP[name], on(compiled, cells), 7) == expected
-        assert (compiled.on_steps == 0) == (later and name in LAWFUL)
+        assert (compiled.on_steps == 0) == (name in LAWFUL)
     assert (expected[1] == []) == (name in LAWFUL)
 
 
@@ -801,14 +796,14 @@ def test_corrupted_table_falls_back_to_the_oracle_report():
 
 @pytest.mark.parametrize("name", ["disk(3)", "cube(2)", "omega0", "swapped-conn", "wrong-slab"])
 def test_programs_compare_only_registers_they_have(name):
-    """Every checker plan a nerve runs twice compiles (the unary plans
+    """Every checker plan a nerve runs compiles (the unary plans
     included), and the program it compiles compares sides of equal length,
     never a register with itself, at most one compare per composite and
     equation, and only registers of its file: the leaf payloads, the zero
     chains and its fills.  Each sum it reads as one summand pairs the zero
     chain of a degree k with a register of rank K.rank(k).  The checkers'
     reports equal the oracle's."""
-    _shape.cache_clear()  # so that `m` compiles what its shape runs twice
+    _shape.cache_clear()  # so that `m` compiles what its shape runs
     m, oracle = fresh(name), fresh(name, Uncompiled)
     cells = {n: pool(name, n)[:4] for n in range(4)}
 
@@ -847,7 +842,7 @@ def test_checker_programs_read_sums_with_zero_as_the_summand(name, plan, leaf_di
     plan's 41 slab sums has a zero chain as a summand, so it fills nothing
     and its 12 equations become identities; the pair plan along direction 1
     keeps 9 of its 34 sums and all 32 compares."""
-    _shape.cache_clear()  # so that `m` compiles what its shape runs twice
+    _shape.cache_clear()  # so that `m` compiles what its shape runs
     m = fresh(name)
     built = compiled_walks(m, lambda: check_axioms(m, 3, {3: pool(name, 3)[:8]}, max_pairs=4))
     *_, batches, got = built[plan, leaf_dims][0]
@@ -991,24 +986,24 @@ def test_leaves_of_the_wrong_width_fall_back():
     assert run is not None and run(leaves) is NotImplemented
 
 
-def test_a_plan_run_once_keeps_its_steps():
-    """A plan compiles on its second run in the process on a nerve of its
-    shape, in the checkers as in the constructions, so a one-shot call pays
-    no compile."""
-    _shape.cache_clear()  # no nerve of this shape has run a plan
+def test_a_plan_compiles_once_per_shape_when_first_lowered():
+    """A plan compiles when a nerve of its shape first lowers it, in the
+    checkers as in the constructions, and never again in the process: not
+    on its second run, nor on a new nerve of the shape."""
+    _shape.cache_clear()  # no nerve of this shape has lowered a plan
     m = NcModel(with_group_cones_above(disk(2), 0))
     oracle = type("UncompiledNcModel", (Uncompiled, NcModel), {})(m.K)
     cells = {n: m.cells(n, 1)[:1] for n in range(3)}
-    A = cells[2][0]
+    want = check_axioms(oracle, 2, on(oracle, cells), max_pairs=0)
 
-    def constructions():
-        core.phi(m, A, 2)
-        invert.t_inverse(m, A, 1)
+    def run(model):
+        assert check_axioms(model, 2, on(model, cells), max_pairs=0) == want
+        A = on(model, cells)[2][0]
+        return core.phi(model, A, 2).payload, invert.t_inverse(model, A, 1).payload
 
-    def check():
-        assert check_axioms(m, 2, cells, max_pairs=0) == check_axioms(oracle, 2, cells, max_pairs=0)
-
-    assert not compiled_programs(m, check) and not compiled_programs(m, constructions)
-    assert set(compiled_programs(m, check)) == {
-        (core._unary_plan(n, m.max_dim), (n,)) for n in range(3)}
-    assert compiled_programs(m, constructions)
+    first = []
+    built = compiled_programs(m, lambda: first.append(run(m)))
+    assert {(core._unary_plan(n, m.max_dim), (n,)) for n in range(3)} <= set(built)
+    assert (invert._t_plan(1), (2,)) in built and all(built.values())
+    with mock.patch.object(_NerveBase, "_program", side_effect=AssertionError("compiled again")):
+        assert run(m) == run(NcModel(m.K)) == first[0]

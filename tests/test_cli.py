@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import subprocess
@@ -500,6 +501,9 @@ BAD_FILES = {
     "table-coefficient-str": (
         "transfor", lambda: _table(entries=[_entry(cell={**_entry()["cell"], "-": "ab"})]),
         "1-cell element '-' needs a list of 2 ints, got 'ab'"),
+    "table-stray-element": (
+        "transfor", lambda: _table(entries=[_entry(image={**_entry()["image"], "bogus": [1]})]),
+        "a 1-cell has no element 'bogus'"),
     "table-missing-element": (
         "transfor", lambda: _table(entries=[_entry(cell={"+": [0, 1], "0": [1]})]),
         "1-cell element '-' needs a list of 2 ints, got nothing"),
@@ -510,6 +514,12 @@ BAD_FILES = {
     "cell-coefficient-int": (
         "fold", lambda: _cell(assignment={**_cell()["assignment"], "0": 1}),
         "1-cell element '0' needs a list of 1 ints, got 1"),
+    "cell-stray-element-int": (
+        "fold", lambda: _cell(assignment={**_cell()["assignment"], "bogus": 5}),
+        "a 1-cell has no element 'bogus'"),
+    "cell-stray-element-list": (
+        "invert", lambda: _cell(assignment={"bogus": [1], **_cell()["assignment"], "+-": [2]}),
+        "a 1-cell has no element 'bogus'"),
     "cell-missing-element": (
         "invert", lambda: _cell(assignment={"-": [1, 0], "+": [0, 1]}),
         "1-cell element '0' needs a list of 1 ints, got nothing"),
@@ -601,3 +611,14 @@ def test_malformed_file_exits_2_with_one_line(tmp_path, capsys, name):
               "check": f"error: cannot parse complex from {path}: "}.get(
                   command, f"error: bad cell file {path}: ")
     assert err.startswith(prefix)
+
+
+@pytest.mark.parametrize("flag", ["--adc", "--cell", "--table"])
+def test_an_input_path_naming_a_directory_or_nothing_exits_2_with_one_line(tmp_path, capsys,
+                                                                           flag):
+    command = {"--adc": "check", "--cell": "fold", "--table": "transfor"}[flag]
+    missing = tmp_path / "missing.json"
+    for path, why in ((tmp_path, f"cannot read {tmp_path}: {os.strerror(errno.EISDIR)}"),
+                      (missing, f"no such file: {missing}")):
+        code, out, err = run(capsys, command, flag, str(path))
+        assert (code, out, err) == (2, "", f"error: {why}\n")

@@ -98,8 +98,9 @@ def test_cli_golden(name, tmp_path, capsys):
 @pytest.mark.parametrize("first", ["disk2", "omega0"])
 def test_classify_goldens_hold_in_either_order(first, tmp_path, capsys):
     """disk(2) and omega0 have equal ranks and different cones, so their
-    nerves share no sign test: classifying both in one process, in either
-    order and each twice (the second call runs compiled), prints the goldens."""
+    nerves share no record: classifying both in one process, in either
+    order and each twice (the second call on the shape's compiled plans),
+    prints the goldens."""
     _shape.cache_clear()
     names = ["classify_disk2.txt", "classify_omega0.txt"]
     for name in (names if first == "disk2" else names[::-1]) * 2:

@@ -16,9 +16,9 @@ recording model they must also call the same operations in the same
 order.  The one allowed difference: a closure whose index arithmetic
 fails raises `DomainError` while its plan is built, before any operation
 runs, where the oracle may first fail an operation.
-`NcModel.has_r_inverse`, which reads the cone check alone, is checked
-against the exception route and against the slab cone condition.  A
-`CubModel` that does not lower plans runs none.
+The nerves' `has_r_inverse`, the exception route of `CubModel`, is
+checked against the slab cone condition.  A `CubModel` that does not
+lower plans runs none.
 """
 
 import collections
@@ -37,8 +37,7 @@ from cubeforge.core import (Cell, CompositionError, CubModel, DomainError, NotIn
                             OracleUnavailable, Violation, check_axioms, check_globular,
                             composable_pairs)
 from cubeforge.invert import Comp, Conn, Eps, Leaf
-from cubeforge.nerve import (_SHIFT, NcModel, NgModel, _kernel, _negated, _shape, _sign_test,
-                             _Table)
+from cubeforge.nerve import _SHIFT, NcModel, NgModel, _kernel, _shape, _sign_test, _Table
 
 from cubical_models import CellModel, PosetModel, check_composable, closure_oracle, eval_expr
 
@@ -435,14 +434,14 @@ def test_closure_plans_match_the_recursive_evaluator(data, name):
 
 def test_closure_builds_one_plan_per_shape():
     """Closure calls of one shape and direction share one plan and one
-    lowering, and run as its compiled program from the second call on."""
+    lowering, whose compiled program gives every call's value."""
     m = MODELS["omega0"]()
     pairs = composable_pairs(m, [Cell(m, 2, A.payload) for A in pool("omega0", 2)], 1, 40)
     invert._closure_plan.cache_clear()
     got = [invert.r_inverse_by_closure(m, Comp(1, Leaf(A), Leaf(B)), 1) for A, B in pairs]
     assert len(pairs) == 40 and invert._closure_plan.cache_info().currsize == 1
-    (low,) = m._lowered.values()
-    run = low.program()
+    shape = ("comp", 1, ("leaf", 0, None), ("leaf", 1, None))
+    run = m.lower(invert._closure_plan(shape, 1, 2, True), (2, 2)).program
     assert run is not None
     assert [run([A.payload, B.payload]) for A, B in pairs] == [C.payload for C in got]
 
@@ -457,10 +456,9 @@ def test_a_model_without_lower_runs_no_plan():
 
 
 def program(m, plan, leaf_dims):
-    """The compiled program of `plan` on `m`, which the nerve builds when the
-    plan runs a second time."""
-    low = m.lower(plan, leaf_dims)
-    return low.program() or low.program()
+    """The compiled program of `plan` on `m`, which the nerve builds when it
+    first lowers the plan."""
+    return m.lower(plan, leaf_dims).program
 
 
 def walk(m, plan, leaf_dims):
@@ -525,23 +523,19 @@ def test_the_verifications_stay_run_time_compares(name, n):
 @pytest.mark.parametrize("name", ["omega0", "omega1", "disk(3)", "cube(2)", "tensor"])
 def test_has_r_inverse_matches_the_exception_route(name):
     m = model(name)
+    assert type(m).has_r_inverse is CubModel.has_r_inverse
     # every bound-1 cell; omega0's 3-cells exceed the enumeration budget at
-    # bound 1.  On the nonneg cones most slab values fail the sign test.
+    # bound 1.  On the nonneg cones most slab values fail the cone check.
     tops = {"omega0": 2}.get(name, 3)
     seen = set()
     for n in range(tops + 1):
         for A in m.cells(n, 1):
             for i in range(0, n + 2):
                 fast = m.has_r_inverse(A, i)
-                assert fast == CubModel.has_r_inverse(m, A, i)
                 # an R_i-inverse negates the values on the slab s_i = 0
                 assert fast == (1 <= i <= n and all(
                     m.K.in_cone(k, tuple(-c for c in A.payload[pos]))
                     for pos, (k, s) in enumerate(m.elements(n)) if s[i - 1] == "0"))
-                if 1 <= i <= n:  # a cell's own values: the sign test decides, not the steps
-                    _, slab, ranks, negated = m._rev_tests[n, i]
-                    assert list(map(len, slab(A.payload))) == ranks
-                    assert negated(A.payload) is fast
                 seen.add(fast)
     assert seen == {True, False}
 
@@ -566,7 +560,7 @@ def test_the_sign_test_is_the_cone_of_the_negations(data, K):
     """Values of the right ranks (degrees above the top too), in a tuple or a
     list, read at any positions, repeats included: the compiled test answers
     as `Adc.in_cone` on each negation.  A value of another rank never reaches
-    it; `has_r_inverse` sends it to the steps (the test below)."""
+    it: the program's rank check sends it to the steps (the test below)."""
     degrees = data.draw(st.lists(st.integers(0, K.top + 2), max_size=6), label="degrees")
     values = [tuple(data.draw(st.lists(st.integers(-3, 3), min_size=K.rank(k),
                                        max_size=K.rank(k)), label=f"value{q}"))
@@ -595,7 +589,8 @@ def test_has_r_inverse_reads_values_of_another_rank_as_the_steps_do(K, shows):
                 for v in (A.payload[p] + (0,), A.payload[p][1:]):
                     B = Cell(m, 2, A.payload[:p] + (v,) + A.payload[p + 1:])
                     got = outcome(m.has_r_inverse, B, i)
-                    steps = outcome(lambda: _negated(B.payload, negs, in_cone)[0] is not None)
+                    steps = outcome(lambda: all(in_cone(k, vec_neg(B.payload[q]))
+                                                for k, q, _ in negs))
                     assert got == steps
                     seen.add(got if isinstance(got, bool) else got[1])
     assert seen == shows

@@ -1,9 +1,11 @@
 import contextlib
+import gc
 import hashlib
 import itertools
 import json
 import random
 import re
+import weakref
 from collections import Counter
 from operator import add
 from pathlib import Path
@@ -30,7 +32,7 @@ from cubeforge.core import (
     phi,
     shell_key,
 )
-from cubeforge.invert import is_plain_invertible, r_inverse
+from cubeforge.invert import classify_omega_p, is_plain_invertible, r_inverse, t_inverse
 from cubeforge.nerve import (NcModel, NgModel, _boundary, _comp_table, _kernel, _shape, _Table,
                              gamma_vs_ng, globular_signature)
 from cubeforge.nerve import SEARCH_BUDGET as NERVE_BUDGET
@@ -747,8 +749,28 @@ def test_nerves_over_one_complex_file_share_one_record():
     models = [NcModel(from_json_dict(data)) for _ in range(100)]
     assert len({id(m.K) for m in models}) == 100
     assert _shape.cache_info()[:2] == (99, 1)  # (hits, misses)
-    records = {tuple(map(id, (m._zeros, m._tables, m._plans, m._rev_tests))) for m in models}
+    records = {tuple(map(id, (m._zeros, m._tables, m._plans))) for m in models}
     assert len(records) == 1
+
+
+def test_the_record_keeps_no_nerve_alive():
+    """A nerve whose plans ran as compiled programs (a check, a fold, a
+    T-inverse, a classification) is collected once it goes out of scope,
+    and its shape's record, with those plans, outlives it."""
+    _shape.cache_clear()
+    m = NcModel(OMEGA0)
+    cells = {n: m.cells(n, 1)[:4] for n in range(3)}
+    assert check_axioms(m, 2, cells, max_pairs=2).ok
+    for A in cells[2]:
+        phi(m, A, 2)
+        t_inverse(m, A, 1)
+    classify_omega_p(m, [1, 2])
+    record, gone = m._plans, weakref.ref(m)
+    assert len(record) > 5 and all(low.program is not None for low in record.values())
+    del m, cells, A
+    gc.collect()
+    assert gone() is None
+    assert NcModel(OMEGA0)._plans is record and len(record) > 5
 
 
 # nerves that must share no record: equal ranks but different cones, and
@@ -762,14 +784,14 @@ UNSHARED = {
 @pytest.mark.parametrize("name", UNSHARED)
 def test_nerves_of_different_shapes_share_no_table_or_sign_test(name):
     """Two nerves warmed in turn: each has its own record, every table
-    gathers as its own per-model compile, and every sign test (the direct
-    ones and the probes of `is_plain_invertible`, run twice so that the
-    second is compiled) answers as its own cone's exception route.  Read on
-    one complex's cells, the two cones' answers differ where they differ."""
+    gathers as its own per-model compile, and every sign test (the probes
+    of `is_plain_invertible`, run twice) answers as its own cone's
+    exception route.  Read on one complex's cells, the two cones' answers
+    differ where they differ."""
     _shape.cache_clear()
     models = [NcModel(K) for K in UNSHARED[name]]
     assert all(getattr(models[0], r) is not getattr(models[1], r)
-               for r in ("_zeros", "_tables", "_plans", "_rev_tests"))
+               for r in ("_zeros", "_tables", "_plans"))
     rng, answers = random.Random(name), []
     cells = [(n, A.payload) for n in (1, 2) for A in models[0].cells(n, 1)]
     for m in models:

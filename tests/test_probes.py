@@ -6,8 +6,8 @@ replaced.
 reversal inverses through probe plans (`core._ask`); their old bodies are
 the oracles of `cubical_models`.  Each comparison runs three ways: on a
 nerve whose programs are switched off, so that every call runs the
-steps, then twice on one new model, whose first call of each plan runs
-the steps and every later call its compiled program.  Reports must be
+steps, then twice on one new model, whose every call runs the compiled
+program of its plan, compiled when first lowered.  Reports must be
 equal in every field and in their summary text; the predicates must give
 the same answers, or raise the same exception with the same text.  The
 models cover both orientations, non-negative and group cones, a poset,
@@ -194,15 +194,16 @@ def test_the_steps_call_the_operations_in_the_old_order():
 
 
 def test_a_warm_classification_builds_one_plan_and_one_lowering_per_dimension():
+    _shape.cache_clear()  # the record then holds what `m` lowers
     m = NcModel(cube(2))
     invert._probe_plan.cache_clear()
     first = invert.classify_omega_p(m, [1, 2, 3])
-    assert invert._probe_plan.cache_info().currsize == 3 and len(m._lowered) == 3
+    assert invert._probe_plan.cache_info().currsize == 3 and len(m._plans) == 3
     assert invert.classify_omega_p(m, [1, 2, 3]) == first
     assert invert._probe_plan.cache_info().currsize == 3
-    assert set(m._lowered) == {(invert._probe_plan(n, 1, parts), (n,))
-                               for n, parts in ((1, "PRA"), (2, "PRATt"), (3, "PRATt"))}
-    assert all(low.program() is not None for low in m._lowered.values())
+    assert set(m._plans) == {(invert._probe_plan(n, 1, parts), (n,))
+                             for n, parts in ((1, "PRA"), (2, "PRATt"), (3, "PRATt"))}
+    assert all(m.lower(*key).program is not None for key in m._plans)
 
 
 class Counting(NcModel):
@@ -222,8 +223,8 @@ class Counting(NcModel):
 
 
 def test_a_warm_classification_makes_no_cell_level_call():
-    """No `face`, `psi` or `has_r_inverse` call per cell: each cell's questions
-    are answered by its dimension's program."""
+    """No `face`, `psi` or `has_r_inverse` call per cell, on a cold run too:
+    each cell's questions are answered by its dimension's program."""
     m = Counting(with_group_cones_above(disk(2), 0))
     psi = core.psi
 
@@ -233,8 +234,7 @@ def test_a_warm_classification_makes_no_cell_level_call():
 
     with mock.patch.object(core, "psi", counted), mock.patch.object(invert, "psi", counted):
         cold = invert.classify_omega_p(m, [1, 2])
-        assert m.calls["has_r_inverse"] > 0  # the first cell of each dimension ran the steps
-        m.calls = dict.fromkeys(m.calls, 0)
+        assert m.calls == dict.fromkeys(m.calls, 0)
         assert invert.classify_omega_p(m, [1, 2]) == cold
     assert cold.evidence[1].checked == 442 and m.calls == dict.fromkeys(m.calls, 0)
 
@@ -244,9 +244,8 @@ def test_a_leaf_of_the_wrong_rank_declines_to_the_steps():
     program declines it, and the steps give the oracle's answer or raise its
     exception."""
     m = NcModel(with_group_cones_above(disk(2), 0))
-    invert.classify_omega_p(m, [2])  # warm: the 2-cell plan runs as a program
-    (low,) = m._lowered.values()
-    run = low.program()
+    invert.classify_omega_p(m, [2])
+    run = m.lower(invert._probe_plan(2, 1, "PRATt"), (2,)).program
     A = m.cells(2, 1)[7]
     answers(m, [(2, A.payload)] * 2)  # and so do the predicates' plans
     seen = set()
