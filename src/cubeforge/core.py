@@ -463,12 +463,16 @@ def _eval(plan: _Plan, model: CubModel, cells: list) -> Cell | None:
     return cells[out] if out < plan.leaves else low.cell(model, out, value)
 
 
-def _ask(plan: _Plan, model: CubModel, cells: list) -> Callable[[int], bool]:
-    """The answers to `plan`'s probes on the leaf `cells`, by probe index: all
-    at once from the lowered plan's program, unless it declines; else each
-    when asked, `model.has_r_inverse` deciding it after its nodes (`probe`)
-    are computed or shared, so work and exceptions follow the questions."""
-    low = model.lower(plan, tuple(A.dim for A in cells))
+def _ask(plan: _Plan, model: CubModel, rows: Sequence[list]) -> list[Callable[[int], bool]]:
+    """Per row of leaf cells (rows of one shape), the answers to `plan`'s probes
+    by index: the plan lowered once, its program run on each row.  A row it
+    declines is answered when asked, `model.has_r_inverse` deciding a probe after
+    its nodes (`probe`) are computed or shared, so work and exceptions follow it."""
+    low = model.lower(plan, tuple(A.dim for A in rows[0])) if rows else None
+    return [_reader(plan, model, low, cells) for cells in rows]
+
+
+def _reader(plan: _Plan, model: CubModel, low: Lowered, cells: list) -> Callable[[int], bool]:
     vals = list(map(low.load, cells))
     bits = NotImplemented if low.program is None else low.program(vals)
     if bits is not NotImplemented:

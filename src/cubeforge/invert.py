@@ -330,7 +330,7 @@ def _probe_plan(n: int, i: int, parts: str) -> _Plan:
 def _holds(model: CubModel, A: Cell, i: int, parts: str) -> bool:
     """Whether every probe of `_probe_plan(A.dim, i, parts)` holds on A, asked in order."""
     plan = _probe_plan(A.dim, i, parts)
-    return all(map(_ask(plan, model, [A]), range(len(plan.probes))))
+    return all(map(_ask(plan, model, [[A]])[0], range(len(plan.probes))))
 
 
 # ---------------------------------------------------------------------------
@@ -439,8 +439,8 @@ def classify_omega_p(
     shell in direction 1 must reverse in direction 1, and (dimension
     >= 2) cells with a transposition-invertible shell at 1 must be
     transposition-invertible at 1.  Per dimension this is one probe plan
-    (`_probe_plan`), asked of each cell in that order, shells
-    short-circuiting; on the nerves it runs as one compiled program.  A
+    (`_probe_plan`), asked of all the cells in one `_ask` call, read per cell
+    in that order, shells short-circuiting; on the nerves one program.  A
     dimension below 1 raises `DomainError` before any cell is drawn.
     `extra_random` more cells per dimension come from `sample_cells` with
     `rng`; without both, ValueError.
@@ -457,8 +457,7 @@ def classify_omega_p(
         # probe 0 the fold, 1..r-1 the R_1 shell, r the cell, r+1..t-1 the T_1 shell, t the 1-fold
         plan, r, t = _probe_plan(n, 1, "PRATt" if n >= 2 else "PRA"), 2 * n - 1, 4 * n - 4
         witness, all_inv, shell_ok, t_shell_ok = None, True, True, True
-        for A in cells:
-            bit = _ask(plan, model, [A])
+        for A, bit in zip(cells, _ask(plan, model, [[A] for A in cells])):
             plain = bit(0)
             if not plain and witness is None:
                 all_inv, witness = False, A.payload

@@ -39,8 +39,9 @@ gathers (`_walk`) gives its one program (`_program`), which `core._run`
 probes of `cubeforge.invert`'s invertibility predicates) all run
 first: its chain sums and negations in batches over one register file,
 then every check at once: each distinct register pair once, the cone
-checks in one `_sign_test`; a failing check hands the call to the steps.  A probe is one more `_sign_test`, of the probed
-slot's registers at the `rev` table's slab positions.
+checks in one `_sign_test`; a failing check hands the call to the steps.
+A probe is one more `_sign_test`, of its slot's `rev` slab registers; a
+program keeps only the fills an answer reads (`_prune`).
 A checker's program reads a slab sum with a zero chain as the other
 summand, which settles the equations it makes identities at compile
 time; a construction's keeps every sum and compares every equation.
@@ -527,34 +528,60 @@ class _NerveBase(CubModel):
             return None
         return zeros, sizes, maps, batches, [op for op in compares if op[1] != op[2]]
 
-    def _program(self, plan, steps: tuple, dims: list) -> Callable[[list], object] | None:
-        """`plan` over the registers of `_walk` as a function of the leaf
-        values giving slot `out`'s value (or the probes' answers, each a
-        `_sign_test` of the slot's `rev` slab): the fills a batch at a time,
-        then the cone checks and each distinct compared register pair at
-        once (NotImplemented when one fails); None for a plan `_walk` or a
-        probe's `rev` refuses."""
+    def _prune(self, plan, steps: tuple, dims: list) -> tuple | None:
+        """What `_program` runs of `plan`'s `_walk`: zero chains, leaf sizes, the
+        fills an answer reads (a compared pair, a negation's source, a probe's
+        cone-flagged register, `out`) renumbered in order in `_walk`'s batches,
+        the pairs, negated sources, probed registers and `out` (empty with
+        probes).  None if `_walk` or a probe's `rev` refuses, or it would check
+        nothing and answer a leaf."""
         walked = self._walk(plan, steps, dims)
         if walked is None:
             return None
         zeros, sizes, maps, batches, compares = walked
-        tests = []
+        probed, K = [], self.K
         for x, k, _ in plan.probes:
             try:  # the steps' `has_r_inverse` answers a probe `rev` refuses
                 _, ((_, negs), _) = self._step("rev", dims[x], k)
             except (ValueError, OracleUnavailable):
                 return None
-            tests.append(_sign_test(self.K, [(d, maps[x][p]) for d, p, _ in negs]))
-        negs = [op for batch in batches for op in batch if op[0] == "neg"]
-        stages = [([add if op[0] == "add" else sub for op in batch],
-                   *(_kernel([op[k] for op in batch]) for k in (2, 3))) for batch in batches]
+            probed.append([(d, maps[x][p]) for d, p, _ in negs if d <= K.top and any(K.cone[d])])
+        fills = [op for batch in batches for op in batch]
+        negated = [(zero_k - sum(sizes), q) for kind, _, zero_k, q in fills if kind == "neg"]
         pairs = dict.fromkeys((min(p), max(p)) for op in compares for p in zip(*op[1:3])
                               if p[0] != p[1])  # a conjunction: each unordered pair once
+        if not (plan.equations or probed or negated or pairs) and plan.out < plan.leaves:
+            return None  # its steps answer as fast: `load` and `cell` of a leaf
+        out = () if probed else maps[plan.out]
+        live = {*itertools.chain(*pairs, out), *(r for _, r in itertools.chain(negated, *probed))}
+        for op in reversed(fills):
+            if op[1] in live:
+                live.update(op[2:])
+        reg = {r: r for r in range(sum(sizes) + len(zeros))}  # leaves and zeros keep theirs
+        reg.update(zip((op[1] for op in fills if op[1] in live), itertools.count(len(reg))))
+        batches = [b for b in ([(op[0], *map(reg.get, op[1:])) for op in batch if op[1] in live]
+                               for batch in batches) if b]
+        negated, *probed = ([(k, reg[r]) for k, r in sources] for sources in (negated, *probed))
+        pairs = [(reg[a], reg[b]) for a, b in pairs]  # renumbering keeps (lower, higher)
+        return zeros, sizes, batches, pairs, negated, probed, [reg[r] for r in out]
+
+    def _program(self, plan, steps: tuple, dims: list) -> Callable[[list], object] | None:
+        """`plan` over the registers of `_prune` as a function of the leaf
+        values giving slot `out`'s value (or the probes' answers, each a
+        `_sign_test` of the slot's `rev` slab): the kept fills a batch at a
+        time, then the cone checks and each distinct compared register pair
+        at once (NotImplemented when one fails); None where `_prune` is."""
+        pruned = self._prune(plan, steps, dims)
+        if pruned is None:
+            return None
+        zeros, sizes, batches, pairs, negated, probed, out = pruned
+        stages = [([add if op[0] == "add" else sub for op in batch],
+                   *(_kernel([op[k] for op in batch]) for k in (2, 3))) for batch in batches]
         left, right = (_kernel([p[s] for p in pairs] or [0]) for s in (0, 1))
-        negated = _sign_test(self.K, [(zero_k - sum(sizes), q) for _, _, zero_k, q in negs])
+        negated, *tests = (_sign_test(self.K, sources) for sources in (negated, *probed))
         ranks = [len(zeros[k]) for d in dims[:plan.leaves] for k, _ in self.elements(d)]
         ranks += map(len, zeros)
-        out = (lambda regs: [test(regs) for test in tests]) if tests else _kernel(maps[plan.out])
+        out = (lambda regs: [test(regs) for test in tests]) if tests else _kernel(out)
 
         def run(vals: list):
             regs = list(itertools.chain(*vals, zeros))

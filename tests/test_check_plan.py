@@ -1004,6 +1004,8 @@ def test_a_plan_compiles_once_per_shape_when_first_lowered():
     first = []
     built = compiled_programs(m, lambda: first.append(run(m)))
     assert {(core._unary_plan(n, m.max_dim), (n,)) for n in range(3)} <= set(built)
-    assert (invert._t_plan(1), (2,)) in built and all(built.values())
+    assert (invert._t_plan(1), (2,)) in built
+    faces = {core._faces_plan(n) for n in range(3)}  # read as steps: compiled to no program
+    assert all((run is None) == (plan in faces) for (plan, _), run in built.items())
     with mock.patch.object(_NerveBase, "_program", side_effect=AssertionError("compiled again")):
         assert run(m) == run(NcModel(m.K)) == first[0]
